@@ -12,10 +12,12 @@ bound-constrained nonlinear least-squares block solves, one for all
 centers with widths fixed and one for all widths with centers fixed.
 Splitting the blocks shrinks the Jacobian (3K or K columns instead of
 4K) and drops the K prior residuals of the frozen block, which are
-constant. Center/width residuals carry analytic Jacobians; data rows
-are weighted by sqrt(1/(2 sigma_i^2)), prior rows by sqrt(1/(2 phi_i))
-through the prior precisions, with phi_i the subsampling compensation
-(T_i V_i) / (Ttilde_i Vtilde_i).
+constant. The data rows of each block Jacobian have Khatri-Rao
+structure, so the solver gets J^T J and J^T r from K x K and
+K x Vtilde products and nothing of size Ttilde x Vtilde x K is formed.
+Data rows are weighted by sqrt(1/(2 sigma_i^2)), prior rows by
+sqrt(1/(2 phi_i)) through the prior precisions, with phi_i the
+subsampling compensation (T_i V_i) / (Ttilde_i Vtilde_i).
 
 The global step combines gathered local centers/widths with the
 template using one 3x3 inversion and one scalar reciprocal per factor:
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import trf
 from .collectives import rank_offsets
@@ -288,57 +291,75 @@ def build_center_problem(
 
     ``Xtilde`` is the sampled TRs x voxels matrix, ``W`` its weight
     rows, ``grid_view`` the sampled voxels. The K width-prior residuals
-    are constant with widths frozen and are dropped. Analytic Jacobian
-    throughout: dF/dmu = F * 2 (p - mu) / lambda.
+    are constant with widths frozen and are dropped. With the 3K x Vtilde
+    G = dF/dmu = F * 2 (p - mu) / lambda and a the data weight,
+    ``normal_fn`` returns J^T J = a^2 (W^T W kron 1_3x3) * (G G^T) and
+    J^T r = -a sum_v G (W^T R) plus the prior rows; ``jacobian_fn``
+    forms the dense Jacobian from the same G, as a test oracle.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
-    n_res = n_trs * n_vox + k
+    n_data = n_trs * n_vox
     data_w = np.sqrt(noise_weight)
     prior_w = np.sqrt(1.0 / (2.0 * phi))
     prior_prec = spd_inverse(template.prior_center_cov)
     prior_centers = template.centers
     widths = np.asarray(widths, dtype=np.float64)
     pos = grid_view.positions
+    wtw = np.kron(W.T @ W, np.ones((3, 3)))
+
+    def prior(centers):
+        """Prior residuals sqrt(d^T P d) (scaled) and their K x 3 gradient rows."""
+        D = centers - prior_centers
+        U = D @ prior_prec
+        q = np.einsum("kd,kd->k", D, U)
+        rows = np.zeros_like(U)
+        live = q > 1e-300
+        rows[live] = prior_w * U[live] / np.sqrt(q[live])[:, None]
+        return prior_w * np.sqrt(np.maximum(q, 0.0)), rows
+
+    def gradients(centers):
+        F = rbf_factor_matrix(centers, widths, grid_view)
+        return (pos.T - centers[:, :, None]) * (F * (2.0 / widths)[:, None])[:, None]
 
     def residual(x):
         centers = x.reshape(k, 3)
         F = rbf_factor_matrix(centers, widths, grid_view)
-        out = np.empty(n_res)
-        out[: n_trs * n_vox] = (data_w * (Xtilde - W @ F)).ravel()
-        for j in range(k):
-            d = centers[j] - prior_centers[j]
-            out[n_trs * n_vox + j] = prior_w * np.sqrt(max(d @ (prior_prec @ d), 0.0))
+        out = np.empty(n_data + k)
+        out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
+        out[n_data:] = prior(centers)[0]
         return out
+
+    def normal(x, r):
+        centers = x.reshape(k, 3)
+        G = gradients(centers)  # K x 3 x Vtilde
+        WtR = W.T @ r[:n_data].reshape(n_trs, n_vox)
+        _, rows = prior(centers)
+        g = (rows * r[n_data:, None] - data_w * np.einsum("kdv,kv->kd", G, WtR)).ravel()
+        G = G.reshape(3 * k, n_vox)
+        H = (noise_weight * wtw) * (G @ G.T)
+        H += block_diag(*(rows[:, :, None] * rows[:, None, :]))
+        return H, g
 
     def jacobian(x):
         centers = x.reshape(k, 3)
-        F = rbf_factor_matrix(centers, widths, grid_view)
-        J = np.zeros((n_res, 3 * k))
-        for j in range(k):
-            diff = pos - centers[j]  # Vtilde x 3
-            base = F[j] * (2.0 / widths[j])
-            for dim in range(3):
-                dF = base * diff[:, dim]
-                J[: n_trs * n_vox, 3 * j + dim] = (
-                    -data_w * np.multiply.outer(W[:, j], dF)
-                ).ravel()
-            d = centers[j] - prior_centers[j]
-            u = prior_prec @ d
-            q = float(d @ u)
-            if q > 1e-300:
-                J[n_trs * n_vox + j, 3 * j : 3 * j + 3] = prior_w * u / np.sqrt(q)
+        J = np.zeros((n_data + k, 3 * k))
+        J[:n_data] = (-data_w * np.einsum("tk,kdv->tvkd", W, gradients(centers))).reshape(
+            n_data, 3 * k
+        )
+        J[n_data:] = block_diag(*prior(centers)[1][:, None])
         return J
 
     grid_for_bounds = bounds_grid if bounds_grid is not None else grid_view
     lo, hi = _center_bounds(grid_for_bounds, k)
     return trf.LeastSquaresProblem(
         n_vars=3 * k,
-        n_residuals=n_res,
+        n_residuals=n_data + k,
         residual_fn=residual,
         jacobian_fn=jacobian,
         lower=lo,
         upper=hi,
+        normal_fn=normal,
     )
 
 
@@ -347,47 +368,55 @@ def build_width_problem(
 ):
     """Width-block NLLS problem: K variables, Vtilde*Ttilde + K residuals.
 
-    Analytic Jacobian dF/dlambda = F * ||p - mu||^2 / lambda^2; the
-    width-prior residuals are linear.
+    The width-prior residuals are linear. With the K x Vtilde
+    G = dF/dlambda = F * ||p - mu||^2 / lambda^2, ``normal_fn`` returns
+    J^T J = a^2 (W^T W) * (G G^T) plus the prior diagonal and J^T r as
+    for the centers; ``jacobian_fn`` is the dense test oracle.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
-    n_res = n_trs * n_vox + k
+    n_data = n_trs * n_vox
     data_w = np.sqrt(noise_weight)
     width_prior_w = np.sqrt(1.0 / (2.0 * phi * template.prior_width_var))
     prior_widths = template.widths
     centers = np.asarray(centers, dtype=np.float64).reshape(k, 3)
-    pos = grid_view.positions
-    d2 = np.empty((k, n_vox))
-    for j in range(k):
-        diff = pos - centers[j]
-        d2[j] = (diff**2).sum(axis=1)
+    d2 = ((grid_view.positions[None] - centers[:, None]) ** 2).sum(axis=-1)
+    wtw = W.T @ W
+
+    def gradients(x):
+        return rbf_factor_matrix(centers, x, grid_view) * d2 / (x**2)[:, None]
 
     def residual(x):
         F = rbf_factor_matrix(centers, x, grid_view)
-        out = np.empty(n_res)
-        out[: n_trs * n_vox] = (data_w * (Xtilde - W @ F)).ravel()
-        out[n_trs * n_vox :] = width_prior_w * (x - prior_widths)
+        out = np.empty(n_data + k)
+        out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
+        out[n_data:] = width_prior_w * (x - prior_widths)
         return out
 
+    def normal(x, r):
+        G = gradients(x)
+        H = (noise_weight * wtw) * (G @ G.T)
+        H[np.diag_indices(k)] += width_prior_w**2
+        WtR = W.T @ r[:n_data].reshape(n_trs, n_vox)
+        g = -data_w * np.einsum("kv,kv->k", G, WtR) + width_prior_w * r[n_data:]
+        return H, g
+
     def jacobian(x):
-        F = rbf_factor_matrix(centers, x, grid_view)
-        J = np.zeros((n_res, k))
-        for j in range(k):
-            dF = F[j] * d2[j] / x[j] ** 2
-            J[: n_trs * n_vox, j] = (-data_w * np.multiply.outer(W[:, j], dF)).ravel()
-            J[n_trs * n_vox + j, j] = width_prior_w
+        J = np.zeros((n_data + k, k))
+        J[:n_data] = (-data_w * np.einsum("tk,kv->tvk", W, gradients(x))).reshape(n_data, k)
+        J[n_data:] = width_prior_w * np.eye(k)
         return J
 
     grid_for_bounds = bounds_grid if bounds_grid is not None else grid_view
     lo, hi = width_bounds(grid_for_bounds, config)
     return trf.LeastSquaresProblem(
         n_vars=k,
-        n_residuals=n_res,
+        n_residuals=n_data + k,
         residual_fn=residual,
         jacobian_fn=jacobian,
         lower=np.full(k, lo),
         upper=np.full(k, hi),
+        normal_fn=normal,
     )
 
 

@@ -8,9 +8,13 @@ strictly feasible while the region shrinks naturally near active
 bounds. After termination, components resting against a bound are
 snapped onto it exactly when that does not increase the cost.
 
-The Gauss-Newton direction comes from an orthogonal factorization of
-the (scaled) Jacobian; Levenberg regularization is added when the
-Jacobian's condition estimate exceeds 1e12.
+The solver only sees the normal-equation pieces H = J^T J and
+g = J^T r: a problem may supply them directly through ``normal_fn``
+(so a structured problem never forms its Jacobian), otherwise they are
+formed from the analytic or finite-difference Jacobian. The
+Gauss-Newton direction comes from an eigendecomposition of the scaled
+model Hessian; Levenberg damping is added when its condition number
+exceeds 1e12.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +33,7 @@ __all__ = [
     "check_jacobian",
 ]
 
-_CONDITION_LIMIT = 1e12
+_LEVENBERG_RATIO = 1e-12  # damp when mu_min <= ratio * mu_max
 
 
 @dataclass
@@ -59,8 +63,10 @@ class TrfConfig:
 class LeastSquaresProblem:
     """Residual description of a box-constrained least-squares problem.
 
-    ``jacobian_fn`` may be None, in which case forward finite
-    differences are used. Bounds may contain +-inf; they must satisfy
+    ``normal_fn(x, r)``, when given, returns (J^T J, J^T r) at ``x`` with
+    ``r`` the residual there, and the solver never asks for a Jacobian.
+    Otherwise ``jacobian_fn`` is used, or one-sided finite differences
+    when it is None too. Bounds may contain +-inf; they must satisfy
     ``lower < upper`` elementwise.
     """
 
@@ -70,6 +76,7 @@ class LeastSquaresProblem:
     jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
+    normal_fn: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
     def bounds(self):
         lb = (
@@ -97,6 +104,8 @@ class SolveResult:
     iterations: int
     termination_reason: str
     accepted_costs: list = field(default_factory=list)
+    nfev: int = 0  # residual evaluations, finite-difference ones excluded
+    njev: int = 0  # (J^T J, J^T r) evaluations, one per accepted point
 
 
 def _eval_residual(problem, x):
@@ -114,26 +123,35 @@ def _fd_jacobian(problem, x, r0, rel_step, lb, ub):
     J = np.empty((r0.size, x.size))
     for j in range(x.size):
         h = rel_step * max(1.0, abs(x[j]))
-        if np.isfinite(ub[j]):
-            h = min(h, 0.5 * (ub[j] - x[j])) if ub[j] > x[j] else h
+        up, down = ub[j] - x[j], x[j] - lb[j]
+        if h > up:  # a forward step would leave the box: step into it
+            h = -min(h, down) if down >= up else up
         xj = x.copy()
         xj[j] += h
         J[:, j] = (_eval_residual(problem, xj) - r0) / h
     return J
 
 
-def _eval_jacobian(problem, x, r0, cfg, lb, ub):
+def _checked(value, shape, name, x):
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != shape:
+        raise ShapeError(f"{name} returned shape {value.shape}, expected {shape}")
+    if not np.all(np.isfinite(value)):
+        raise EvaluationError(f"{name} returned non-finite values", x=x.copy())
+    return value
+
+
+def _eval_normal(problem, x, r, cfg, lb, ub):
+    """(H, g) = (J^T J, J^T r) at x, from ``normal_fn`` or a dense Jacobian."""
+    n = problem.n_vars
+    if problem.normal_fn is not None:
+        H, g = problem.normal_fn(x, r)
+        return _checked(H, (n, n), "normal_fn", x), _checked(g, (n,), "normal_fn", x)
     if problem.jacobian_fn is None:
-        return _fd_jacobian(problem, x, r0, cfg.finite_difference_step, lb, ub)
-    J = np.asarray(problem.jacobian_fn(x), dtype=np.float64)
-    if J.shape != (problem.n_residuals, problem.n_vars):
-        raise ShapeError(
-            f"jacobian_fn returned shape {J.shape}, expected "
-            f"{(problem.n_residuals, problem.n_vars)}"
-        )
-    if not np.all(np.isfinite(J)):
-        raise EvaluationError("jacobian_fn returned non-finite values", x=x.copy())
-    return J
+        J = _fd_jacobian(problem, x, r, cfg.finite_difference_step, lb, ub)
+    else:
+        J = _checked(problem.jacobian_fn(x), (problem.n_residuals, n), "jacobian_fn", x)
+    return J.T @ J, J.T @ r
 
 
 def _strictly_feasible(x, lb, ub, rstep=1e-10):
@@ -172,7 +190,7 @@ def _in_bounds(x, lb, ub):
 def _step_to_bound(x, s, lb, ub):
     """Largest stride t with x + t*s in bounds, and which bounds are hit."""
     non_zero = s != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         steps = np.where(s > 0, (ub - x) / s, (lb - x) / s)
     steps[~non_zero] = np.inf
     steps = np.maximum(steps, 0.0)
@@ -192,22 +210,15 @@ def _intersect_trust_region(x, s, radius):
     return t1, t2
 
 
-def _build_quadratic_1d(J, g, s, diag=None, s0=None):
-    """Coefficients of q(t) = 0.5*||J(s0 + t s)||^2-type model along s."""
-    v = J @ s
-    a = float(v @ v)
-    if diag is not None:
-        a += float((s * diag) @ s)
-    a *= 0.5
+def _build_quadratic_1d(M, g, s, s0=None):
+    """Coefficients of q(t) = 0.5 (s0 + t s)^T M (s0 + t s) + g^T (s0 + t s)."""
+    Ms = M @ s
+    a = 0.5 * float(s @ Ms)
     b = float(g @ s)
     c = 0.0
     if s0 is not None:
-        u = J @ s0
-        b += float(u @ v)
-        c = 0.5 * float(u @ u) + float(g @ s0)
-        if diag is not None:
-            b += float((s0 * diag) @ s)
-            c += 0.5 * float((s0 * diag) @ s0)
+        b += float(s0 @ Ms)
+        c = 0.5 * float(s0 @ (M @ s0)) + float(g @ s0)
     return a, b, c
 
 
@@ -224,31 +235,19 @@ def _minimize_quadratic_1d(a, b, low, high, c=0.0):
     return float(ts[i]), float(values[i])
 
 
-def _evaluate_quadratic(J, g, s, diag=None):
-    Js = J @ s
-    q = float(Js @ Js)
-    if diag is not None:
-        q += float((s * diag) @ s)
-    return 0.5 * q + float(g @ s)
+def _evaluate_quadratic(M, g, s):
+    return 0.5 * float(s @ (M @ s)) + float(g @ s)
 
 
-def _gauss_newton_step(J_h, r, diag_h):
-    """Solve min ||[J_h; sqrt(diag_h)] p + [r; 0]|| by orthogonal factorization."""
-    m, n = J_h.shape
-    has_diag = diag_h is not None and np.any(diag_h > 0.0)
-    if has_diag:
-        A = np.vstack([J_h, np.diag(np.sqrt(diag_h))])
-        b = np.concatenate([r, np.zeros(n)])
-    else:
-        A = J_h
-        b = r
-    sol, _, _, s = np.linalg.lstsq(A, -b, rcond=None)
-    if s.size and s[-1] > 0.0 and s[0] / s[-1] > _CONDITION_LIMIT:
-        lam = (s[0] * 1e-6) ** 2  # Levenberg damping for near-singular Jacobians
-        A = np.vstack([A, np.sqrt(lam) * np.eye(n)])
-        b = np.concatenate([b, np.zeros(n)])
-        sol, _, _, s = np.linalg.lstsq(A, -b, rcond=None)
-    return sol
+def _gauss_newton_step(M, g_h):
+    """Solve M p = -g_h by eigendecomposition of the scaled model Hessian M."""
+    mu, V = np.linalg.eigh(M)
+    if mu[-1] <= 0.0:
+        return np.zeros_like(g_h)
+    mu = np.maximum(mu, 0.0)
+    if mu[0] <= _LEVENBERG_RATIO * mu[-1]:
+        mu = mu + _LEVENBERG_RATIO * mu[-1]  # Levenberg damping, near-singular M
+    return -V @ ((V.T @ g_h) / mu)
 
 
 def _solve_trust_region_2d(B, g, radius):
@@ -281,10 +280,10 @@ def _solve_trust_region_2d(B, g, radius):
     return p[:, int(np.argmin(values))]
 
 
-def _select_step(x, J_h, diag_h, g_h, p, p_h, d, radius, lb, ub, theta):
+def _select_step(x, M, g_h, p, p_h, d, radius, lb, ub, theta):
     """Best of trust-region step, reflected step, and constrained Cauchy step."""
     if _in_bounds(x + p, lb, ub):
-        return p, p_h, -_evaluate_quadratic(J_h, g_h, p_h, diag=diag_h)
+        return p, p_h, -_evaluate_quadratic(M, g_h, p_h)
 
     p_stride, hits = _step_to_bound(x, p, lb, ub)
 
@@ -307,7 +306,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, radius, lb, ub, theta):
         r_stride_l, r_stride_u = 0.0, -1.0
 
     if r_stride_l <= r_stride_u:
-        a, b, c = _build_quadratic_1d(J_h, g_h, r_h, diag=diag_h, s0=p_h)
+        a, b, c = _build_quadratic_1d(M, g_h, r_h, s0=p_h)
         r_stride, r_value = _minimize_quadratic_1d(a, b, r_stride_l, r_stride_u, c=c)
         r_h = p_h + r_h * r_stride
         r = d * r_h
@@ -316,7 +315,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, radius, lb, ub, theta):
 
     p = p * theta
     p_h = p_h * theta
-    p_value = _evaluate_quadratic(J_h, g_h, p_h, diag=diag_h)
+    p_value = _evaluate_quadratic(M, g_h, p_h)
 
     ag_h = -g_h
     ag = d * ag_h
@@ -327,7 +326,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, radius, lb, ub, theta):
         to_tr = radius / ag_norm
         to_bound, _ = _step_to_bound(x, ag, lb, ub)
         ag_stride_max = theta * to_bound if to_bound < to_tr else to_tr
-        a, b, _ = _build_quadratic_1d(J_h, g_h, ag_h, diag=diag_h)
+        a, b, _ = _build_quadratic_1d(M, g_h, ag_h)
         ag_stride, ag_value = _minimize_quadratic_1d(a, b, 0.0, ag_stride_max)
         ag_h = ag_h * ag_stride
         ag = ag * ag_stride
@@ -353,7 +352,7 @@ def _update_radius(radius, actual, predicted, step_h_norm, bound_hit):
     return radius, ratio
 
 
-def _snap_to_bounds(problem, x, r, cost, g, lb, ub, cfg):
+def _snap_to_bounds(residual, x, r, cost, g, lb, ub, cfg):
     """Move components resting against a bound exactly onto it.
 
     The snap is kept only when it does not increase the cost, so the
@@ -371,7 +370,7 @@ def _snap_to_bounds(problem, x, r, cost, g, lb, ub, cfg):
             snapped = True
     if not snapped:
         return x, r, cost, False
-    r_new = _eval_residual(problem, candidate)
+    r_new = residual(candidate)
     cost_new = 0.5 * float(r_new @ r_new)
     if cost_new <= cost:
         return candidate, r_new, cost_new, True
@@ -393,11 +392,16 @@ def solve(problem, x0, config=None):
     if x.size != problem.n_vars:
         raise ShapeError(f"x0 has {x.size} entries, expected {problem.n_vars}")
     x = _strictly_feasible(x, lb, ub)
+    nfev = 0
 
-    r = _eval_residual(problem, x)
-    J = _eval_jacobian(problem, x, r, cfg, lb, ub)
+    def residual(x):
+        nonlocal nfev
+        nfev += 1
+        return _eval_residual(problem, x)
+
+    r = residual(x)
+    H, g = _eval_normal(problem, x, r, cfg, lb, ub)
     cost = 0.5 * float(r @ r)
-    g = J.T @ r
 
     radius = cfg.initial_trust_radius
     reason = None
@@ -415,13 +419,13 @@ def solve(problem, x0, config=None):
         d = np.sqrt(v)
         diag_h = g * dv  # nonnegative by construction
         g_h = d * g
-        J_h = J * d
+        M = d[:, None] * H * d  # scaled model Hessian D H D + diag(diag_h)
+        M[np.diag_indices_from(M)] += diag_h
 
-        gn_h = _gauss_newton_step(J_h, r, diag_h)
+        gn_h = _gauss_newton_step(M, g_h)
         basis = np.column_stack([g_h, gn_h])
         S, _ = np.linalg.qr(basis)
-        JS = J_h @ S
-        B_S = JS.T @ JS + (S.T * diag_h) @ S
+        B_S = S.T @ M @ S
         g_S = S.T @ g_h
 
         theta = max(0.995, 1.0 - g_proj_norm)
@@ -433,10 +437,10 @@ def solve(problem, x0, config=None):
             p_h = S @ p_S
             p = d * p_h
             step, step_h, predicted = _select_step(
-                x, J_h, diag_h, g_h, p, p_h, d, radius, lb, ub, theta
+                x, M, g_h, p, p_h, d, radius, lb, ub, theta
             )
             x_new = _strictly_feasible(x + step, lb, ub, rstep=0.0)
-            r_new = _eval_residual(problem, x_new)
+            r_new = residual(x_new)
             cost_new = 0.5 * float(r_new @ r_new)
             actual = cost - cost_new
             step_h_norm = norm(step_h)
@@ -477,8 +481,7 @@ def solve(problem, x0, config=None):
                 reason = "step"
             x, r, cost = x_new, r_new, cost_new
             accepted_costs.append(cost)
-            J = _eval_jacobian(problem, x, r, cfg, lb, ub)
-            g = J.T @ r
+            H, g = _eval_normal(problem, x, r, cfg, lb, ub)
             break
         else:
             reason = "step"
@@ -486,11 +489,10 @@ def solve(problem, x0, config=None):
     if reason is None:
         reason = "max_iterations"
 
-    x, r, cost, snapped = _snap_to_bounds(problem, x, r, cost, g, lb, ub, cfg)
+    x, r, cost, snapped = _snap_to_bounds(residual, x, r, cost, g, lb, ub, cfg)
     if snapped:
         accepted_costs.append(cost)
-        J = _eval_jacobian(problem, x, r, cfg, lb, ub)
-        g = J.T @ r
+        _, g = _eval_normal(problem, x, r, cfg, lb, ub)
     v, _ = _cl_scaling(x, g, lb, ub)
     v[(x <= lb) | (x >= ub)] = 0.0  # frozen exactly on an active bound
     return SolveResult(
@@ -500,6 +502,8 @@ def solve(problem, x0, config=None):
         iterations=iteration,
         termination_reason=reason,
         accepted_costs=accepted_costs,
+        nfev=nfev,
+        njev=len(accepted_costs),
     )
 
 

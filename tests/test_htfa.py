@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,30 @@ class TestBlockProblems:
             )
             assert trf.check_jacobian(prob, x) <= 1e-5
 
+    def test_normal_fn_matches_dense_oracle(self, problem_parts):
+        _, grid, view, Xst, W, phi, template, config = problem_parts
+        rng = np.random.default_rng(15)
+        center_prob = htfa.build_center_problem(
+            Xst, W, template.widths, template, phi, view, 0.8, bounds_grid=grid
+        )
+        width_prob = htfa.build_width_problem(
+            Xst, W, template.centers, template, phi, view, 0.8, config, bounds_grid=grid
+        )
+        # the template centers leave every center prior at its kink (q = 0);
+        # perturbed points make the prior rows active, one factor excepted
+        points = [(center_prob, template.centers.ravel().copy())]
+        for _ in range(4):
+            x = template.centers + rng.uniform(-1.0, 1.0, template.centers.shape)
+            x[0] = template.centers[0]
+            points.append((center_prob, x.ravel()))
+            points.append((width_prob, template.widths * rng.uniform(0.6, 1.5, 3)))
+        for prob, x in points:
+            r = prob.residual_fn(x)
+            J = prob.jacobian_fn(x)
+            H, g = prob.normal_fn(x, r)
+            for got, want in ((H, J.T @ J), (g, J.T @ r)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_width_domain_error(self, problem_parts):
         _, grid, view, Xst, W, phi, template, config = problem_parts
         from factorfit.errors import DomainError
@@ -217,6 +242,39 @@ class TestBlockProblems:
         )
         with pytest.raises(DomainError):
             prob.residual_fn(np.zeros(3))
+
+
+class TestMemoryContract:
+    def test_center_solve_never_forms_the_jacobian(self):
+        k, n_trs, n_vox = 20, 40, 800
+        rng = np.random.default_rng(16)
+        grid = cuboid_grid(20, 20, 10)
+        view = grid.take(rng.choice(grid.n_voxels, n_vox, replace=False))
+        lo, hi = grid.bounding_box()
+        centers = rng.uniform(lo + 2.0, hi - 2.0, (k, 3))
+        widths = rng.uniform(4.0, 10.0, k)
+        W = rng.standard_normal((n_trs, k))
+        Xst = W @ rbf_factor_matrix(centers, widths, view)
+        Xst += 0.01 * rng.standard_normal(Xst.shape)
+        template = htfa.GlobalTemplate(
+            centers=centers + rng.uniform(-1.0, 1.0, (k, 3)),
+            center_cov=None,
+            widths=widths,
+            width_var=None,
+            prior_center_cov=4.0 * np.eye(3),
+            prior_width_var=1.0,
+        )
+        prob = htfa.build_center_problem(
+            Xst, W, widths, template, 1.0, view, 0.5, bounds_grid=grid
+        )
+        tracemalloc.start()
+        try:
+            result = trf.solve(prob, template.centers.ravel(), trf.TrfConfig(max_iterations=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * n_trs * n_vox * 8, peak
+        assert result.iterations == 3
 
 
 class TestLocalStep:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
-from factorfit.errors import ConfigError, EvaluationError, InvalidInputError
+from factorfit import trf
+from factorfit.errors import ConfigError, EvaluationError, InvalidInputError, ShapeError
 from factorfit.trf import LeastSquaresProblem, TrfConfig, check_jacobian, solve
 
 
@@ -47,6 +51,10 @@ class TestSolve:
         assert result.x[0] == 2.0
         assert result.termination_reason in ("gradient", "step")
         assert result.projected_gradient_norm <= 1e-8
+        # one residual per trial plus the start and the snap onto the bound;
+        # one (H, g) per accepted point, the snapped one included
+        assert result.nfev == 8
+        assert result.njev == 7 == len(result.accepted_costs)
 
     def test_rosenbrock(self):
         result = solve(rosenbrock_problem(), np.array([-1.2, 1.0]))
@@ -142,6 +150,118 @@ class TestSolve:
         result = solve(problem, np.array([3.0, 0.0]))
         assert abs(abs(result.x[0]) - 1.0) <= 1e-6
         assert abs(result.x[1] - 2.0) <= 1e-6
+
+    def test_finite_difference_stays_inside_active_bound(self):
+        # the residual is undefined above the bound; once the solution is
+        # snapped onto it, the difference step must point into the box
+        problem = LeastSquaresProblem(
+            1,
+            1,
+            lambda x: np.array([x[0] - 5 + 0 * np.sqrt(2 - x[0])]),
+            None,
+            upper=np.array([2.0]),
+        )
+        result = solve(problem, np.array([0.0]))
+        assert result.x[0] == 2.0
+
+    def test_rank_deficient_takes_levenberg_branch(self, monkeypatch):
+        # duplicate columns make J^T J singular in the unbounded pair
+        a = np.array([1.0, 2.0, 3.0, 0.0, -1.0])
+        c = np.array([0.0, 1.0, -1.0, 2.0, 1.0])
+        A = np.column_stack([a, a, c])
+        b = np.array([1.0, 2.0, 3.0, 4.0, 0.5])
+        lower = np.array([-np.inf, -np.inf, 0.0])
+        upper = np.array([np.inf, np.inf, 0.5])
+        problem = LeastSquaresProblem(3, 5, lambda x: A @ x - b, lambda x: A, lower, upper)
+
+        ratios = []
+        original = trf._gauss_newton_step
+
+        def spy(M, g_h):
+            mu = np.linalg.eigvalsh(M)
+            ratios.append(mu[0] / mu[-1])
+            return original(M, g_h)
+
+        monkeypatch.setattr(trf, "_gauss_newton_step", spy)
+        result = solve(problem, np.zeros(3))
+        assert ratios and min(ratios) <= trf._LEVENBERG_RATIO
+        assert np.all(result.x >= lower) and np.all(result.x <= upper)
+        assert np.all(np.diff(result.accepted_costs) <= 0.0)
+        reduced = lsq_linear(A[:, 1:], b, bounds=(lower[1:], upper[1:]))
+        assert result.cost <= reduced.cost * (1 + 1e-8) + 1e-12
+
+
+class TestNormalFn:
+    @staticmethod
+    def problem(normal_fn):
+        target = np.array([1.0, -2.0])
+
+        def jacobian(x):
+            raise AssertionError("jacobian_fn called although normal_fn is given")
+
+        return LeastSquaresProblem(2, 2, lambda x: x - target, jacobian, normal_fn=normal_fn)
+
+    def test_used_instead_of_jacobian(self):
+        result = solve(self.problem(lambda x, r: (np.eye(2), r.copy())), np.zeros(2))
+        assert np.allclose(result.x, [1.0, -2.0], atol=1e-10)
+        assert result.njev == len(result.accepted_costs)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError):
+            solve(self.problem(lambda x, r: (np.eye(3), r)), np.zeros(2))
+        with pytest.raises(ShapeError):
+            solve(self.problem(lambda x, r: (np.eye(2), np.ones(3))), np.zeros(2))
+
+    def test_non_finite_rejected(self):
+        def normal(x, r):
+            H = np.eye(2)
+            H[0, 1] = np.nan
+            return H, r
+
+        with pytest.raises(EvaluationError) as excinfo:
+            solve(self.problem(normal), np.zeros(2))
+        assert excinfo.value.x is not None
+
+
+_coords = st.floats(-10.0, 10.0, allow_nan=False)
+_coefs = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def _boxed_problems(draw):
+    """A random box (some sides open), start point and linear or
+    separable-quadratic residual, with an analytic or finite-difference
+    Jacobian."""
+    n = draw(st.integers(1, 4))
+    vec = lambda elems: np.array(draw(st.lists(elems, min_size=n, max_size=n)))
+    lo = vec(_coords)
+    hi = lo + vec(st.floats(1e-3, 10.0))
+    frac = vec(st.floats(0.0, 1.0))
+    x0 = lo + frac * (hi - lo)
+    lo[vec(st.booleans())] = -np.inf
+    hi[vec(st.booleans())] = np.inf
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 5))
+        A = np.array(draw(st.lists(_coefs, min_size=m * n, max_size=m * n))).reshape(m, n)
+        b = np.array(draw(st.lists(_coords, min_size=m, max_size=m)))
+        residual, jacobian = (lambda x: A @ x - b), (lambda x: A)
+    else:
+        m = n
+        scale, target, shift = vec(st.floats(0.1, 3.0)), vec(_coords), vec(_coefs)
+        residual = lambda x: scale * (x - target) ** 2 + shift
+        jacobian = lambda x: np.diag(2.0 * scale * (x - target))
+    if draw(st.booleans()):
+        jacobian = None
+    return LeastSquaresProblem(n, m, residual, jacobian, lo, hi), x0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_boxed_problems())
+def test_property_bounds_and_monotone_costs(case):
+    problem, x0 = case
+    result = solve(problem, x0)
+    assert np.all(result.x >= problem.lower) and np.all(result.x <= problem.upper)
+    assert np.all(np.diff(result.accepted_costs) <= 0.0)
 
 
 class TestCheckJacobian:
