@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """One algorithm, three execution backends, identical bits.
 
-The fitters talk to each other only through reduce/broadcast/gather
-collectives, and every reduction runs in a fixed subject order. The
+The fitters talk to each other only through broadcast/gather
+collectives; the root sums the gathered per-subject rows in a fixed
+subject order. The
 payoff: a fit distributed over worker threads (or processes) returns
 exactly the same floating-point result as the serial run, so parallel
 runs need no numerical sign-off. This demo fits the same dataset with

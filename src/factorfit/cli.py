@@ -21,6 +21,7 @@ testing.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import socket
@@ -85,7 +86,7 @@ def _chunk(n_items, workers, rank):
     return start, start + base + (1 if rank < extra else 0)
 
 
-def _make_report(command, backend, workers, timings, objective, flops, outputs):
+def _make_report(command, backend, workers, timings, objective, flops, outputs, stats):
     timings = {k: max(float(v), 0.0) for k, v in timings.items()}
     compute = timings.get("compute", 0.0)
     gflops = flops / compute / 1e9 if compute > 0.0 and flops > 0.0 else 0.0
@@ -99,6 +100,7 @@ def _make_report(command, backend, workers, timings, objective, flops, outputs):
         "flops": float(flops),
         "gflops_per_s": float(gflops),
         "outputs": outputs,
+        "collectives": dataclasses.asdict(stats),
     }
 
 
@@ -200,15 +202,46 @@ def _spawn_local(args):
     return max(p.wait() for p in procs)
 
 
-def _load_chunk(entries, need_coords):
-    return [
-        load_subject(
-            e.data_path,
-            e.coords_path if (need_coords or e.coords_path) else None,
-            e.subject_id,
-        )
-        for e in entries
-    ]
+def _run_fit(args, manifest, command, fit, save, flops=0.0, outputs=None,
+             need_coords=False):
+    """The worker body every fitting command shares, on every rank.
+
+    Load this rank's subjects -> barrier -> ``fit(subjects, comm)``, which
+    returns (result, objective trace) -> barrier -> ``save(comm, result,
+    report)``. ``report`` is the run report on rank 0 and ``None``
+    elsewhere; its compute time excludes time spent inside collectives.
+    """
+
+    def worker(comm, entries):
+        t0 = time.perf_counter()
+        subjects = [
+            load_subject(
+                e.data_path,
+                e.coords_path if (need_coords or e.coords_path) else None,
+                e.subject_id,
+            )
+            for e in entries
+        ]
+        comm.barrier()
+        t1 = time.perf_counter()
+        result, objective = fit(subjects, comm)
+        comm.barrier()
+        t2 = time.perf_counter()
+        report = None
+        if comm.rank == 0:
+            comm_time = comm.stats.seconds
+            timings = {
+                "load": t1 - t0,
+                "compute": (t2 - t1) - comm_time,
+                "communicate": comm_time,
+            }
+            report = _make_report(
+                command, args.backend, comm.size, timings, objective, flops,
+                outputs or {}, comm.stats,
+            )
+        save(comm, result, report)
+
+    return _run_workers(args, manifest, worker)
 
 
 def _cmd_fit_srm(args):
@@ -228,14 +261,11 @@ def _cmd_fit_srm(args):
     (out_dir / "subjects").mkdir(exist_ok=True)
     config = srm.SrmConfig(k=args.k, iterations=args.iters, seed=args.seed)
 
-    def worker(comm, entries):
-        t0 = time.perf_counter()
-        subjects = _load_chunk(entries, need_coords=False)
-        comm.barrier()
-        t1 = time.perf_counter()
+    def fit(subjects, comm):
         model = srm.fit(subjects, config, comm)
-        comm.barrier()
-        t2 = time.perf_counter()
+        return model, model.objective_trace
+
+    def save(comm, model, report):
         for sid, W, mu in zip(model.subject_ids, model.W, model.mu):
             save_matrix(out_dir / "subjects" / f"{sid}_mapping.sfab", W)
             save_matrix(out_dir / "subjects" / f"{sid}_mean.sfab", mu[:, None])
@@ -243,24 +273,11 @@ def _cmd_fit_srm(args):
             save_matrix(out_dir / "shared_response.sfab", model.S)
             save_matrix(out_dir / "shared_covariance.sfab", model.sigma_s)
             save_matrix(out_dir / "noise_variance.sfab", model.rho2_all[:, None])
-            comm_time = comm.stats.seconds
-            timings = {
-                "load": t1 - t0,
-                "compute": (t2 - t1) - comm_time,
-                "communicate": comm_time,
-            }
-            report = _make_report(
-                "fit-srm",
-                args.backend,
-                comm.size,
-                timings,
-                model.objective_trace,
-                flops,
-                {"dir": str(out_dir)},
-            )
             _write_report(out_dir, report)
 
-    return _run_workers(args, manifest, worker)
+    return _run_fit(
+        args, manifest, "fit-srm", fit, save, flops=flops, outputs={"dir": str(out_dir)}
+    )
 
 
 def _cmd_fit_htfa(args):
@@ -299,17 +316,13 @@ def _cmd_fit_htfa(args):
         seed=args.seed,
     )
 
-    def worker(comm, entries):
-        t0 = time.perf_counter()
-        subjects = _load_chunk(entries, need_coords=True)
-        comm.barrier()
-        t1 = time.perf_counter()
+    def fit(subjects, comm):
         objective = []
-        template, locals_ = htfa.fit(
-            subjects, config, plan, comm, iteration_log=objective
-        )
-        comm.barrier()
-        t2 = time.perf_counter()
+        result = htfa.fit(subjects, config, plan, comm, iteration_log=objective)
+        return result, objective
+
+    def save(comm, result, report):
+        template, locals_ = result
         for model in locals_:
             base = out_dir / "subjects" / model.subject_id
             save_matrix(f"{base}_centers.sfab", model.centers)
@@ -335,24 +348,12 @@ def _cmd_fit_htfa(args):
                     indent=2,
                 )
                 fh.write("\n")
-            comm_time = comm.stats.seconds
-            timings = {
-                "load": t1 - t0,
-                "compute": (t2 - t1) - comm_time,
-                "communicate": comm_time,
-            }
-            report = _make_report(
-                "fit-htfa",
-                args.backend,
-                comm.size,
-                timings,
-                objective,
-                0.0,
-                {"dir": str(out_dir)},
-            )
             _write_report(out_dir, report)
 
-    return _run_workers(args, manifest, worker)
+    return _run_fit(
+        args, manifest, "fit-htfa", fit, save, outputs={"dir": str(out_dir)},
+        need_coords=True,
+    )
 
 
 def _cmd_gen_synth(args):
@@ -394,33 +395,20 @@ def _cmd_bench(args):
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def worker(comm, entries):
-        t0 = time.perf_counter()
-        subjects = _load_chunk(entries, need_coords=False)
-        comm.barrier()
-        t1 = time.perf_counter()
-        objective = []
-        if args.iters > 0:
-            config = srm.SrmConfig(k=args.k, iterations=args.iters, seed=args.seed)
-            model = srm.fit(subjects, config, comm)
-            objective = model.objective_trace
-        comm.barrier()
-        t2 = time.perf_counter()
+    def fit(subjects, comm):
+        if args.iters == 0:
+            return None, []
+        config = srm.SrmConfig(k=args.k, iterations=args.iters, seed=args.seed)
+        model = srm.fit(subjects, config, comm)
+        return model, model.objective_trace
+
+    def save(comm, _model, report):
         if comm.rank == 0:
-            comm_time = comm.stats.seconds
-            timings = {
-                "load": t1 - t0,
-                "compute": (t2 - t1) - comm_time,
-                "communicate": comm_time,
-            }
-            report = _make_report(
-                "bench", args.backend, comm.size, timings, objective, flops, {}
-            )
             print(json.dumps(report, indent=2))
             if out_dir:
                 _write_report(out_dir, report)
 
-    return _run_workers(args, manifest, worker)
+    return _run_fit(args, manifest, "bench", fit, save, flops=flops)
 
 
 def _check_woodbury(corrupt):

@@ -1,8 +1,9 @@
 """Message-passing collectives over pluggable backends.
 
-All inter-worker communication in the fitters goes through the four
-collectives defined here: ``reduce_sum``, ``broadcast``, ``gather`` and
-``barrier``. Three backends implement them:
+All inter-worker communication in the fitters goes through the three
+collectives defined here, ``broadcast``, ``gather`` and ``barrier``, and
+through :func:`gather_rows`, which gathers one float64 row block per rank
+on the root in rank order. Three backends implement the collectives:
 
 * ``serial``  -- size 1, everything is a local no-op;
 * ``threads`` -- workers are threads of one process sharing a hub;
@@ -11,9 +12,9 @@ collectives defined here: ``reduce_sum``, ``broadcast``, ``gather`` and
   identity from the ``FACTORFIT_RANK``, ``FACTORFIT_SIZE`` and
   ``FACTORFIT_COORD`` environment variables or explicit arguments.
 
-Reductions accumulate in ascending-rank order, never in arrival or tree
-order, so a program built on these collectives produces bit-identical
-results on every backend. Collective calls are matched by a per-
+Gathered blocks arrive in ascending-rank order, never in arrival order,
+so a caller that sums them in that order produces bit-identical results
+on every backend. Collective calls are matched by a per-
 communicator sequence number; mixing collectives across ranks is a
 programming error reported as :class:`CollectiveContractError`.
 
@@ -39,10 +40,7 @@ __all__ = [
     "ThreadCommunicator",
     "SocketCommunicator",
     "create_thread_communicators",
-    "reduce_sum",
-    "broadcast",
-    "gather",
-    "barrier",
+    "gather_rows",
     "rank_offsets",
     "ENV_RANK",
     "ENV_SIZE",
@@ -54,7 +52,6 @@ ENV_SIZE = "FACTORFIT_SIZE"
 ENV_COORD = "FACTORFIT_COORD"
 
 _OP_HELLO = 0
-_OP_REDUCE = 1
 _OP_BCAST = 2
 _OP_GATHER = 3
 _OP_BARRIER = 4
@@ -68,14 +65,12 @@ _DIMS = struct.Struct("<QQ")
 class CollectiveStats:
     """Logical per-rank communication accounting, backend independent.
 
-    ``*_bytes`` count the payload this rank contributes to (reduce,
-    gather) or receives from (broadcast) each collective, regardless of
+    ``*_bytes`` count the payload this rank contributes to (gather) or
+    receives from (broadcast) each collective, regardless of
     whether the backend physically moves bytes. ``seconds`` is wall time
     spent inside collective calls.
     """
 
-    reduce_calls: int = 0
-    reduce_bytes: int = 0
     bcast_calls: int = 0
     bcast_bytes: int = 0
     gather_calls: int = 0
@@ -111,22 +106,6 @@ class Communicator:
     def _next_seq(self):
         self._seq += 1
         return self._seq
-
-    def reduce_sum(self, local):
-        """Elementwise sum across ranks, valid on root only.
-
-        Root receives the sum accumulated in ascending-rank order;
-        non-root ranks receive ``None``.
-        """
-        local = _as_payload(local, "reduce_sum payload")
-        t0 = time.perf_counter()
-        try:
-            out = self._reduce_sum(local, self._next_seq())
-        finally:
-            self.stats.seconds += time.perf_counter() - t0
-        self.stats.reduce_calls += 1
-        self.stats.reduce_bytes += local.nbytes
-        return out
 
     def broadcast(self, buf):
         """Copy root's payload to every rank (non-root may pass None)."""
@@ -183,9 +162,6 @@ class SerialCommunicator(Communicator):
 
     def __init__(self):
         super().__init__(0, 1)
-
-    def _reduce_sum(self, local, seq):
-        return local.copy()
 
     def _broadcast(self, buf, seq):
         return buf.copy()
@@ -252,23 +228,6 @@ class ThreadCommunicator(Communicator):
         super().__init__(rank, hub.size)
         self._hub = hub
 
-    def _reduce_sum(self, local, seq):
-        def compute(slots):
-            shape = slots[0].shape
-            for r, arr in enumerate(slots):
-                if arr.shape != shape:
-                    raise CollectiveContractError(
-                        f"reduce_sum shape mismatch: rank {r} has {arr.shape}, "
-                        f"rank 0 has {shape}"
-                    )
-            acc = slots[0].copy()
-            for arr in slots[1:]:
-                acc += arr
-            return acc
-
-        out = self._hub.run(self.rank, _OP_REDUCE, seq, local, compute)
-        return out if self.rank == 0 else None
-
     def _broadcast(self, buf, seq):
         out = self._hub.run(self.rank, _OP_BCAST, seq, buf, lambda slots: slots[0])
         return out.copy()
@@ -291,13 +250,15 @@ def create_thread_communicators(size, timeout=60.0):
 
 
 def _pack_array(a):
-    return _DIMS.pack(a.shape[0], a.shape[1]) + a.astype("<f8", copy=False).tobytes()
+    return b"".join((_DIMS.pack(*a.shape), a.astype("<f8", copy=False)))
 
 
 def _unpack_array(body):
+    """Read-only view of a packed matrix (it keeps ``body`` alive, no copy)."""
     rows, cols = _DIMS.unpack_from(body, 0)
     data = np.frombuffer(body, dtype="<f8", offset=_DIMS.size, count=rows * cols)
-    return data.reshape(rows, cols).copy()
+    data.flags.writeable = False
+    return data.reshape(rows, cols)
 
 
 class SocketCommunicator(Communicator):
@@ -372,34 +333,37 @@ class SocketCommunicator(Communicator):
         return cls(rank, size, coord, timeout=timeout)
 
     def _send(self, peer, opcode, seq, body):
-        frame = _HEAD.pack(opcode, seq) + body
+        # One buffer and one sendall per frame: a frame split over several
+        # sends can stall on Nagle's algorithm against delayed ACKs.
+        frame = b"".join((_LEN.pack(_HEAD.size + len(body)), _HEAD.pack(opcode, seq), body))
         try:
-            self._peers[peer].sendall(_LEN.pack(len(frame)) + frame)
+            self._peers[peer].sendall(frame)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}", rank=peer) from None
 
     def _recv_raw(self, conn, rank_hint):
         def read(n):
-            chunks = []
-            while n:
+            buf = bytearray(n)
+            view = memoryview(buf)
+            while view:
                 try:
-                    chunk = conn.recv(n)
+                    got = conn.recv_into(view)
                 except socket.timeout:
                     raise TransportError(
                         f"no frame within {self.timeout} s", rank=rank_hint
                     ) from None
                 except OSError as exc:
                     raise TransportError(f"recv failed: {exc}", rank=rank_hint) from None
-                if not chunk:
+                if not got:
                     raise TransportError("peer disconnected", rank=rank_hint)
-                chunks.append(chunk)
-                n -= len(chunk)
-            return b"".join(chunks)
+                view = view[got:]
+            return buf
 
         (length,) = _LEN.unpack(read(_LEN.size))
-        frame = read(length)
-        op, seq = _HEAD.unpack_from(frame, 0)
-        return op, seq, frame[_HEAD.size:]
+        if length < _HEAD.size:
+            raise TransportError(f"malformed {length}-byte frame", rank=rank_hint)
+        op, seq = _HEAD.unpack(read(_HEAD.size))
+        return op, seq, read(length - _HEAD.size)
 
     def _recv_expect(self, peer, opcode, seq):
         op, got_seq, body = self._recv_raw(self._peers[peer], peer)
@@ -410,28 +374,13 @@ class SocketCommunicator(Communicator):
             )
         return body
 
-    def _reduce_sum(self, local, seq):
-        if self.rank != 0:
-            self._send(0, _OP_REDUCE, seq, _pack_array(local))
-            return None
-        acc = local.copy()
-        for peer in range(1, self.size):
-            arr = _unpack_array(self._recv_expect(peer, _OP_REDUCE, seq))
-            if arr.shape != acc.shape:
-                raise CollectiveContractError(
-                    f"reduce_sum shape mismatch: rank {peer} has {arr.shape}, "
-                    f"rank 0 has {acc.shape}"
-                )
-            acc += arr
-        return acc
-
     def _broadcast(self, buf, seq):
         if self.rank == 0:
             body = _pack_array(buf)
             for peer in range(1, self.size):
                 self._send(peer, _OP_BCAST, seq, body)
             return buf.copy()
-        return _unpack_array(self._recv_expect(0, _OP_BCAST, seq))
+        return _unpack_array(self._recv_expect(0, _OP_BCAST, seq)).copy()
 
     def _gather(self, local, seq):
         if self.rank != 0:
@@ -461,20 +410,29 @@ class SocketCommunicator(Communicator):
         self._peers.clear()
 
 
-def reduce_sum(local, comm):
-    return comm.reduce_sum(local)
+def gather_rows(comm, rows):
+    """Collect each rank's n_r x m float64 row block on root, in rank order.
 
-
-def broadcast(buf, comm):
-    return comm.broadcast(buf)
-
-
-def gather(local, comm):
-    return comm.gather(local)
-
-
-def barrier(comm):
-    comm.barrier()
+    Root receives the list of blocks as read-only views of the received
+    bytes (nothing is concatenated); other ranks receive ``None``. Every
+    rank owns a contiguous slice of the global items and
+    :func:`rank_offsets` numbers them in rank order, so concatenating the
+    blocks gives the rows in global item order. Raises
+    :class:`CollectiveContractError` naming the first rank whose row width
+    differs from rank 0's.
+    """
+    rows = _as_payload(rows, "gather_rows payload")
+    blobs = comm.gather(_pack_array(rows))
+    if blobs is None:
+        return None
+    blocks = [_unpack_array(blob) for blob in blobs]
+    for r, block in enumerate(blocks):
+        if block.shape[1] != rows.shape[1]:
+            raise CollectiveContractError(
+                f"gather_rows width mismatch: rank {r} sent {block.shape[1]} "
+                f"columns, rank 0 sent {rows.shape[1]}"
+            )
+    return blocks
 
 
 def rank_offsets(comm, local_count):
@@ -483,9 +441,9 @@ def rank_offsets(comm, local_count):
     Lets every rank derive the global index of its locally held items
     without any rank knowing the full layout up front.
     """
-    blobs = comm.gather(_LEN.pack(local_count))
+    blocks = gather_rows(comm, [[local_count]])
     if comm.rank == 0:
-        counts = np.array([_LEN.unpack(b)[0] for b in blobs], dtype=np.float64)
+        counts = np.concatenate(blocks)[:, 0]
         offsets = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
         table = np.vstack([offsets, counts])
     else:

@@ -156,15 +156,16 @@ def read_header(path):
 
 
 def load_matrix(path):
-    """Read a matrix back, validating header fields and payload length."""
+    """Read a matrix back, validating header fields, payload length and finiteness."""
     rows, cols = read_header(path)
     expected = rows * cols * 8
+    X = np.empty((rows, cols), dtype="<f8")
     with open(path, "rb") as fh:
         fh.seek(HEADER_SIZE)
-        payload = fh.read(expected)
-        if len(payload) != expected:
+        got = fh.readinto(X)
+        if got != expected:
             raise FormatError(
-                f"{path}: payload has {len(payload)} bytes, header promises {expected}",
+                f"{path}: payload has {got} bytes, header promises {expected}",
                 offset=HEADER_SIZE,
                 field="payload",
             )
@@ -174,7 +175,9 @@ def load_matrix(path):
                 offset=HEADER_SIZE + expected,
                 field="payload",
             )
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError(f"{path}: payload holds non-finite entries")
+    return X
 
 
 def save_subject(path, X):

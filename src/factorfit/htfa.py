@@ -31,7 +31,6 @@ b_k = (sigmaHat_k^2 + sigma_lambda^2/N)^{-1},
 which reproduces the three-inversion conjugate update exactly.
 """
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,13 +38,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import trf
-from .collectives import rank_offsets
-from .errors import (
-    CollectiveContractError,
-    ConfigError,
-    DefinitenessError,
-    ShapeError,
-)
+from .collectives import gather_rows, rank_offsets
+from .errors import ConfigError, DefinitenessError, ShapeError
 from .kernels import rbf_factor_matrix, spd_inverse
 
 __all__ = [
@@ -63,8 +57,6 @@ __all__ = [
     "fit",
     "connectivity_matrix",
 ]
-
-_U64 = struct.Struct("<Q")
 
 
 @dataclass
@@ -530,42 +522,16 @@ def _rescue_degenerate(subject, local):
     return local
 
 
-def _pack_locals(entries, k):
-    chunks = [_U64.pack(len(entries)), _U64.pack(k)]
-    for gidx, model in entries:
-        chunks.append(_U64.pack(gidx))
-        chunks.append(model.centers.astype("<f8").tobytes())
-        chunks.append(model.widths.astype("<f8").tobytes())
-    return b"".join(chunks)
-
-
-def _unpack_locals(blob, k):
-    (count,) = _U64.unpack_from(blob, 0)
-    (got_k,) = _U64.unpack_from(blob, _U64.size)
-    if got_k != k:
-        raise CollectiveContractError(
-            f"a peer rank gathered factors for k={got_k}, root expects k={k}"
-        )
-    offset = 2 * _U64.size
-    out = []
-    for _ in range(count):
-        (gidx,) = _U64.unpack_from(blob, offset)
-        offset += _U64.size
-        centers = np.frombuffer(blob, dtype="<f8", count=3 * k, offset=offset)
-        offset += 3 * k * 8
-        widths = np.frombuffer(blob, dtype="<f8", count=k, offset=offset)
-        offset += k * 8
-        out.append((gidx, centers.reshape(k, 3).copy(), widths.copy()))
-    return out
-
-
 def fit(subjects, config, plan, comm, iteration_log=None):
     """Distributed MAP fit; ``subjects`` are this worker's share.
 
     Outer loop: broadcast template -> per-subject local steps -> gather
-    local centers/widths -> root template update. A final pass rebuilds
-    every subject's full weight matrix from its final factors. Returns
-    (template, local models); the template is identical on every rank.
+    one [centers, widths] row of 4K values per subject, in subject order
+    -> root template update. One K x 14 broadcast then hands the final
+    template with its posterior covariances to every rank, and a final
+    pass rebuilds every subject's full weight matrix from its final
+    factors. Returns (template, local models); the template is identical
+    on every rank.
 
     When ``iteration_log`` is a list, this worker's mean data-noise
     variance over its subjects is appended once per outer iteration.
@@ -625,34 +591,30 @@ def fit(subjects, config, plan, comm, iteration_log=None):
             iteration_log.append(
                 float(np.mean([0.5 / m.noise_weight for m in locals_]))
             )
-        blobs = comm.gather(
-            _pack_locals([(offset + j, m) for j, m in enumerate(locals_)], k)
+        blocks = gather_rows(
+            comm, [np.concatenate([m.centers.ravel(), m.widths]) for m in locals_]
         )
         if comm.rank == 0:
-            gathered = []
-            for blob in blobs:
-                gathered.extend(_unpack_locals(blob, k))
-            gathered.sort(key=lambda e: e[0])
-            all_centers = np.stack([c for _, c, _ in gathered])
-            all_widths = np.stack([w for _, _, w in gathered])
-            template = global_step(all_centers, all_widths, template, n_total)
+            gathered = np.concatenate(blocks)
+            all_centers = gathered[:, :3 * k].reshape(-1, k, 3)
+            template = global_step(all_centers, gathered[:, 3 * k:], template, n_total)
 
-    # hand the final template to every rank
-    final_centers = comm.broadcast(template.centers if comm.rank == 0 else None)
-    final_widths = comm.broadcast(
-        template.widths[None, :] if comm.rank == 0 else None
-    )[0]
-    final_cov = comm.broadcast(
-        template.center_cov.reshape(k, 9) if comm.rank == 0 else None
-    ).reshape(k, 3, 3)
-    final_width_var = comm.broadcast(
-        template.width_var[None, :] if comm.rank == 0 else None
-    )[0]
+    # hand the final template to every rank as one K x 14 matrix
+    packed = comm.broadcast(
+        np.hstack([
+            template.centers,
+            template.widths[:, None],
+            template.center_cov.reshape(k, 9),
+            template.width_var[:, None],
+        ])
+        if comm.rank == 0
+        else None
+    )
     template = GlobalTemplate(
-        centers=final_centers,
-        center_cov=final_cov,
-        widths=final_widths,
-        width_var=final_width_var,
+        centers=packed[:, :3].copy(),
+        center_cov=packed[:, 4:13].reshape(k, 3, 3).copy(),
+        widths=packed[:, 3].copy(),
+        width_var=packed[:, 13].copy(),
         prior_center_cov=prior_center_cov,
         prior_width_var=prior_width_var,
     )

@@ -14,20 +14,20 @@ the posterior into K x K algebra:
     E[s_t | x] = Sigma_s^T (I - rho_0 var_s) sum_i rho_i^{-2} W_i^T xhat_it
 
 so memory and communication depend on K and T only, never on the total
-voxel count. Per iteration each worker ships its K x T partial sums and
-scalar noise variances to the root, which accumulates them in global
-subject order (making results identical no matter how subjects are
-grouped onto workers), updates Sigma_s, and broadcasts the posterior
-mean and the trace of the new Sigma_s back.
+voxel count. Per iteration each worker ships one row per subject, its
+scalar noise variance followed by its K x T partial sum, to the root,
+which sums them in global subject order (making results identical no
+matter how subjects are grouped onto workers), updates Sigma_s, and
+broadcasts the posterior mean and the trace of the new Sigma_s back in
+one (K+1) x T matrix.
 """
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .collectives import rank_offsets
+from .collectives import gather_rows, rank_offsets
 from .errors import CollectiveContractError, ConfigError, ShapeError
 from .kernels import add_diag, polar_orthogonal, spd_inverse, trace_ata
 
@@ -46,9 +46,6 @@ __all__ = [
 ]
 
 RHO_FLOOR = 1e-12
-
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
 
 
 @dataclass
@@ -155,71 +152,38 @@ def m_step_subject(Xhat_i, S, trace_sigma_s_new):
     return W_new, max(rho2, RHO_FLOOR)
 
 
-def _pack_partials(entries, k, n_trs):
-    """Serialize [(global_index, rho2, K x T partial)] for the gather."""
-    chunks = [_U64.pack(len(entries)), _U64.pack(k), _U64.pack(n_trs)]
-    for gidx, rho2, partial in entries:
-        chunks.append(_U64.pack(gidx))
-        chunks.append(_F64.pack(rho2))
-        chunks.append(partial.astype("<f8", copy=False).tobytes())
-    return b"".join(chunks)
+def _sum_rows(blocks, n_subjects):
+    """Root-side sum of the gathered [rho2, partial] rows.
 
-
-def _unpack_partials(blob, k, n_trs):
-    count, got_k, got_t = (
-        _U64.unpack_from(blob, 0)[0],
-        _U64.unpack_from(blob, _U64.size)[0],
-        _U64.unpack_from(blob, 2 * _U64.size)[0],
-    )
-    if (got_k, got_t) != (k, n_trs):
-        raise CollectiveContractError(
-            f"E-step partials sized {(got_k, got_t)} on a peer rank, "
-            f"root expects {(k, n_trs)}"
-        )
-    offset = 3 * _U64.size
-    stride = k * n_trs * 8
-    out = []
-    for _ in range(count):
-        (gidx,) = _U64.unpack_from(blob, offset)
-        offset += _U64.size
-        (rho2,) = _F64.unpack_from(blob, offset)
-        offset += _F64.size
-        partial = np.frombuffer(blob, dtype="<f8", count=k * n_trs, offset=offset)
-        out.append((gidx, rho2, partial.reshape(k, n_trs)))
-        offset += stride
-    return out
-
-
-def _accumulate(blobs, k, n_trs, n_subjects):
-    """Root-side ordered accumulation of the gathered per-subject terms.
-
-    Summing in ascending global subject index makes the result
-    independent of how subjects are distributed across workers.
+    The blocks arrive in rank order, which is global subject order, and
+    are summed row by row in that order, so the result does not depend on
+    how subjects are distributed across workers.
     """
-    entries = []
-    for blob in blobs:
-        entries.extend(_unpack_partials(blob, k, n_trs))
-    entries.sort(key=lambda e: e[0])
-    if [e[0] for e in entries] != list(range(n_subjects)):
+    rows = [row for block in blocks for row in block]
+    if len(rows) != n_subjects:
         raise CollectiveContractError(
-            "gathered E-step terms do not cover every subject exactly once"
+            f"gathered {len(rows)} E-step terms for {n_subjects} subjects; "
+            "every subject must be covered exactly once"
         )
-    reduced = entries[0][2].copy()
-    rho0 = 1.0 / entries[0][1]
-    for _gidx, rho2, partial in entries[1:]:
-        reduced += partial
-        rho0 += 1.0 / rho2
-    rho2_all = np.array([e[1] for e in entries])
-    return reduced, rho0, rho2_all
+    reduced = rows[0][1:].copy()
+    rho0 = 1.0 / float(rows[0][0])
+    for row in rows[1:]:
+        reduced += row[1:]
+        rho0 += 1.0 / float(row[0])
+    return reduced, rho0
 
 
 def fit(subjects, config, comm):
     """Run the distributed EM; ``subjects`` are this worker's share.
 
-    Every worker calls this with the same config; per-iteration flow is
-    local E-step partials -> gather to root -> root posterior and
-    Sigma_s update -> broadcast of S and tr(Sigma_s_new) -> local
-    M-steps.
+    Every worker calls this with the same config. Per iteration: each
+    worker gathers one [rho_i^2, K x T partial] row per subject to the
+    root -> the root sums them in subject order, computes the posterior
+    and updates Sigma_s -> one broadcast of S stacked on a row holding
+    tr(Sigma_s_new) -> local M-steps. With ``tolerance`` set, every
+    worker runs the stopping test on its identical copy of S, so no stop
+    flag travels. A last gather collects the noise variances on the root
+    and a broadcast hands every worker the final rho0.
     """
     config.validate()
     if not subjects:
@@ -233,6 +197,11 @@ def fit(subjects, config, comm):
     if n_trs < 2:
         raise ShapeError("need at least 2 TRs")
     k = config.k
+    if k >= n_trs:
+        raise ConfigError(
+            f"k={k} factors need more than T={n_trs} TRs: demeaned data has "
+            f"rank at most T-1={n_trs - 1}"
+        )
 
     offset, n_subjects = rank_offsets(comm, len(subjects))
     demeaned = [demean(s.X) for s in subjects]
@@ -248,63 +217,46 @@ def fit(subjects, config, comm):
     sigma_s = np.eye(k) if comm.rank == 0 else None
     S = None
     S_prev = None
-    rho0 = float("nan")
     objective_trace = []
+    rows = np.empty((len(subjects), 1 + k * n_trs))
 
     for _iteration in range(config.iterations):
-        entries = [
-            (offset + j, rho2s[j], e_step_local(Ws[j], rho2s[j], Xhats[j]))
-            for j in range(len(subjects))
-        ]
-        blobs = comm.gather(_pack_partials(entries, k, n_trs))
+        for j in range(len(subjects)):
+            rows[j, 0] = rho2s[j]
+            rows[j, 1:] = e_step_local(Ws[j], rho2s[j], Xhats[j]).ravel()
+        blocks = gather_rows(comm, rows)
         if comm.rank == 0:
-            reduced, rho0, _ = _accumulate(blobs, k, n_trs, n_subjects)
-            S_root, _var_s = e_step_global(reduced, sigma_s, rho0)
+            reduced, rho0 = _sum_rows(blocks, n_subjects)
+            del blocks
+            S_root, _var_s = e_step_global(reduced.reshape(k, n_trs), sigma_s, rho0)
             sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S_root)
+            packed = np.vstack([S_root, np.full((1, n_trs), trace_new)])
         else:
-            S_root, trace_new = None, None
-        S = comm.broadcast(S_root)
-        trace_new = float(comm.broadcast(
-            np.array([[trace_new]]) if comm.rank == 0 else None
-        )[0, 0])
+            packed = None
+        packed = comm.broadcast(packed)
+        if packed.shape != (k + 1, n_trs):
+            raise CollectiveContractError(
+                f"rank {comm.rank} expects S and tr(Sigma_s) as a {(k + 1, n_trs)} "
+                f"broadcast, got {packed.shape}"
+            )
+        S, trace_new = packed[:k], float(packed[k, 0])
 
         for j in range(len(subjects)):
             Ws[j], rho2s[j] = m_step_subject(Xhats[j], S, trace_new)
         objective_trace.append(float(np.mean(rho2s)))
 
         if config.tolerance is not None:
-            if comm.rank == 0:
-                if S_prev is None:
-                    stop = 0.0
-                else:
-                    denom = max(float(np.linalg.norm(S_prev)), 1e-300)
-                    stop = float(np.linalg.norm(S - S_prev) / denom < config.tolerance)
-                S_prev = S.copy()
-                flag = np.array([[stop]])
-            else:
-                flag = None
-            if comm.broadcast(flag)[0, 0] > 0:
-                break
+            if S_prev is not None:
+                denom = max(float(np.linalg.norm(S_prev)), 1e-300)
+                if np.linalg.norm(S - S_prev) / denom < config.tolerance:
+                    break
+            S_prev = S
 
     # refresh rho0 so it matches the post-M-step noise variances
-    rho_blob = _U64.pack(len(subjects)) + b"".join(
-        _U64.pack(offset + j) + _F64.pack(rho2s[j]) for j in range(len(subjects))
-    )
-    blobs = comm.gather(rho_blob)
+    blocks = gather_rows(comm, np.array(rho2s)[:, None])
     rho2_all = None
     if comm.rank == 0:
-        pairs = []
-        for blob in blobs:
-            (count,) = _U64.unpack_from(blob, 0)
-            pos = _U64.size
-            for _ in range(count):
-                (gidx,) = _U64.unpack_from(blob, pos)
-                pos += _U64.size
-                (val,) = _F64.unpack_from(blob, pos)
-                pos += _F64.size
-                pairs.append((gidx, val))
-        pairs.sort(key=lambda p: p[0])
-        rho2_all = np.array([v for _, v in pairs])
+        rho2_all = np.concatenate(blocks).ravel()
         rho0_final = float(np.add.reduce(1.0 / rho2_all))
     else:
         rho0_final = None

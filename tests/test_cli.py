@@ -40,6 +40,21 @@ class TestFitSrmCommand:
         assert all(v >= 0 for v in report["timings"].values())
         assert np.isfinite(report["flops"])
 
+    def test_report_carries_rank0_collectives(self, bundled, tmp_path):
+        out = tmp_path / "out"
+        rc = run_main(
+            ["fit-srm", "--manifest", bundled, "--k", 3, "--iters", 4,
+             "--backend", "threads", "--workers", 2, "--out", out]
+        )
+        assert rc == 0
+        stats = json.loads((out / "report.json").read_text())["collectives"]
+        # rank_offsets, one gather per iteration, the final noise gather;
+        # the broadcasts pair with them; a barrier on each side of the fit
+        assert stats["gather_calls"] == 4 + 2
+        assert stats["bcast_calls"] == 4 + 2
+        assert stats["barrier_calls"] == 2
+        assert stats["gather_bytes"] > 0 and stats["seconds"] >= 0.0
+
     def test_k_zero_usage_error(self, bundled, tmp_path):
         rc = run_main(
             ["fit-srm", "--manifest", bundled, "--k", 0, "--out", tmp_path / "x"]

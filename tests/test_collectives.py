@@ -13,6 +13,7 @@ from factorfit.collectives import (
     SerialCommunicator,
     SocketCommunicator,
     create_thread_communicators,
+    gather_rows,
     rank_offsets,
 )
 from factorfit.errors import CollectiveContractError, TransportError
@@ -71,43 +72,41 @@ def run_socket_group(size, fn, timeout=15.0):
     return results, errors
 
 
-class TestReduceSum:
-    def test_serial_returns_local(self):
-        comm = SerialCommunicator()
+class TestGatherRows:
+    def test_serial_returns_local_block(self):
         local = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(comm.reduce_sum(local), local)
+        blocks = gather_rows(SerialCommunicator(), local)
+        assert len(blocks) == 1
+        assert blocks[0].tobytes() == local.tobytes()
+        assert not blocks[0].flags.writeable
 
-    def test_three_ranks_scalar(self):
+    def test_three_ranks_rank_order(self):
         results, errors = run_group(
-            3, lambda c: c.reduce_sum(np.array([[float(c.rank)]]))
+            3, lambda c: gather_rows(c, np.full((c.rank + 1, 2), float(c.rank)))
         )
         assert all(e is None for e in errors)
-        assert results[0][0, 0] == 3.0
+        assert [b.shape for b in results[0]] == [(1, 2), (2, 2), (3, 2)]
+        assert [float(b[0, 0]) for b in results[0]] == [0.0, 1.0, 2.0]
         assert results[1] is None and results[2] is None
 
-    def test_matches_serial_order_bit_identically(self):
+    def test_blocks_bit_identical_across_backends(self):
         rng = np.random.default_rng(0)
-        parts = [rng.standard_normal((6, 5)) for _ in range(4)]
-        # serial-backend oracle: ascending-rank left-to-right accumulation
-        expected = parts[0].copy()
-        for p in parts[1:]:
-            expected += p
-        results, errors = run_group(4, lambda c: c.reduce_sum(parts[c.rank]))
-        assert all(e is None for e in errors)
-        assert np.array_equal(results[0], expected)
-        sock_results, sock_errors = run_socket_group(
-            4, lambda c: c.reduce_sum(parts[c.rank])
-        )
-        assert all(e is None for e in sock_errors)
-        assert np.array_equal(sock_results[0], expected)
+        # wide rows span many socket reads
+        parts = [rng.standard_normal((1 + r % 2, 50_000)) for r in range(4)]
+        for runner in (run_group, run_socket_group):
+            results, errors = runner(4, lambda c: gather_rows(c, parts[c.rank]))
+            assert all(e is None for e in errors)
+            assert [b.tobytes() for b in results[0]] == [p.tobytes() for p in parts]
+            assert all(b is None for b in results[1:])
 
-    def test_shape_mismatch_is_contract_error(self):
+    def test_width_mismatch_is_contract_error(self):
         def fn(c):
-            shape = (2, 2) if c.rank == 0 else (3, 2)
-            return c.reduce_sum(np.zeros(shape))
+            return gather_rows(c, np.zeros((2, 2 if c.rank == 0 else 3)))
 
-        _, errors = run_group(2, fn)
-        assert any(isinstance(e, CollectiveContractError) for e in errors)
+        for runner in (run_group, run_socket_group):
+            _, errors = runner(2, fn)
+            assert isinstance(errors[0], CollectiveContractError)
+            assert "rank 1 sent 3 columns" in str(errors[0])
 
 
 class TestBroadcast:
@@ -199,7 +198,7 @@ class TestContractAndTransport:
     def test_mixed_collectives_detected(self):
         def fn(c):
             if c.rank == 0:
-                return c.reduce_sum(np.zeros((1, 1)))
+                return c.gather(b"x")
             return c.broadcast(None)
 
         _, errors = run_group(2, fn, timeout=5.0)
@@ -219,8 +218,7 @@ class TestContractAndTransport:
             if c.rank == 1:
                 c.close()
                 return None
-            out = c.reduce_sum(np.ones((2, 2)))
-            return out
+            return gather_rows(c, np.ones((2, 2)))
 
         results, errors = run_socket_group(2, fn, timeout=2.0)
         err = errors[0]
@@ -236,20 +234,21 @@ class TestContractAndTransport:
         }
         comm = SocketCommunicator.from_env(env=env)
         assert (comm.rank, comm.size) == (0, 1)
-        assert np.array_equal(comm.reduce_sum(np.ones((1, 1))), np.ones((1, 1)))
+        assert np.array_equal(gather_rows(comm, np.ones((1, 1)))[0], np.ones((1, 1)))
         comm.close()
 
 
 class TestStatsAndOffsets:
     def test_logical_byte_accounting(self):
         comm = SerialCommunicator()
-        comm.reduce_sum(np.zeros((3, 4)))
+        gather_rows(comm, np.zeros((3, 4)))
         comm.broadcast(np.zeros((2, 2)))
         comm.gather(b"12345")
-        assert comm.stats.reduce_bytes == 3 * 4 * 8
+        # gather_rows ships a 16-byte (rows, cols) header before the rows
+        assert comm.stats.gather_bytes == 16 + 3 * 4 * 8 + 5
         assert comm.stats.bcast_bytes == 2 * 2 * 8
-        assert comm.stats.gather_bytes == 5
-        assert comm.stats.reduce_calls == 1
+        assert comm.stats.gather_calls == 2
+        assert comm.stats.bcast_calls == 1
 
     def test_rank_offsets(self):
         counts = [2, 3, 1]
@@ -268,12 +267,12 @@ class TestSubprocessSockets:
         script = tmp_path / "worker.py"
         script.write_text(
             "import numpy as np\n"
-            "from factorfit.collectives import SocketCommunicator\n"
+            "from factorfit.collectives import SocketCommunicator, gather_rows\n"
             "comm = SocketCommunicator.from_env()\n"
-            "out = comm.reduce_sum(np.full((2, 2), float(comm.rank + 1)))\n"
+            "out = gather_rows(comm, np.full((comm.rank + 1, 2), float(comm.rank + 1)))\n"
             "if comm.rank == 0:\n"
-            "    assert np.array_equal(out, np.full((2, 2), 3.0)), out\n"
-            "    print('SUM-OK')\n"
+            "    assert [b.tolist() for b in out] == [[[1.0, 1.0]], [[2.0, 2.0]] * 2], out\n"
+            "    print('GATHER-OK')\n"
             "comm.barrier()\n"
             "comm.close()\n"
         )
@@ -294,4 +293,4 @@ class TestSubprocessSockets:
             )
         outs = [p.communicate(timeout=60) for p in procs]
         assert all(p.returncode == 0 for p in procs), outs
-        assert "SUM-OK" in outs[0][0]
+        assert "GATHER-OK" in outs[0][0]

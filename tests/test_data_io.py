@@ -87,6 +87,14 @@ class TestContainer:
         with pytest.raises(InvalidInputError):
             save_matrix(tmp_path / "m.sfab", np.array([[np.inf]]))
 
+    def test_non_finite_payload_names_file(self, tmp_path):
+        # another tool wrote a valid header over a NaN payload
+        path = tmp_path / "nan.sfab"
+        header = struct.pack("<4sIIQQ", b"SFAB", 1, 0, 2, 2)
+        path.write_bytes(header + np.array([1.0, np.nan, 2.0, 3.0]).astype("<f8").tobytes())
+        with pytest.raises(InvalidInputError, match="nan.sfab"):
+            load_matrix(path)
+
 
 def _write_set(tmp_path, trs_list, with_coords=True):
     grid = cuboid_grid(3, 3, 2)

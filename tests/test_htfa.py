@@ -452,12 +452,14 @@ class TestFit:
     def test_smoke_single_iteration(self, blob_data):
         subjects, grid, _, _ = blob_data
         config = small_config(outer=1, local=1)
-        template, locals_ = htfa.fit(
-            subjects, config, small_plan(), SerialCommunicator()
-        )
+        comm = SerialCommunicator()
+        template, locals_ = htfa.fit(subjects, config, small_plan(), comm)
         lo, hi = grid.bounding_box()
         assert np.all(template.centers >= lo) and np.all(template.centers <= hi)
         assert all(m.weights.shape == (s.X.shape[1], 3) for m, s in zip(locals_, subjects))
+        # rank_offsets, the two priors, one template per outer iteration
+        # and the final K x 14 template
+        assert comm.stats.bcast_calls == config.outer_iterations + 4
 
     def test_serial_vs_threads_identical(self, blob_data):
         subjects, _, _, _ = blob_data

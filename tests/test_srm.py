@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datagen import srm_subjects
 from factorfit import reference, srm
@@ -9,6 +11,29 @@ from factorfit.collectives import SerialCommunicator, create_thread_communicator
 from factorfit.data_io import SubjectData
 from factorfit.errors import ConfigError, RankError, ShapeError
 from factorfit.kernels import polar_orthogonal, trace_ata
+
+
+def fit_on_threads(chunks, cfg):
+    """srm.fit with one thread rank per chunk; returns the models by rank."""
+    comms = create_thread_communicators(len(chunks), timeout=30.0)
+    results = [None] * len(chunks)
+    errors = [None] * len(chunks)
+
+    def run(rank):
+        try:
+            results[rank] = srm.fit(chunks[rank], cfg, comms[rank])
+        except BaseException as exc:  # noqa: BLE001
+            errors[rank] = exc
+            comms[rank].abort()
+
+    threads = [threading.Thread(target=run, args=(r,)) for r in range(len(chunks))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [None] * len(chunks)
+    return results
 
 
 def random_model(rng, n_subjects=3, n_voxels=20, n_trs=15, k=4):
@@ -273,6 +298,27 @@ class TestFit:
         model = srm.fit(subjects, cfg, SerialCommunicator())
         assert len(model.objective_trace) < 50
 
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_k_not_below_trs_is_config_error(self, k):
+        # demeaned data has rank <= T-1, so k >= T used to fail as a
+        # RankError inside the first M-step
+        rng = np.random.default_rng(21)
+        subjects = [SubjectData(f"s{i}", rng.standard_normal((50, 5))) for i in range(2)]
+        with pytest.raises(ConfigError, match=f"k={k} .* T=5"):
+            srm.fit(subjects, srm.SrmConfig(k=k, iterations=3), SerialCommunicator())
+
+    @pytest.mark.parametrize("tolerance, iterations_run", [(None, 6), (1e-8, 11)])
+    def test_one_broadcast_per_iteration(self, tolerance, iterations_run):
+        """rank_offsets, one per iteration (S and the trace), the final rho0."""
+        matrices, _ = srm_subjects(n_subjects=2, n_voxels=20, n_trs=10, k=2, seed=3)
+        subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
+        iterations = 6 if tolerance is None else 50
+        cfg = srm.SrmConfig(k=2, iterations=iterations, seed=1, tolerance=tolerance)
+        comm = SerialCommunicator()
+        model = srm.fit(subjects, cfg, comm)
+        assert len(model.objective_trace) == iterations_run
+        assert comm.stats.bcast_calls == iterations_run + 2
+
     def test_unequal_trs_rejected(self):
         subjects = [
             SubjectData("a", np.zeros((5, 4))),
@@ -308,6 +354,32 @@ class TestFit:
         assert any(isinstance(e, CollectiveContractError) for e in errors)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    tolerance=st.sampled_from([None, 1e-4]),
+)
+def test_property_partition_independent(counts, tolerance):
+    """Any split of the subjects over thread ranks reproduces the serial bytes."""
+    matrices, _ = srm_subjects(
+        n_subjects=sum(counts), n_voxels=12, n_trs=8, k=2, seed=len(counts)
+    )
+    subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
+    cfg = srm.SrmConfig(k=2, iterations=8, seed=3, tolerance=tolerance)
+    serial = srm.fit(subjects, cfg, SerialCommunicator())
+    bounds = np.cumsum([0] + counts)
+    models = fit_on_threads([subjects[a:b] for a, b in zip(bounds, bounds[1:])], cfg)
+    root = models[0]
+    assert root.sigma_s.tobytes() == serial.sigma_s.tobytes()
+    assert root.rho2_all.tobytes() == serial.rho2_all.tobytes()
+    for model in models:
+        assert model.S.tobytes() == serial.S.tobytes()
+        assert model.rho0 == serial.rho0
+        # the trace is a per-worker mean, so only its length is shared
+        assert len(model.objective_trace) == len(serial.objective_trace)
+    assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in serial.W]
+
+
 class TestCommunicationVolume:
     def test_reduce_payload_independent_of_voxels(self):
         """Per-iteration communication is K*T-scale, never voxel-scale."""
@@ -326,8 +398,9 @@ class TestCommunicationVolume:
         small = gathered_bytes(25)
         large = gathered_bytes(400)
         assert small == large
-        # per-iteration payload: 2 subjects x (index + rho2 + K*T floats)
-        per_iter = 2 * (8 + 8 + k * n_trs * 8) + 8
+        # per-iteration payload: a 16-byte (rows, cols) header, then
+        # 2 subjects x (rho2 + K*T floats)
+        per_iter = 16 + 2 * (8 + k * n_trs * 8)
         assert small[0] <= (iters + 1) * per_iter + 64
 
 
