@@ -190,9 +190,10 @@ def spd_inverse(A):
 def polar_orthogonal(A):
     """Orthogonal polar factor W = U V^T from the economy SVD A = U S V^T.
 
-    Requires rows >= cols and full column rank. Signs are fixed so each
-    right-singular vector's largest-magnitude entry is positive, making
-    the factorization deterministic across runs.
+    Requires rows >= cols and full column rank. The polar factor of a
+    full-rank A is unique: flipping the sign of a singular pair
+    (U[:, j], V^T[j]) leaves U V^T unchanged, so no sign convention is
+    needed.
     """
     A = _as_matrix(A, "A")
     rows, cols = A.shape
@@ -204,11 +205,6 @@ def polar_orthogonal(A):
             f"rank-deficient input: smallest singular value {s[-1]:.3e} "
             f"below {RANK_TOLERANCE:.0e} * largest {s[0]:.3e}"
         )
-    for j in range(cols):
-        peak = np.argmax(np.abs(Vt[j]))
-        if Vt[j, peak] < 0.0:
-            Vt[j] = -Vt[j]
-            U[:, j] = -U[:, j]
     return U @ Vt
 
 

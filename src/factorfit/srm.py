@@ -14,7 +14,17 @@ the posterior into K x K algebra:
     E[s_t | x] = Sigma_s^T (I - rho_0 var_s) sum_i rho_i^{-2} W_i^T xhat_it
 
 so memory and communication depend on K and T only, never on the total
-voxel count. Per iteration each worker ships one row per subject, its
+voxel count.
+
+The M-step sets W_i to the orthogonal polar factor of
+A_i = 1/2 Xhat_i S^T. The noise update needs the cross term
+<W_i^T Xhat_i, S> = tr(W_i^T Xhat_i S^T) = 2 <W_i, A_i>, a V x K inner
+product, and ||Xhat_i||^2, which does not change between iterations and
+is computed once per subject. So a subject-iteration does two V x T x K
+products (the E-step term and A_i) and one V x K SVD, the voxel-scale
+work that ``cli.srm_flops_per_subject_iteration`` counts.
+
+Per iteration each worker ships one row per subject, its
 scalar noise variance followed by its K x T partial sum, to the root,
 which sums them in global subject order (making results identical no
 matter how subjects are grouped onto workers), updates Sigma_s, and
@@ -28,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .collectives import gather_rows, rank_offsets
-from .errors import CollectiveContractError, ConfigError, ShapeError
+from .errors import CollectiveContractError, ConfigError, InvalidInputError, ShapeError
 from .kernels import add_diag, polar_orthogonal, spd_inverse, trace_ata
 
 __all__ = [
@@ -71,8 +81,10 @@ class SrmModel:
     ``W``, ``rho2``, ``mu`` and ``subject_ids`` cover the subjects this
     worker owns (everything, for a serial fit). ``S`` is the shared
     response, present on every worker after the final broadcast.
-    ``sigma_s`` and the full noise vector ``rho2_all`` live on the root
-    only. ``rho0`` is the global sum of inverse noise variances.
+    ``sigma_s``, the full noise vector ``rho2_all`` and
+    ``objective_trace``, the mean noise variance over all subjects after
+    each M-step, live on the root only (the trace is empty elsewhere).
+    ``rho0`` is the global sum of inverse noise variances.
     """
 
     subject_ids: list
@@ -126,29 +138,40 @@ def e_step_global(reduced, sigma_s, rho0):
     return S, var_s
 
 
-def update_sigma_s(sigma_s, rho0, S):
+def update_sigma_s(sigma_s, rho0, S, var_s=None):
     """Shared-covariance update; returns the new matrix and its trace.
 
     The trace is what gets broadcast: every subject's noise update needs
     (1/T) sum_t tr E[s_t s_t^T], which equals tr(Sigma_s_new), so the
-    posterior second moments themselves never travel.
+    posterior second moments themselves never travel. ``var_s`` is the
+    posterior covariance :func:`e_step_global` returned for the same
+    ``sigma_s`` and ``rho0``; without it, it is computed again.
     """
-    var_s = spd_inverse(add_diag(spd_inverse(sigma_s), rho0))
+    if var_s is None:
+        var_s = spd_inverse(add_diag(spd_inverse(sigma_s), rho0))
     sigma_new = var_s + (S @ S.T) / S.shape[1]
     sigma_new = 0.5 * (sigma_new + sigma_new.T)
     return sigma_new, float(np.trace(sigma_new))
 
 
-def m_step_subject(Xhat_i, S, trace_sigma_s_new):
-    """Per-subject mapping and noise update given the broadcast S and trace."""
-    A = 0.5 * (Xhat_i @ S.T)
+def m_step_subject(Xhat_i, S, trace_sigma_s_new, xhat_sq=None):
+    """Per-subject mapping and noise update given the broadcast S and trace.
+
+    W_new is the polar factor of A = 1/2 Xhat_i S^T, and the noise
+    update's cross term uses <W_new^T Xhat_i, S> = 2 <W_new, A>, so the
+    voxel-scale work is one V x T x K product and one V x K SVD.
+    ``xhat_sq`` is ||Xhat_i||^2, which :func:`fit` computes once per
+    subject; without it, it is computed here.
+    """
+    # the K x V product is the faster layout for the same numbers
+    A = (0.5 * (S @ Xhat_i.T)).T
     W_new = polar_orthogonal(A)
+    if xhat_sq is None:
+        xhat_sq = trace_ata(Xhat_i)
     n_trs = S.shape[1]
     n_voxels = Xhat_i.shape[0]
-    cross = float(np.einsum("kt,kt->", W_new.T @ Xhat_i, S))
-    rho2 = (trace_ata(Xhat_i) + n_trs * trace_sigma_s_new - 2.0 * cross) / (
-        n_trs * n_voxels
-    )
+    cross = 2.0 * float(np.einsum("vk,vk->", W_new, A))
+    rho2 = (xhat_sq + n_trs * trace_sigma_s_new - 2.0 * cross) / (n_trs * n_voxels)
     return W_new, max(rho2, RHO_FLOOR)
 
 
@@ -157,7 +180,8 @@ def _sum_rows(blocks, n_subjects):
 
     The blocks arrive in rank order, which is global subject order, and
     are summed row by row in that order, so the result does not depend on
-    how subjects are distributed across workers.
+    how subjects are distributed across workers. Returns the summed
+    partial, rho0 and every subject's rho2 in subject order.
     """
     rows = [row for block in blocks for row in block]
     if len(rows) != n_subjects:
@@ -170,20 +194,24 @@ def _sum_rows(blocks, n_subjects):
     for row in rows[1:]:
         reduced += row[1:]
         rho0 += 1.0 / float(row[0])
-    return reduced, rho0
+    return reduced, rho0, np.array([row[0] for row in rows])
 
 
 def fit(subjects, config, comm):
     """Run the distributed EM; ``subjects`` are this worker's share.
 
-    Every worker calls this with the same config. Per iteration: each
-    worker gathers one [rho_i^2, K x T partial] row per subject to the
-    root -> the root sums them in subject order, computes the posterior
-    and updates Sigma_s -> one broadcast of S stacked on a row holding
-    tr(Sigma_s_new) -> local M-steps. With ``tolerance`` set, every
-    worker runs the stopping test on its identical copy of S, so no stop
-    flag travels. A last gather collects the noise variances on the root
-    and a broadcast hands every worker the final rho0.
+    Every worker calls this with the same config. ||Xhat_i||^2 is
+    computed once per subject up front. Per iteration: each worker
+    gathers one [rho_i^2, K x T partial] row per subject to the root ->
+    the root sums them in subject order, computes the posterior (whose
+    covariance the Sigma_s update reuses) and updates Sigma_s -> one
+    broadcast of S stacked on a row holding tr(Sigma_s_new) -> local
+    M-steps. With ``tolerance`` set, every worker runs the stopping test
+    on its identical copy of S, so no stop flag travels. A last gather
+    collects the noise variances on the root and a broadcast hands every
+    worker the final rho0. The root builds ``objective_trace`` from the
+    rho_i^2 column of each gather after the first, so it covers every
+    subject whatever the partition.
     """
     config.validate()
     if not subjects:
@@ -203,10 +231,21 @@ def fit(subjects, config, comm):
             f"rank at most T-1={n_trs - 1}"
         )
 
-    offset, n_subjects = rank_offsets(comm, len(subjects))
     demeaned = [demean(s.X) for s in subjects]
     Xhats = [d[0] for d in demeaned]
     mus = [d[1] for d in demeaned]
+    xhat_sqs = [trace_ata(X) for X in Xhats]
+    # demeaning a constant voxel with mean m leaves only the rounding
+    # error of the mean, under 2 T eps |m| per entry
+    rounding = (2.0 * n_trs * np.finfo(np.float64).eps) ** 2 * n_trs
+    for s, mu, xhat_sq in zip(subjects, mus, xhat_sqs):
+        if xhat_sq <= rounding * float(mu @ mu):
+            raise InvalidInputError(
+                f"subject {s.subject_id} is constant over time: its demeaned "
+                "data are zero up to rounding, so it has no mapping to fit"
+            )
+
+    offset, n_subjects = rank_offsets(comm, len(subjects))
     states = [
         init_subject(s.X.shape[0], config, offset + j)
         for j, s in enumerate(subjects)
@@ -220,16 +259,18 @@ def fit(subjects, config, comm):
     objective_trace = []
     rows = np.empty((len(subjects), 1 + k * n_trs))
 
-    for _iteration in range(config.iterations):
+    for iteration in range(config.iterations):
         for j in range(len(subjects)):
             rows[j, 0] = rho2s[j]
             rows[j, 1:] = e_step_local(Ws[j], rho2s[j], Xhats[j]).ravel()
         blocks = gather_rows(comm, rows)
         if comm.rank == 0:
-            reduced, rho0 = _sum_rows(blocks, n_subjects)
+            reduced, rho0, rho2_gathered = _sum_rows(blocks, n_subjects)
             del blocks
-            S_root, _var_s = e_step_global(reduced.reshape(k, n_trs), sigma_s, rho0)
-            sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S_root)
+            if iteration > 0:
+                objective_trace.append(float(np.mean(rho2_gathered)))
+            S_root, var_s = e_step_global(reduced.reshape(k, n_trs), sigma_s, rho0)
+            sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S_root, var_s)
             packed = np.vstack([S_root, np.full((1, n_trs), trace_new)])
         else:
             packed = None
@@ -242,8 +283,7 @@ def fit(subjects, config, comm):
         S, trace_new = packed[:k], float(packed[k, 0])
 
         for j in range(len(subjects)):
-            Ws[j], rho2s[j] = m_step_subject(Xhats[j], S, trace_new)
-        objective_trace.append(float(np.mean(rho2s)))
+            Ws[j], rho2s[j] = m_step_subject(Xhats[j], S, trace_new, xhat_sqs[j])
 
         if config.tolerance is not None:
             if S_prev is not None:
@@ -258,6 +298,7 @@ def fit(subjects, config, comm):
     if comm.rank == 0:
         rho2_all = np.concatenate(blocks).ravel()
         rho0_final = float(np.add.reduce(1.0 / rho2_all))
+        objective_trace.append(float(np.mean(rho2_all)))
     else:
         rho0_final = None
     rho0 = float(comm.broadcast(

@@ -9,7 +9,7 @@ from datagen import srm_subjects
 from factorfit import reference, srm
 from factorfit.collectives import SerialCommunicator, create_thread_communicators
 from factorfit.data_io import SubjectData
-from factorfit.errors import ConfigError, RankError, ShapeError
+from factorfit.errors import ConfigError, InvalidInputError, RankError, ShapeError
 from factorfit.kernels import polar_orthogonal, trace_ata
 
 
@@ -160,6 +160,17 @@ class TestUpdateSigma:
         S_ref, var_ref = reference.naive_posterior(Ws, rho2, sigma_s, Xhats)
         assert np.max(np.abs(sigma_new - reference.naive_sigma_update(S_ref, var_ref))) <= 1e-8
 
+    def test_reused_posterior_covariance_is_identical(self):
+        rng = np.random.default_rng(22)
+        Ws, rho2, sigma_s, Xhats = random_model(rng)
+        reduced = sum(srm.e_step_local(W, r, X) for W, r, X in zip(Ws, rho2, Xhats))
+        rho0 = sum(1.0 / r for r in rho2)
+        S, var_s = srm.e_step_global(reduced, sigma_s, rho0)
+        recomputed = srm.update_sigma_s(sigma_s, rho0, S)
+        reused = srm.update_sigma_s(sigma_s, rho0, S, var_s)
+        assert recomputed[0].tobytes() == reused[0].tobytes()
+        assert recomputed[1] == reused[1]
+
 
 class TestMStep:
     def test_exact_model_recovers_mapping(self):
@@ -194,6 +205,27 @@ class TestMStep:
             Xhats[0], W_new, S_ref, sigma_ref - (S_ref @ S_ref.T) / S.shape[1]
         )
         assert abs(rho2_new - expected) <= 1e-8
+
+    def test_cross_term_matches_explicit_product(self):
+        """rho2 from 2 <W_new, A> equals rho2 from <W_new^T Xhat, S>."""
+        rng = np.random.default_rng(23)
+        n_voxels, n_trs, k = 40, 30, 5
+        Xhat = srm.demean(rng.standard_normal((n_voxels, n_trs)))[0]
+        S = rng.standard_normal((k, n_trs))
+        trace = trace_ata(S) / n_trs + 0.5
+        W_new, rho2 = srm.m_step_subject(Xhat, S, trace)
+        cross = float(np.einsum("kt,kt->", W_new.T @ Xhat, S))
+        assert abs(2.0 * np.sum(W_new * (0.5 * Xhat @ S.T)) - cross) <= 1e-12 * abs(cross)
+        explicit = (trace_ata(Xhat) + n_trs * trace - 2.0 * cross) / (n_trs * n_voxels)
+        assert abs(rho2 - explicit) <= 1e-12 * explicit
+
+    def test_precomputed_norm_is_identical(self):
+        rng = np.random.default_rng(24)
+        Xhat = srm.demean(rng.standard_normal((12, 9)))[0]
+        S = rng.standard_normal((3, 9))
+        W1, rho1 = srm.m_step_subject(Xhat, S, 1.3)
+        W2, rho2 = srm.m_step_subject(Xhat, S, 1.3, trace_ata(Xhat))
+        assert W1.tobytes() == W2.tobytes() and rho1 == rho2
 
     def test_rho_floor(self):
         W_true = polar_orthogonal(np.random.default_rng(10).standard_normal((5, 2)))
@@ -319,6 +351,39 @@ class TestFit:
         assert len(model.objective_trace) == iterations_run
         assert comm.stats.bcast_calls == iterations_run + 2
 
+    @pytest.mark.parametrize("level", [3.0, 7.7, 1e5 + 0.1])
+    def test_constant_subject_named(self, level):
+        # demeaning leaves exact zeros (3.0) or rounding residue (7.7,
+        # 1e5 + 0.1 over 37 TRs); both used to surface as an anonymous
+        # RankError from the first M-step's SVD
+        rng = np.random.default_rng(25)
+        subjects = [
+            SubjectData("live", rng.standard_normal((20, 37))),
+            SubjectData("flat", np.full((20, 37), level)),
+        ]
+        with pytest.raises(InvalidInputError, match="subject flat"):
+            srm.fit(subjects, srm.SrmConfig(k=2, iterations=3), SerialCommunicator())
+
+    def test_voxel_norms_once_posterior_inverted_once(self, monkeypatch):
+        """||Xhat_i||^2 once per subject; two K x K inversions per iteration."""
+        calls = {"trace_ata": 0, "spd_inverse": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(srm, name, counting(name, getattr(srm, name)))
+        matrices, _ = srm_subjects(n_subjects=3, n_voxels=20, n_trs=10, k=2, seed=4)
+        subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
+        model = srm.fit(subjects, srm.SrmConfig(k=2, iterations=5, seed=1),
+                        SerialCommunicator())
+        assert calls == {"trace_ata": 3, "spd_inverse": 2 * 5}
+        assert len(model.objective_trace) == 5
+        assert model.objective_trace[-1] == float(np.mean(model.rho2_all))
+
     def test_unequal_trs_rejected(self):
         subjects = [
             SubjectData("a", np.zeros((5, 4))),
@@ -372,11 +437,12 @@ def test_property_partition_independent(counts, tolerance):
     root = models[0]
     assert root.sigma_s.tobytes() == serial.sigma_s.tobytes()
     assert root.rho2_all.tobytes() == serial.rho2_all.tobytes()
+    assert (np.array(root.objective_trace).tobytes()
+            == np.array(serial.objective_trace).tobytes())
     for model in models:
         assert model.S.tobytes() == serial.S.tobytes()
         assert model.rho0 == serial.rho0
-        # the trace is a per-worker mean, so only its length is shared
-        assert len(model.objective_trace) == len(serial.objective_trace)
+    assert all(model.objective_trace == [] for model in models[1:])
     assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in serial.W]
 
 
