@@ -183,7 +183,13 @@ def _run_workers(args, manifest, worker):
 
 
 def _spawn_local(args):
-    """Fork N local rank processes re-running this command over sockets."""
+    """Fork N local rank processes re-running this command over sockets.
+
+    The children are polled, so the first one to fail ends the run: the
+    others are terminated and reaped at once instead of waiting out the
+    transport timeout. Returns 0 when every rank succeeds, else the
+    failing rank's exit code (1 when a signal ended it).
+    """
     workers = args.workers
     probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     probe.bind(("127.0.0.1", 0))
@@ -199,7 +205,21 @@ def _spawn_local(args):
         procs.append(
             subprocess.Popen([sys.executable, "-m", "factorfit", *argv], env=env)
         )
-    return max(p.wait() for p in procs)
+    try:
+        while True:
+            codes = [p.poll() for p in procs]
+            failed = [c for c in codes if c not in (None, 0)]
+            if failed:
+                return max(failed[0], 1)
+            if all(c == 0 for c in codes):
+                return 0
+            time.sleep(0.02)
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.terminate()
+        for p in procs:
+            p.wait()
 
 
 def _run_fit(args, manifest, command, fit, save, flops=0.0, outputs=None,

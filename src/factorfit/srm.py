@@ -24,12 +24,17 @@ is computed once per subject. So a subject-iteration does two V x T x K
 products (the E-step term and A_i) and one V x K SVD, the voxel-scale
 work that ``cli.srm_flops_per_subject_iteration`` counts.
 
-Per iteration each worker ships one row per subject, its
-scalar noise variance followed by its K x T partial sum, to the root,
-which sums them in global subject order (making results identical no
-matter how subjects are grouped onto workers), updates Sigma_s, and
-broadcasts the posterior mean and the trace of the new Sigma_s back in
-one (K+1) x T matrix.
+Per iteration the E-step terms are summed along one fixed pairwise tree
+over the global subject indices [0, N). Each worker sums its own
+subjects' terms, [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T Xhat_i], into the
+complete aligned subtrees of that tree, ships those few rows (at most
+about 2 log2 of its subject count) to the root, and the root finishes the
+same tree. Every addition combines the same two subtrees whatever the
+partition, so results are bit-identical no matter how subjects are
+grouped onto workers, and the summation error grows with log N, not N
+(Higham, SIAM J. Sci. Comput. 14(4), 1993). The root then updates
+Sigma_s and broadcasts the posterior mean and the trace of the new
+Sigma_s back in one (K+1) x T matrix.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .collectives import gather_rows, rank_offsets
-from .errors import CollectiveContractError, ConfigError, InvalidInputError, ShapeError
+from .errors import CollectiveContractError, ConfigError, InvalidInputError, RankError, ShapeError
 from .kernels import add_diag, polar_orthogonal, spd_inverse, trace_ata
 
 __all__ = [
@@ -175,26 +180,85 @@ def m_step_subject(Xhat_i, S, trace_sigma_s_new, xhat_sq=None):
     return W_new, max(rho2, RHO_FLOOR)
 
 
-def _sum_rows(blocks, n_subjects):
-    """Root-side sum of the gathered [rho2, partial] rows.
+def _push_node(nodes, depth):
+    """Add the node in ``nodes[depth]`` to a pairwise-tree stack; return its depth.
 
-    The blocks arrive in rank order, which is global subject order, and
-    are summed row by row in that order, so the result does not depend on
-    how subjects are distributed across workers. Returns the summed
-    partial, rho0 and every subject's rho2 in subject order.
+    ``nodes[:depth]`` is the stack. A node is a row [start, level, sums...]
+    holding the sums over subjects [start, start + 2**level), with start
+    a multiple of 2**level. While the top of the stack is the left sibling
+    of the new node, the two merge in place into their parent, left +
+    right, like the carry of a binary counter. Every node therefore holds
+    the same bits wherever it was formed.
     """
-    rows = [row for block in blocks for row in block]
-    if len(rows) != n_subjects:
+    while depth:
+        top, node = nodes[depth - 1], nodes[depth]
+        size = 2.0 ** node[1]
+        if top[1] != node[1] or top[0] + size != node[0] or top[0] % (2 * size):
+            break
+        top[2:] += node[2:]
+        top[1] += 1
+        depth -= 1
+    return depth + 1
+
+
+def _stack_rows(offset, count):
+    """Rows the tree stack of subjects [offset, offset + count) ever holds."""
+    # left subtrees cut off by offset, plus a binary counter: both grow
+    # with log2(count), so 2 * count.bit_length() + 1 rows always suffice
+    nodes = np.empty((2 * count.bit_length() + 1, 2))
+    depth = rows = 0
+    for i in range(offset, offset + count):
+        nodes[depth] = i, 0
+        rows = max(rows, depth + 1)
+        depth = _push_node(nodes, depth)
+    return rows
+
+
+def _tree_sum(blocks, n_subjects, nodes):
+    """Root side: finish the pairwise tree over subjects [0, n_subjects).
+
+    ``blocks`` are the ranks' node rows in rank order. They must tile
+    [0, n_subjects) exactly; the first gap, overlap or overrun raises
+    :class:`CollectiveContractError`. The nodes go through the same merge
+    as on the workers, in ``nodes``, a scratch buffer of at least
+    n_subjects.bit_length() + 1 rows (the root's stack is a binary
+    counter over [0, n_subjects)). What remains, one complete subtree per
+    set bit of n_subjects, is folded right to left. Returns the sums, a
+    view into ``nodes``.
+    """
+    depth = 0
+    covered = 0
+    for rank, block in enumerate(blocks):
+        for node in block:
+            start, level = int(node[0]), int(node[1])
+            end = start + 2 ** level
+            if start > covered:
+                problem = f"subjects [{covered}, {start}) are missing"
+            elif start < covered:
+                problem = f"subjects [{start}, {min(end, covered)}) are summed twice"
+            elif level < 0 or start % 2 ** level:
+                problem = "that range is not a node of the pairwise tree"
+            elif end > n_subjects:
+                problem = f"there are only {n_subjects} subjects"
+            else:
+                problem = None
+            if problem:
+                raise CollectiveContractError(
+                    f"rank {rank} sent the E-step sum over subjects "
+                    f"[{start}, {end}) after [0, {covered}): {problem}; "
+                    "every subject must be covered exactly once"
+                )
+            covered = end
+            nodes[depth] = node
+            depth = _push_node(nodes, depth)
+    if covered != n_subjects:
         raise CollectiveContractError(
-            f"gathered {len(rows)} E-step terms for {n_subjects} subjects; "
+            f"E-step sums cover subjects [0, {covered}) of {n_subjects}; "
             "every subject must be covered exactly once"
         )
-    reduced = rows[0][1:].copy()
-    rho0 = 1.0 / float(rows[0][0])
-    for row in rows[1:]:
-        reduced += row[1:]
-        rho0 += 1.0 / float(row[0])
-    return reduced, rho0, np.array([row[0] for row in rows])
+    for d in range(depth - 2, -1, -1):
+        nodes[d, 2:] += nodes[d + 1, 2:]
+    return nodes[0, 2:]
 
 
 def fit(subjects, config, comm):
@@ -202,16 +266,20 @@ def fit(subjects, config, comm):
 
     Every worker calls this with the same config. ||Xhat_i||^2 is
     computed once per subject up front. Per iteration: each worker
-    gathers one [rho_i^2, K x T partial] row per subject to the root ->
-    the root sums them in subject order, computes the posterior (whose
+    streams its subjects' [rho_i^{-2}, rho_i^2, K x T partial] terms
+    through the pairwise summation tree and gathers the resulting
+    [start, level, sums] node rows to the root -> the root checks that
+    they tile [0, N), finishes the tree, computes the posterior (whose
     covariance the Sigma_s update reuses) and updates Sigma_s -> one
     broadcast of S stacked on a row holding tr(Sigma_s_new) -> local
     M-steps. With ``tolerance`` set, every worker runs the stopping test
     on its identical copy of S, so no stop flag travels. A last gather
     collects the noise variances on the root and a broadcast hands every
-    worker the final rho0. The root builds ``objective_trace`` from the
-    rho_i^2 column of each gather after the first, so it covers every
-    subject whatever the partition.
+    worker the final rho0. The root's ``objective_trace`` takes the tree's
+    sum of rho_i^2 from each iteration after the first, then the mean of
+    the final noise variances, so it covers every subject whatever the
+    partition. A subject whose demeaned data have rank below k fails its
+    M-step with a :class:`RankError` that names it.
     """
     config.validate()
     if not subjects:
@@ -257,19 +325,24 @@ def fit(subjects, config, comm):
     S = None
     S_prev = None
     objective_trace = []
-    rows = np.empty((len(subjects), 1 + k * n_trs))
+    nodes = np.empty((_stack_rows(offset, len(subjects)), 4 + k * n_trs))
+    if comm.rank == 0:
+        root_nodes = np.empty((n_subjects.bit_length() + 1, 4 + k * n_trs))
 
     for iteration in range(config.iterations):
+        depth = 0
         for j in range(len(subjects)):
-            rows[j, 0] = rho2s[j]
-            rows[j, 1:] = e_step_local(Ws[j], rho2s[j], Xhats[j]).ravel()
-        blocks = gather_rows(comm, rows)
+            nodes[depth, :4] = offset + j, 0, 1.0 / rho2s[j], rho2s[j]
+            nodes[depth, 4:] = e_step_local(Ws[j], rho2s[j], Xhats[j]).ravel()
+            depth = _push_node(nodes, depth)
+        blocks = gather_rows(comm, nodes[:depth])
         if comm.rank == 0:
-            reduced, rho0, rho2_gathered = _sum_rows(blocks, n_subjects)
+            sums = _tree_sum(blocks, n_subjects, root_nodes)
             del blocks
+            rho0 = float(sums[0])
             if iteration > 0:
-                objective_trace.append(float(np.mean(rho2_gathered)))
-            S_root, var_s = e_step_global(reduced.reshape(k, n_trs), sigma_s, rho0)
+                objective_trace.append(float(sums[1]) / n_subjects)
+            S_root, var_s = e_step_global(sums[2:].reshape(k, n_trs), sigma_s, rho0)
             sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S_root, var_s)
             packed = np.vstack([S_root, np.full((1, n_trs), trace_new)])
         else:
@@ -282,8 +355,14 @@ def fit(subjects, config, comm):
             )
         S, trace_new = packed[:k], float(packed[k, 0])
 
-        for j in range(len(subjects)):
-            Ws[j], rho2s[j] = m_step_subject(Xhats[j], S, trace_new, xhat_sqs[j])
+        for j, s in enumerate(subjects):
+            try:
+                Ws[j], rho2s[j] = m_step_subject(Xhats[j], S, trace_new, xhat_sqs[j])
+            except RankError as exc:
+                raise RankError(
+                    f"subject {s.subject_id}: {exc}; its mapping needs demeaned "
+                    f"data of rank at least k={k}"
+                ) from exc
 
         if config.tolerance is not None:
             if S_prev is not None:

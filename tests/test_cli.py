@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -350,3 +351,58 @@ class TestBackendFlag:
         assert (serial_out / "shared_response.sfab").read_bytes() == (
             sockets_out / "shared_response.sfab"
         ).read_bytes()
+
+
+class TestSpawnLocal:
+    """``--spawn-local`` ends the run as soon as one rank fails."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch, cli_env):
+        """Record every rank process; ``replace`` swaps a rank's command."""
+        from factorfit import cli
+
+        procs, replace = [], {}
+        popen = subprocess.Popen
+
+        def recording(cmd, env=None, **kwargs):
+            proc = popen(replace.get(env.get("FACTORFIT_RANK"), cmd), env=env, **kwargs)
+            procs.append(proc)
+            return proc
+
+        monkeypatch.setattr(cli.subprocess, "Popen", recording)
+        monkeypatch.setenv("PYTHONPATH", cli_env["PYTHONPATH"])
+        return procs, replace
+
+    def fit_two_ranks(self, manifest, out):
+        t0 = time.perf_counter()
+        rc = run_main(
+            ["fit-srm", "--manifest", manifest, "--k", 3, "--iters", 3,
+             "--backend", "sockets", "--workers", 2, "--spawn-local", "--out", out]
+        )
+        return rc, time.perf_counter() - t0
+
+    def test_non_finite_subject_on_rank1_fails_fast(self, spawned, tmp_path):
+        from datagen import make_bundled_dataset
+        from factorfit.data_io import HEADER_SIZE, load_manifest
+
+        procs, _ = spawned
+        manifest = make_bundled_dataset(tmp_path / "data")
+        # subjects 2 and 3 belong to rank 1 of 2
+        path = load_manifest(manifest).subjects[3].data_path
+        raw = bytearray(path.read_bytes())
+        raw[HEADER_SIZE:HEADER_SIZE + 8] = np.array([np.nan]).tobytes()
+        path.write_bytes(bytes(raw))
+        rc, elapsed = self.fit_two_ranks(manifest, tmp_path / "out")
+        assert rc == 1
+        assert elapsed < 30.0  # the transport timeout is 60 s
+        assert len(procs) == 2 and all(p.poll() is not None for p in procs)
+
+    def test_rank_lost_before_connecting_stops_the_others(self, spawned, bundled,
+                                                           tmp_path):
+        # rank 0 would wait for rank 1's connection until the 60 s timeout
+        procs, replace = spawned
+        replace["1"] = [sys.executable, "-c", "raise SystemExit(1)"]
+        rc, elapsed = self.fit_two_ranks(bundled, tmp_path / "out")
+        assert rc == 1
+        assert elapsed < 30.0
+        assert len(procs) == 2 and all(p.poll() is not None for p in procs)

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from datagen import cuboid_grid, write_dataset
 from factorfit.data_io import (
@@ -94,6 +97,22 @@ class TestContainer:
         path.write_bytes(header + np.array([1.0, np.nan, 2.0, 3.0]).astype("<f8").tobytes())
         with pytest.raises(InvalidInputError, match="nan.sfab"):
             load_matrix(path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+))
+def test_property_round_trip_bit_identical(tmp_path_factory, X):
+    """Any finite matrix, signed zeros and subnormals included, comes back
+    with the same shape and bytes."""
+    path = tmp_path_factory.mktemp("sfab") / "m.sfab"
+    save_matrix(path, X)
+    back = load_matrix(path)
+    assert back.shape == X.shape
+    assert back.tobytes() == X.tobytes()
 
 
 def _write_set(tmp_path, trs_list, with_coords=True):

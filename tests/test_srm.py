@@ -9,7 +9,13 @@ from datagen import srm_subjects
 from factorfit import reference, srm
 from factorfit.collectives import SerialCommunicator, create_thread_communicators
 from factorfit.data_io import SubjectData
-from factorfit.errors import ConfigError, InvalidInputError, RankError, ShapeError
+from factorfit.errors import (
+    CollectiveContractError,
+    ConfigError,
+    InvalidInputError,
+    RankError,
+    ShapeError,
+)
 from factorfit.kernels import polar_orthogonal, trace_ata
 
 
@@ -364,6 +370,20 @@ class TestFit:
         with pytest.raises(InvalidInputError, match="subject flat"):
             srm.fit(subjects, srm.SrmConfig(k=2, iterations=3), SerialCommunicator())
 
+    def test_rank_deficient_subject_named(self):
+        # one live voxel over a constant background: demeaned rank 1 < k,
+        # which passes the constant-subject check and used to fail the
+        # first M-step with an anonymous RankError
+        rng = np.random.default_rng(26)
+        low = np.full((20, 12), 3.0)
+        low[7] = rng.standard_normal(12)
+        subjects = [
+            SubjectData("live", rng.standard_normal((20, 12))),
+            SubjectData("low-rank", low),
+        ]
+        with pytest.raises(RankError, match="subject low-rank: .*k=3"):
+            srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), SerialCommunicator())
+
     def test_voxel_norms_once_posterior_inverted_once(self, monkeypatch):
         """||Xhat_i||^2 once per subject; two K x K inversions per iteration."""
         calls = {"trace_ata": 0, "spd_inverse": 0}
@@ -446,6 +466,140 @@ def test_property_partition_independent(counts, tolerance):
     assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in serial.W]
 
 
+def pairwise_reference(rows):
+    """The summation tree written recursively: one complete subtree per
+    set bit of N, largest first, each summed as left half + right half,
+    then folded right to left."""
+
+    def subtree(lo, size):
+        if size == 1:
+            return rows[lo]
+        half = size // 2
+        return subtree(lo, half) + subtree(lo + half, half)
+
+    sums, lo = [], 0
+    for bit in reversed(range(len(rows).bit_length())):
+        if len(rows) >> bit & 1:
+            sums.append(subtree(lo, 1 << bit))
+            lo += 1 << bit
+    total = sums[-1]
+    for part in reversed(sums[:-1]):
+        total = part + total
+    return total
+
+
+def tree_block(rows, lo, hi):
+    """What a rank owning subjects [lo, hi) ships: its stack of tree nodes,
+    built in a buffer of the size ``srm.fit`` allocates."""
+    nodes = np.empty((srm._stack_rows(lo, hi - lo), 2 + rows.shape[1]))
+    depth = 0
+    for i in range(lo, hi):
+        nodes[depth] = (i, 0, *rows[i])
+        depth = srm._push_node(nodes, depth)
+    return nodes[:depth]
+
+
+def root_sum(blocks, n):
+    return srm._tree_sum(blocks, n, np.empty((n.bit_length() + 1, blocks[0].shape[1])))
+
+
+class TestSummationTree:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # magnitudes spread over 1e-9..1e9, so the order of additions shows
+        rng = np.random.default_rng(27)
+        return rng.standard_normal((40, 5)) * 10.0 ** rng.uniform(-9, 9, (40, 1))
+
+    def test_every_split_matches_pairwise_reference(self, rows):
+        """N = 1..40, every contiguous split over 1-4 ranks, same bytes."""
+        from itertools import combinations
+
+        blocks = {
+            (lo, hi): tree_block(rows, lo, hi)
+            for lo in range(40) for hi in range(lo + 1, 41)
+        }
+        differs_from_sequential = 0
+        for n in range(1, 41):
+            expected = pairwise_reference(rows[:n]).tobytes()
+            differs_from_sequential += expected != np.add.accumulate(rows[:n])[-1].tobytes()
+            for n_cuts in range(4):
+                for cuts in combinations(range(1, n), n_cuts):
+                    bounds = (0, *cuts, n)
+                    parts = [blocks[lo, hi] for lo, hi in zip(bounds, bounds[1:])]
+                    assert root_sum(parts, n).tobytes() == expected, (n, cuts)
+        assert differs_from_sequential > 20
+
+    def test_rank_ships_logarithmic_rows(self, rows):
+        for lo in range(40):
+            for hi in range(lo + 1, 41):
+                assert len(tree_block(rows, lo, hi)) <= 2 * (hi - lo).bit_length()
+        for lo in range(260):
+            for n in (1, 2, 3, 7, 64, 100, 255):
+                assert srm._stack_rows(lo, n) <= 2 * n.bit_length() + 1
+
+    @pytest.mark.parametrize("spans, n, message", [
+        ([(0, 2), (3, 5)], 5, r"rank 1 .* subjects \[2, 3\) are missing"),
+        ([(0, 3), (2, 5)], 5, r"rank 1 .* subjects \[2, 3\) are summed twice"),
+        ([(0, 4), (0, 4)], 8, r"rank 1 .* subjects \[0, 4\) are summed twice"),
+        ([(0, 2), (2, 4)], 5, r"cover subjects \[0, 4\) of 5"),
+        ([(0, 4), (4, 8)], 6, r"rank 1 .* \[4, 8\) .* only 6 subjects"),
+    ])
+    def test_bad_tiling_is_contract_error(self, rows, spans, n, message):
+        parts = [tree_block(rows, lo, hi) for lo, hi in spans]
+        with pytest.raises(CollectiveContractError, match=message):
+            root_sum(parts, n)
+
+    def test_unaligned_node_is_contract_error(self, rows):
+        # [1, 3) has the size of a level-1 node but not its alignment
+        bad = np.concatenate(([1, 1], rows[1] + rows[2]))[None]
+        with pytest.raises(CollectiveContractError, match="not a node"):
+            root_sum([tree_block(rows, 0, 1), bad], 3)
+
+    def test_overlapping_ranks_fail_the_fit(self, monkeypatch):
+        # both ranks believe they own subjects [0, 2)
+        monkeypatch.setattr(srm, "rank_offsets", lambda comm, n: (0, 4))
+        rng = np.random.default_rng(28)
+        subjects = [SubjectData(f"s{i}", rng.standard_normal((10, 6))) for i in range(4)]
+        comms = create_thread_communicators(2, timeout=10.0)
+        errors = [None, None]
+
+        def run(rank):
+            try:
+                srm.fit(subjects[2 * rank:2 * rank + 2], srm.SrmConfig(k=2), comms[rank])
+            except BaseException as exc:  # noqa: BLE001
+                errors[rank] = exc
+                comms[rank].abort()
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert isinstance(errors[0], CollectiveContractError)
+        assert "summed twice" in str(errors[0])
+
+    @pytest.mark.parametrize("n_subjects", [1, 3, 6, 7, 64])
+    def test_serial_fit_gathers_popcount_rows(self, monkeypatch, n_subjects):
+        k, n_trs, iterations = 2, 5, 3
+        shapes = []
+        gather_rows = srm.gather_rows
+
+        def recording(comm, rows):
+            rows = np.asarray(rows)
+            shapes.append(rows.shape)
+            return gather_rows(comm, rows)
+
+        monkeypatch.setattr(srm, "gather_rows", recording)
+        rng = np.random.default_rng(29)
+        subjects = [
+            SubjectData(f"s{i}", rng.standard_normal((6, n_trs)))
+            for i in range(n_subjects)
+        ]
+        srm.fit(subjects, srm.SrmConfig(k=k, iterations=iterations), SerialCommunicator())
+        per_iteration = [shape for shape in shapes if shape[1] == 4 + k * n_trs]
+        assert per_iteration == [(bin(n_subjects).count("1"), 4 + k * n_trs)] * iterations
+
+
 class TestCommunicationVolume:
     def test_reduce_payload_independent_of_voxels(self):
         """Per-iteration communication is K*T-scale, never voxel-scale."""
@@ -464,10 +618,12 @@ class TestCommunicationVolume:
         small = gathered_bytes(25)
         large = gathered_bytes(400)
         assert small == large
-        # per-iteration payload: a 16-byte (rows, cols) header, then
-        # 2 subjects x (rho2 + K*T floats)
-        per_iter = 16 + 2 * (8 + k * n_trs * 8)
-        assert small[0] <= (iters + 1) * per_iter + 64
+        # every gather ships a 16-byte (rows, cols) header. Per iteration the
+        # 2 subjects fold into one tree node, [start, level, sum 1/rho2,
+        # sum rho2, K*T partial]; around the loop, rank_offsets sends one
+        # count and the final gather the 2 noise variances.
+        per_iter = 16 + (4 + k * n_trs) * 8
+        assert small[0] == (16 + 8) + iters * per_iter + (16 + 2 * 8)
 
 
 class TestProjection:
