@@ -29,7 +29,6 @@ from .data_io import (
     generate_synthetic,
     load_manifest,
     load_subject,
-    save_subject,
 )
 from .errors import FactorFitError
 from .htfa import GlobalTemplate, HtfaConfig, LocalModel, SubsamplePlan
@@ -59,7 +58,6 @@ __all__ = [
     "generate_synthetic",
     "load_manifest",
     "load_subject",
-    "save_subject",
     "FactorFitError",
     "GlobalTemplate",
     "HtfaConfig",

@@ -63,7 +63,6 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "read_header",
-    "save_subject",
     "load_subject",
     "load_manifest",
     "write_manifest",
@@ -178,10 +177,6 @@ def load_matrix(path):
     if not np.all(np.isfinite(X)):
         raise InvalidInputError(f"{path}: payload holds non-finite entries")
     return X
-
-
-def save_subject(path, X):
-    save_matrix(path, X)
 
 
 def load_subject(data_path, coords_path=None, subject_id=None):

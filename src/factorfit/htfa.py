@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import trf
 from .collectives import gather_rows, rank_offsets
@@ -276,6 +275,34 @@ def _center_bounds(grid, k):
     return np.tile(lo, k), np.tile(hi, k)
 
 
+def _add_prior_blocks(H, rows):
+    """H[3j:3j+3, 3j:3j+3] += outer(rows[j], rows[j]) for each factor j.
+
+    Writes through a (k, 3, k, 3) view of the 3K x 3K matrix ``H``, so
+    no block-diagonal matrix is formed.
+    """
+    k = rows.shape[0]
+    j = np.arange(k)
+    H.reshape(k, 3, k, 3)[j, :, j] += rows[:, :, None] * rows[:, None, :]
+
+
+def _last_point(evaluate):
+    """One-entry memo of ``evaluate(x)``, keyed by the exact value of x.
+
+    The residual at a trial point and (J^T J, J^T r) at the same accepted
+    point then share one evaluation; any other x recomputes.
+    """
+    last = [None, None]
+
+    def at(x):
+        if last[0] is None or not np.array_equal(last[0], x):
+            value = evaluate(x)
+            last[:] = [x.copy(), value]
+        return last[1]
+
+    return at
+
+
 def build_center_problem(
     Xtilde, W, widths, template, phi, grid_view, noise_weight, bounds_grid=None
 ):
@@ -287,7 +314,10 @@ def build_center_problem(
     G = dF/dmu = F * 2 (p - mu) / lambda and a the data weight,
     ``normal_fn`` returns J^T J = a^2 (W^T W kron 1_3x3) * (G G^T) and
     J^T r = -a sum_v G (W^T R) plus the prior rows; ``jacobian_fn``
-    forms the dense Jacobian from the same G, as a test oracle.
+    forms the dense Jacobian from the same G, as a test oracle. F and
+    the prior rows are shared between ``residual_fn`` and ``normal_fn``
+    at the same x: the problem keeps the last point it evaluated and
+    recomputes only for a different x.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
@@ -300,46 +330,49 @@ def build_center_problem(
     pos = grid_view.positions
     wtw = np.kron(W.T @ W, np.ones((3, 3)))
 
-    def prior(centers):
-        """Prior residuals sqrt(d^T P d) (scaled) and their K x 3 gradient rows."""
+    def evaluate(x):
+        """F, the scaled prior residuals sqrt(d^T P d) and their K x 3 gradient rows."""
+        centers = x.reshape(k, 3)
+        F = rbf_factor_matrix(centers, widths, grid_view)
         D = centers - prior_centers
         U = D @ prior_prec
         q = np.einsum("kd,kd->k", D, U)
         rows = np.zeros_like(U)
         live = q > 1e-300
         rows[live] = prior_w * U[live] / np.sqrt(q[live])[:, None]
-        return prior_w * np.sqrt(np.maximum(q, 0.0)), rows
+        return F, prior_w * np.sqrt(np.maximum(q, 0.0)), rows
 
-    def gradients(centers):
-        F = rbf_factor_matrix(centers, widths, grid_view)
+    point = _last_point(evaluate)
+
+    def gradients(x, F):
+        centers = x.reshape(k, 3)
         return (pos.T - centers[:, :, None]) * (F * (2.0 / widths)[:, None])[:, None]
 
     def residual(x):
-        centers = x.reshape(k, 3)
-        F = rbf_factor_matrix(centers, widths, grid_view)
+        F, prior_residuals, _ = point(x)
         out = np.empty(n_data + k)
         out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
-        out[n_data:] = prior(centers)[0]
+        out[n_data:] = prior_residuals
         return out
 
     def normal(x, r):
-        centers = x.reshape(k, 3)
-        G = gradients(centers)  # K x 3 x Vtilde
+        F, _, rows = point(x)
+        G = gradients(x, F)  # K x 3 x Vtilde
         WtR = W.T @ r[:n_data].reshape(n_trs, n_vox)
-        _, rows = prior(centers)
         g = (rows * r[n_data:, None] - data_w * np.einsum("kdv,kv->kd", G, WtR)).ravel()
         G = G.reshape(3 * k, n_vox)
         H = (noise_weight * wtw) * (G @ G.T)
-        H += block_diag(*(rows[:, :, None] * rows[:, None, :]))
+        _add_prior_blocks(H, rows)
         return H, g
 
     def jacobian(x):
-        centers = x.reshape(k, 3)
+        F, _, rows = point(x)
         J = np.zeros((n_data + k, 3 * k))
-        J[:n_data] = (-data_w * np.einsum("tk,kdv->tvkd", W, gradients(centers))).reshape(
+        J[:n_data] = (-data_w * np.einsum("tk,kdv->tvkd", W, gradients(x, F))).reshape(
             n_data, 3 * k
         )
-        J[n_data:] = block_diag(*prior(centers)[1][:, None])
+        j = np.arange(k)
+        J[n_data:].reshape(k, k, 3)[j, j] = rows
         return J
 
     grid_for_bounds = bounds_grid if bounds_grid is not None else grid_view
@@ -363,7 +396,9 @@ def build_width_problem(
     The width-prior residuals are linear. With the K x Vtilde
     G = dF/dlambda = F * ||p - mu||^2 / lambda^2, ``normal_fn`` returns
     J^T J = a^2 (W^T W) * (G G^T) plus the prior diagonal and J^T r as
-    for the centers; ``jacobian_fn`` is the dense test oracle.
+    for the centers; ``jacobian_fn`` is the dense test oracle. F is
+    shared between ``residual_fn`` and ``normal_fn`` at the same x, as
+    for the centers.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
@@ -374,12 +409,13 @@ def build_width_problem(
     centers = np.asarray(centers, dtype=np.float64).reshape(k, 3)
     d2 = ((grid_view.positions[None] - centers[:, None]) ** 2).sum(axis=-1)
     wtw = W.T @ W
+    factors = _last_point(lambda x: rbf_factor_matrix(centers, x, grid_view))
 
     def gradients(x):
-        return rbf_factor_matrix(centers, x, grid_view) * d2 / (x**2)[:, None]
+        return factors(x) * d2 / (x**2)[:, None]
 
     def residual(x):
-        F = rbf_factor_matrix(centers, x, grid_view)
+        F = factors(x)
         out = np.empty(n_data + k)
         out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
         out[n_data:] = width_prior_w * (x - prior_widths)
@@ -526,15 +562,16 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     """Distributed MAP fit; ``subjects`` are this worker's share.
 
     Outer loop: broadcast template -> per-subject local steps -> gather
-    one [centers, widths] row of 4K values per subject, in subject order
-    -> root template update. One K x 14 broadcast then hands the final
-    template with its posterior covariances to every rank, and a final
-    pass rebuilds every subject's full weight matrix from its final
-    factors. Returns (template, local models); the template is identical
-    on every rank.
+    one [centers, widths, noise variance] row of 4K + 1 values per
+    subject, in subject order -> root template update. One K x 14
+    broadcast then hands the final template with its posterior
+    covariances to every rank, and a final pass rebuilds every subject's
+    full weight matrix from its final factors. Returns (template, local
+    models); the template is identical on every rank.
 
-    When ``iteration_log`` is a list, this worker's mean data-noise
-    variance over its subjects is appended once per outer iteration.
+    When ``iteration_log`` is a list, the root appends the mean data-noise
+    variance over all N subjects once per outer iteration, so the trace
+    does not depend on the partition; other ranks leave it empty.
     """
     config.validate()
     plan.validate()
@@ -587,17 +624,21 @@ def fit(subjects, config, plan, comm, iteration_log=None):
             )
             locals_[j] = local_step(subject, shared, locals_[j], config, plan, rng=rng)
             locals_[j] = _rescue_degenerate(subject, locals_[j])
-        if iteration_log is not None:
-            iteration_log.append(
-                float(np.mean([0.5 / m.noise_weight for m in locals_]))
-            )
         blocks = gather_rows(
-            comm, [np.concatenate([m.centers.ravel(), m.widths]) for m in locals_]
+            comm,
+            [
+                np.concatenate([m.centers.ravel(), m.widths, [0.5 / m.noise_weight]])
+                for m in locals_
+            ],
         )
         if comm.rank == 0:
             gathered = np.concatenate(blocks)
             all_centers = gathered[:, :3 * k].reshape(-1, k, 3)
-            template = global_step(all_centers, gathered[:, 3 * k:], template, n_total)
+            template = global_step(
+                all_centers, gathered[:, 3 * k:4 * k], template, n_total
+            )
+            if iteration_log is not None:
+                iteration_log.append(float(np.mean(gathered[:, 4 * k])))
 
     # hand the final template to every rank as one K x 14 matrix
     packed = comm.broadcast(

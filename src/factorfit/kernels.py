@@ -19,7 +19,6 @@ from .errors import (
 
 __all__ = [
     "VoxelGrid",
-    "zscore_columns",
     "trace_ata",
     "add_diag",
     "spd_inverse",
@@ -133,22 +132,6 @@ class VoxelGrid:
         return float(np.max(hi - lo))
 
 
-def zscore_columns(X):
-    """Standardize each column to mean 0 and population std 1.
-
-    Columns with zero variance (dead voxels) are mapped to all zeros
-    rather than raising.
-    """
-    X = _as_matrix(X, "X")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    out = X - mean
-    live = std > 0.0
-    out[:, live] /= std[live]
-    out[:, ~live] = 0.0
-    return out
-
-
 def trace_ata(A):
     """trace(A^T A) as the sum of squared entries, without forming A^T A."""
     A = _as_matrix(A, "A")
@@ -225,26 +208,25 @@ def _check_rbf_args(centers, widths):
 def rbf_factor_matrix(centers, widths, grid):
     """Evaluate K radial-basis factors on a voxel grid, K x V.
 
-    Entry (k, v) is exp(-||p_v - mu_k||^2 / lambda_k). Per factor the
-    squared distances are assembled from three per-axis lookup tables of
-    sizes (n_x, n_y, n_z), an exact rewrite of the direct evaluation:
-    only O(n_x + n_y + n_z) subtractions/squarings are spent per factor
-    instead of O(3 V).
+    Entry (k, v) is exp(-||p_v - mu_k||^2 / lambda_k). The squared
+    distances are assembled from three per-axis lookup tables of shapes
+    (K, n_x), (K, n_y), (K, n_z), an exact rewrite of the direct
+    evaluation: only O(n_x + n_y + n_z) subtractions/squarings are spent
+    per factor instead of O(3 V). All K factors go through one pass:
+    each table is gathered once along the voxels, so at most one K x V
+    temporary lives beside F, and the divide, negate and ``exp`` run in
+    place in F.
     """
     centers, widths = _check_rbf_args(centers, widths)
-    ix = grid.voxel_axis_index[:, 0]
-    iy = grid.voxel_axis_index[:, 1]
-    iz = grid.voxel_axis_index[:, 2]
-    ax, ay, az = grid.axis_values
-    F = np.empty((centers.shape[0], grid.n_voxels))
-    for k in range(centers.shape[0]):
-        tx = (ax - centers[k, 0]) ** 2
-        ty = (ay - centers[k, 1]) ** 2
-        tz = (az - centers[k, 2]) ** 2
-        # fixed x + y + z order keeps results backend independent
-        d2 = tx[ix] + ty[iy]
-        d2 += tz[iz]
-        F[k] = np.exp(-d2 / widths[k])
+    index = grid.voxel_axis_index
+    tables = [(v - centers[:, d, None]) ** 2 for d, v in enumerate(grid.axis_values)]
+    F = np.take(tables[0], index[:, 0], axis=1)
+    # fixed x + y + z order keeps results backend independent
+    for d in (1, 2):
+        F += np.take(tables[d], index[:, d], axis=1)
+    F /= widths[:, None]
+    np.negative(F, out=F)
+    np.exp(F, out=F)
     return F
 
 

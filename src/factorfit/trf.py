@@ -508,11 +508,17 @@ def solve(problem, x0, config=None):
 
 
 def check_jacobian(problem, x, rel_step=1e-6):
-    """Worst relative deviation of the analytic Jacobian vs central differences.
+    """Worst relative deviation of the analytic derivatives vs central differences.
 
-    Columns are compared one at a time; each column's deviation is
-    normalized by its own magnitude (floored at a small fraction of the
-    global Jacobian magnitude so empty columns do not dominate).
+    Columns of ``jacobian_fn`` are compared one at a time; each column's
+    deviation is normalized by its own magnitude (floored at a small
+    fraction of the global Jacobian magnitude so empty columns do not
+    dominate). When the problem has a ``normal_fn``, which is what
+    :func:`solve` calls, its (H, g) at x is compared as well with
+    J^T J and J^T r built from the central-difference Jacobian: the
+    deviation of H is relative to the largest entry of J^T J, that of g
+    to the largest sum of |J_ij r_i| over a column. The worst of all
+    deviations is returned.
     """
     if problem.jacobian_fn is None:
         raise InvalidInputError("problem has no analytic jacobian_fn to check")
@@ -541,4 +547,17 @@ def check_jacobian(problem, x, rel_step=1e-6):
         col_scale = max(float(np.max(np.abs(J_fd[:, j]))), 1e-6 * global_scale)
         dev = float(np.max(np.abs(J[:, j] - J_fd[:, j]))) / col_scale
         worst = max(worst, dev)
+    if problem.normal_fn is not None:
+        n = problem.n_vars
+        H, g = problem.normal_fn(x, r0)
+        H = _checked(H, (n, n), "normal_fn", x)
+        g = _checked(g, (n,), "normal_fn", x)
+        H_fd = J_fd.T @ J_fd
+        h_scale = max(float(np.max(np.abs(H_fd))), 1e-300)
+        g_scale = max(float(np.max(np.abs(J_fd).T @ np.abs(r0))), 1e-300)
+        worst = max(
+            worst,
+            float(np.max(np.abs(H - H_fd))) / h_scale,
+            float(np.max(np.abs(g - J_fd.T @ r0))) / g_scale,
+        )
     return worst

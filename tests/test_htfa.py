@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
@@ -232,6 +233,99 @@ class TestBlockProblems:
             H, g = prob.normal_fn(x, r)
             for got, want in ((H, J.T @ J), (g, J.T @ r)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_rbf_evaluation_per_residual(self, problem_parts, monkeypatch):
+        _, grid, view, Xst, W, phi, template, config = problem_parts
+        calls = {"rbf": 0, "residual": 0}
+        original = htfa.rbf_factor_matrix
+
+        def counted_rbf(*args):
+            calls["rbf"] += 1
+            return original(*args)
+
+        def counted(residual_fn):
+            def wrapper(x):
+                calls["residual"] += 1
+                return residual_fn(x)
+
+            return wrapper
+
+        monkeypatch.setattr(htfa, "rbf_factor_matrix", counted_rbf)
+        centers = template.centers + 0.5
+        problems = [
+            (
+                htfa.build_center_problem(
+                    Xst, W, template.widths, template, phi, view, 0.8, bounds_grid=grid
+                ),
+                centers.ravel(),
+            ),
+            (
+                htfa.build_width_problem(
+                    Xst, W, centers, template, phi, view, 0.8, config, bounds_grid=grid
+                ),
+                template.widths * 1.3,
+            ),
+        ]
+        for prob, x0 in problems:
+            calls.update(rbf=0, residual=0)
+            prob.residual_fn = counted(prob.residual_fn)
+            result = trf.solve(prob, x0, trf.TrfConfig(max_iterations=10))
+            assert result.njev >= 3
+            assert calls["residual"] == result.nfev
+            assert calls["rbf"] == calls["residual"]
+
+    def test_normal_fn_recomputes_on_a_memo_miss(self, problem_parts):
+        _, grid, view, Xst, W, phi, template, config = problem_parts
+        rng = np.random.default_rng(17)
+
+        def problems():
+            return [
+                htfa.build_center_problem(
+                    Xst, W, template.widths, template, phi, view, 0.8, bounds_grid=grid
+                ),
+                htfa.build_width_problem(
+                    Xst, W, template.centers, template, phi, view, 0.8, config,
+                    bounds_grid=grid,
+                ),
+            ]
+
+        points = [
+            [(template.centers + rng.uniform(-1, 1, (3, 3))).ravel() for _ in range(2)],
+            [template.widths * rng.uniform(0.6, 1.5, 3) for _ in range(2)],
+        ]
+        for oracle, fresh, stale, (x, elsewhere) in zip(
+            problems(), problems(), problems(), points
+        ):
+            r = oracle.residual_fn(x)
+            J = oracle.jacobian_fn(x)
+            H_hit, g_hit = oracle.normal_fn(x, r)
+            # ``fresh`` never saw x; ``stale`` last evaluated another point
+            stale.residual_fn(elsewhere)
+            for prob in (fresh, stale):
+                H, g = prob.normal_fn(x, r)
+                for got, want in ((H, J.T @ J), (g, J.T @ r)):
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                assert H.tobytes() == H_hit.tobytes()
+                assert g.tobytes() == g_hit.tobytes()
+
+    def test_prior_blocks_match_block_diag(self, problem_parts):
+        _, grid, view, Xst, W, phi, template, config = problem_parts
+        rng = np.random.default_rng(18)
+        prob = htfa.build_center_problem(
+            Xst, W, template.widths, template, phi, view, 0.8, bounds_grid=grid
+        )
+        k = template.centers.shape[0]
+        x = (template.centers + rng.uniform(-1.0, 1.0, (k, 3))).ravel()
+        prior_rows = prob.jacobian_fn(x)[Xst.size:]
+        rows = prior_rows.reshape(k, k, 3)[np.arange(k), np.arange(k)]
+        assert np.all(rows != 0.0)
+        assert prior_rows.tobytes() == block_diag(*rows[:, None]).tobytes()
+        for k in (1, 2, 5):
+            H = rng.standard_normal((3 * k, 3 * k))
+            rows = rng.standard_normal((k, 3))
+            want = H + block_diag(*(rows[:, :, None] * rows[:, None, :]))
+            htfa._add_prior_blocks(H, rows)
+            assert H.tobytes() == want.tobytes()
 
     def test_width_domain_error(self, problem_parts):
         _, grid, view, Xst, W, phi, template, config = problem_parts
@@ -491,6 +585,44 @@ class TestFit:
             assert np.max(np.abs(tmpl.widths - serial_t.widths)) <= 1e-12
         assert np.max(np.abs(results[0][1][0].weights - serial_l[0].weights)) <= 1e-12
         assert np.max(np.abs(results[1][1][0].weights - serial_l[1].weights)) <= 1e-12
+
+
+    def test_iteration_log_covers_every_subject(self):
+        matrices, grid, _, _ = blob_subjects(n_subjects=4, k=3, seed=5)
+        subjects = [SubjectData(f"s{i}", X, grid) for i, X in enumerate(matrices)]
+        config = small_config(outer=3, local=2)
+        plan = htfa.SubsamplePlan(max_voxels=300, max_trs=20)
+        serial_log = []
+        serial_t, _ = htfa.fit(
+            subjects, config, plan, SerialCommunicator(), iteration_log=serial_log
+        )
+        comms = create_thread_communicators(2, timeout=60.0)
+        logs = [[], []]
+        results = [None, None]
+
+        def run(rank):
+            try:
+                results[rank] = htfa.fit(
+                    subjects[2 * rank:2 * rank + 2], config, plan, comms[rank],
+                    iteration_log=logs[rank],
+                )
+            except BaseException:
+                comms[rank].abort()
+                raise
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+            assert not t.is_alive()
+        assert len(serial_log) == config.outer_iterations
+        assert np.array(logs[0]).tobytes() == np.array(serial_log).tobytes()
+        assert logs[1] == []
+        for template, _ in results:
+            for field in ("centers", "widths", "center_cov", "width_var"):
+                got, want = getattr(template, field), getattr(serial_t, field)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestConnectivity:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from factorfit import htfa
 from factorfit.errors import (
     DefinitenessError,
     DomainError,
@@ -17,36 +18,7 @@ from factorfit.kernels import (
     residual_fro,
     spd_inverse,
     trace_ata,
-    zscore_columns,
 )
-
-
-class TestZscore:
-    def test_two_point_column(self):
-        out = zscore_columns(np.array([[2.0], [4.0]]))
-        assert np.allclose(out, [[-1.0], [1.0]])
-
-    def test_constant_column_maps_to_zero(self):
-        out = zscore_columns(np.array([[5.0], [5.0], [5.0]]))
-        assert np.array_equal(out, np.zeros((3, 1)))
-
-    def test_random_matrix_moments(self):
-        rng = np.random.default_rng(0)
-        out = zscore_columns(rng.normal(3.0, 2.5, (50, 7)))
-        # recompute the moments directly
-        assert np.max(np.abs(out.mean(axis=0))) <= 1e-12
-        assert np.max(np.abs(out.var(axis=0) - 1.0)) <= 1e-12
-
-    def test_idempotent_on_standardized_input(self):
-        rng = np.random.default_rng(1)
-        once = zscore_columns(rng.standard_normal((40, 5)))
-        twice = zscore_columns(once)
-        assert np.max(np.abs(twice - once)) <= 1e-12
-
-    def test_non_finite_rejected(self):
-        bad = np.array([[1.0, np.nan], [2.0, 3.0]])
-        with pytest.raises(InvalidInputError):
-            zscore_columns(bad)
 
 
 class TestTraceAta:
@@ -176,6 +148,23 @@ def _random_grid(rng, dims=(11, 9, 7), keep=0.85):
     return VoxelGrid.from_positions(pos[mask])
 
 
+def _rbf_per_factor_loop(centers, widths, grid):
+    """The per-factor evaluation the vectorized kernel replaced."""
+    ix = grid.voxel_axis_index[:, 0]
+    iy = grid.voxel_axis_index[:, 1]
+    iz = grid.voxel_axis_index[:, 2]
+    ax, ay, az = grid.axis_values
+    F = np.empty((centers.shape[0], grid.n_voxels))
+    for k in range(centers.shape[0]):
+        tx = (ax - centers[k, 0]) ** 2
+        ty = (ay - centers[k, 1]) ** 2
+        tz = (az - centers[k, 2]) ** 2
+        d2 = tx[ix] + ty[iy]
+        d2 += tz[iz]
+        F[k] = np.exp(-d2 / widths[k])
+    return F
+
+
 class TestRbfFactorMatrix:
     def test_value_one_at_center(self):
         grid = VoxelGrid.from_positions(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
@@ -207,6 +196,21 @@ class TestRbfFactorMatrix:
         cached = rbf_factor_matrix(centers, widths, view)
         direct = rbf_factor_matrix_direct(centers, widths, grid.positions[idx])
         assert np.max(np.abs(cached - direct)) <= 1e-14
+
+    def test_vectorized_equals_per_factor_loop_bytes(self):
+        rng = np.random.default_rng(14)
+        grid = _random_grid(rng, dims=(8, 7, 5))
+        lo, hi = htfa.width_bounds(grid, htfa.HtfaConfig())
+        view = grid.take(rng.integers(0, grid.n_voxels, 300))  # repeats
+        for k in range(1, 7):
+            centers = rng.uniform(-11, 11, (k, 3))
+            widths = rng.uniform(lo, hi, k)
+            widths[0] = lo
+            widths[-1] = hi
+            for g in (grid, view):
+                got = rbf_factor_matrix(centers, widths, g)
+                want = _rbf_per_factor_loop(centers, widths, g)
+                assert got.tobytes() == want.tobytes()
 
     def test_nonpositive_width_rejected(self):
         grid = VoxelGrid.from_positions(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))

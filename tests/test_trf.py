@@ -282,6 +282,32 @@ class TestCheckJacobian:
     def test_nonlinear_analytic(self):
         assert check_jacobian(rosenbrock_problem(), np.array([0.7, -0.3])) <= 1e-7
 
+    def test_normal_fn_checked_against_differences(self):
+        base = rosenbrock_problem()
+        x = np.array([0.7, -0.3])
+
+        def normal(x, r):
+            J = base.jacobian_fn(x)
+            return J.T @ J, J.T @ r
+
+        def normal_wrong_h(x, r):
+            H, g = normal(x, r)
+            return H * np.array([[1.0, 1.0], [1.0, 1.01]]), g
+
+        def normal_wrong_g(x, r):
+            H, g = normal(x, r)
+            return H, g + np.array([0.0, 0.01]) * np.max(np.abs(g))
+
+        def with_normal(fn):
+            return LeastSquaresProblem(
+                2, 2, base.residual_fn, base.jacobian_fn, normal_fn=fn
+            )
+
+        assert check_jacobian(with_normal(normal), x) <= 1e-7
+        # the dense Jacobian is right; only the (H, g) the solver uses is off
+        assert check_jacobian(with_normal(normal_wrong_h), x) >= 1e-3
+        assert check_jacobian(with_normal(normal_wrong_g), x) >= 1e-3
+
     def test_requires_analytic_jacobian(self):
         problem = LeastSquaresProblem(1, 1, lambda x: x)
         with pytest.raises(InvalidInputError):
