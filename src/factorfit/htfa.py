@@ -287,24 +287,30 @@ def _add_prior_blocks(H, rows):
 
 
 def _last_point(evaluate):
-    """One-entry memo of ``evaluate(x)``, keyed by the exact value of x.
+    """One-entry memo of ``evaluate(*args)``, keyed by the exact argument values.
 
     The residual at a trial point and (J^T J, J^T r) at the same accepted
-    point then share one evaluation; any other x recomputes.
+    point then share one evaluation; any other point recomputes.
     """
     last = [None, None]
 
-    def at(x):
-        if last[0] is None or not np.array_equal(last[0], x):
-            value = evaluate(x)
-            last[:] = [x.copy(), value]
+    def at(*args):
+        if last[0] is None or not all(map(np.array_equal, last[0], args)):
+            value = evaluate(*args)
+            last[:] = [[np.array(a, copy=True) for a in args], value]
         return last[1]
 
     return at
 
 
+def _factor_memo(grid_view):
+    """F(centers, widths) on ``grid_view``, remembering the last point."""
+    return _last_point(lambda c, w: rbf_factor_matrix(c, w, grid_view))
+
+
 def build_center_problem(
-    Xtilde, W, widths, template, phi, grid_view, noise_weight, bounds_grid=None
+    Xtilde, W, widths, template, phi, grid_view, noise_weight, bounds_grid=None,
+    factors=None,
 ):
     """Center-block NLLS problem: 3K variables, Vtilde*Ttilde + K residuals.
 
@@ -317,7 +323,10 @@ def build_center_problem(
     forms the dense Jacobian from the same G, as a test oracle. F and
     the prior rows are shared between ``residual_fn`` and ``normal_fn``
     at the same x: the problem keeps the last point it evaluated and
-    recomputes only for a different x.
+    recomputes only for a different x. ``factors`` is the F memo
+    (:func:`_factor_memo` on ``grid_view``) to evaluate through; passing
+    the one the caller already evaluated F with, and later handing it to
+    the width problem, lets the solves start from F known at their x0.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
@@ -329,11 +338,13 @@ def build_center_problem(
     widths = np.asarray(widths, dtype=np.float64)
     pos = grid_view.positions
     wtw = np.kron(W.T @ W, np.ones((3, 3)))
+    if factors is None:
+        factors = _factor_memo(grid_view)
 
     def evaluate(x):
         """F, the scaled prior residuals sqrt(d^T P d) and their K x 3 gradient rows."""
         centers = x.reshape(k, 3)
-        F = rbf_factor_matrix(centers, widths, grid_view)
+        F = factors(centers, widths)
         D = centers - prior_centers
         U = D @ prior_prec
         q = np.einsum("kd,kd->k", D, U)
@@ -389,7 +400,8 @@ def build_center_problem(
 
 
 def build_width_problem(
-    Xtilde, W, centers, template, phi, grid_view, noise_weight, config, bounds_grid=None
+    Xtilde, W, centers, template, phi, grid_view, noise_weight, config, bounds_grid=None,
+    factors=None,
 ):
     """Width-block NLLS problem: K variables, Vtilde*Ttilde + K residuals.
 
@@ -397,8 +409,8 @@ def build_width_problem(
     G = dF/dlambda = F * ||p - mu||^2 / lambda^2, ``normal_fn`` returns
     J^T J = a^2 (W^T W) * (G G^T) plus the prior diagonal and J^T r as
     for the centers; ``jacobian_fn`` is the dense test oracle. F is
-    shared between ``residual_fn`` and ``normal_fn`` at the same x, as
-    for the centers.
+    shared between ``residual_fn`` and ``normal_fn`` at the same x, and
+    ``factors`` is an F memo, as for the centers.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
@@ -409,13 +421,14 @@ def build_width_problem(
     centers = np.asarray(centers, dtype=np.float64).reshape(k, 3)
     d2 = ((grid_view.positions[None] - centers[:, None]) ** 2).sum(axis=-1)
     wtw = W.T @ W
-    factors = _last_point(lambda x: rbf_factor_matrix(centers, x, grid_view))
+    if factors is None:
+        factors = _factor_memo(grid_view)
 
     def gradients(x):
-        return factors(x) * d2 / (x**2)[:, None]
+        return factors(centers, x) * d2 / (x**2)[:, None]
 
     def residual(x):
-        F = factors(x)
+        F = factors(centers, x)
         out = np.empty(n_data + k)
         out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
         out[n_data:] = width_prior_w * (x - prior_widths)
@@ -474,18 +487,22 @@ def local_step(subject, template, local, config, plan, rng=None):
             sigma2 = max(float(Xst.var()), 1e-12)
             noise_weight = 1.0 / (2.0 * sigma2)
             view = grid.take(vox)
-            F = rbf_factor_matrix(centers, widths, view)
-            w_rows = update_weights(Xst, F, local.ridge_alpha2)
+            # one F memo for the weights and both block solves, so the
+            # center solve starts from the weights' F and the width solve
+            # from the center solve's last F when that is its solution
+            factors = _factor_memo(view)
+            w_rows = update_weights(Xst, factors(centers, widths), local.ridge_alpha2)
             weights[trs] = w_rows
 
             previous = np.concatenate([centers.ravel(), widths])
             problem = build_center_problem(
-                Xst, w_rows, widths, template, phi, view, noise_weight, bounds_grid=grid
+                Xst, w_rows, widths, template, phi, view, noise_weight, bounds_grid=grid,
+                factors=factors,
             )
             centers = trf.solve(problem, centers.ravel(), config.nlls).x.reshape(-1, 3)
             problem = build_width_problem(
                 Xst, w_rows, centers, template, phi, view, noise_weight, config,
-                bounds_grid=grid,
+                bounds_grid=grid, factors=factors,
             )
             widths = trf.solve(problem, widths, config.nlls).x
             current = np.concatenate([centers.ravel(), widths])

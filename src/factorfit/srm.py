@@ -24,6 +24,18 @@ is computed once per subject. So a subject-iteration does two V x T x K
 products (the E-step term and A_i) and one V x K SVD, the voxel-scale
 work that ``cli.srm_flops_per_subject_iteration`` counts.
 
+The fit holds one copy of each subject's data, the caller's X_i, and
+never writes to it. The demeaned Xhat_i = X_i - mu_i 1^T is never
+formed: both products take the mean back out as a rank-1 correction,
+
+    W_i^T Xhat_i = W_i^T X_i - (W_i^T mu_i) 1^T         (K x T)
+    Xhat_i S^T   = X_i S^T - mu_i (S 1)^T               (V x K)
+
+which costs O(VK + KT) next to the O(VTK) products. One blocked pass
+at fit start (:func:`center_stats`) gives mu_i and each voxel's centered
+energy, whose sum is ||Xhat_i||^2 and whose count above rounding is the
+number of voxels that vary, checked against k before any collective.
+
 Per iteration the E-step terms are summed along one fixed pairwise tree
 over the global subject indices [0, N). Each worker sums its own
 subjects' terms, [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T Xhat_i], into the
@@ -50,6 +62,7 @@ __all__ = [
     "SrmConfig",
     "SrmModel",
     "demean",
+    "center_stats",
     "init_subject",
     "e_step_local",
     "e_step_global",
@@ -61,6 +74,7 @@ __all__ = [
 ]
 
 RHO_FLOOR = 1e-12
+CENTER_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -89,7 +103,9 @@ class SrmModel:
     ``sigma_s``, the full noise vector ``rho2_all`` and
     ``objective_trace``, the mean noise variance over all subjects after
     each M-step, live on the root only (the trace is empty elsewhere).
-    ``rho0`` is the global sum of inverse noise variances.
+    ``rho0`` is the global sum of inverse noise variances. ``mu`` holds
+    each subject's voxel means; the model keeps no copy of the data,
+    demeaned or not.
     """
 
     subject_ids: list
@@ -112,6 +128,31 @@ def demean(X):
     return X - mu[:, None], mu
 
 
+def center_stats(X, scratch=None):
+    """Each voxel's temporal mean and centered energy, in one blocked pass.
+
+    Returns (mu, energy) with mu[v] the mean of row v of ``X`` and
+    energy[v] = ||X[v] - mu[v]||^2, the same elementwise differences
+    :func:`demean` forms. Rows are centered a block at a time into
+    ``scratch``, a rows x T buffer (``CENTER_BLOCK_ROWS`` rows when not
+    given) that callers may reuse across subjects, so no centered copy of
+    ``X`` exists and ``X`` is only read.
+    """
+    n_voxels, n_trs = X.shape
+    if scratch is None:
+        scratch = np.empty((min(CENTER_BLOCK_ROWS, n_voxels), n_trs))
+    mu = np.empty(n_voxels)
+    energy = np.empty(n_voxels)
+    step = max(len(scratch), 1)
+    for start in range(0, n_voxels, step):
+        rows = slice(start, min(start + step, n_voxels))
+        block = scratch[: rows.stop - start]
+        np.mean(X[rows], axis=1, out=mu[rows])
+        np.subtract(X[rows], mu[rows, None], out=block)
+        np.einsum("vt,vt->v", block, block, out=energy[rows])
+    return mu, energy
+
+
 def init_subject(n_voxels, config, subject_index):
     """Seeded random orthogonal mapping and unit noise variance.
 
@@ -127,9 +168,20 @@ def init_subject(n_voxels, config, subject_index):
     return W, 1.0
 
 
-def e_step_local(W_i, rho2_i, Xhat_i):
-    """This subject's term of the reduction: rho_i^{-2} W_i^T Xhat_i."""
-    return (W_i.T @ Xhat_i) / rho2_i
+def e_step_local(W_i, rho2_i, X_i, mu=None, out=None):
+    """This subject's term of the reduction: rho_i^{-2} W_i^T Xhat_i.
+
+    Without ``mu``, ``X_i`` is Xhat_i itself. With ``mu``, ``X_i`` still
+    carries that voxel mean, Xhat_i = X_i - mu 1^T, and the mean comes out
+    in K space: W_i^T Xhat_i = W_i^T X_i - (W_i^T mu) 1^T. The K x T term
+    is written into ``out`` when given.
+    """
+    # scaling the V x K mapping, not the K x T product, saves a K x T pass
+    scaled = W_i / rho2_i
+    out = np.matmul(scaled.T, X_i, out=out)
+    if mu is not None:
+        out -= (scaled.T @ mu)[:, None]
+    return out
 
 
 def e_step_global(reduced, sigma_s, rho0):
@@ -159,22 +211,28 @@ def update_sigma_s(sigma_s, rho0, S, var_s=None):
     return sigma_new, float(np.trace(sigma_new))
 
 
-def m_step_subject(Xhat_i, S, trace_sigma_s_new, xhat_sq=None):
+def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     """Per-subject mapping and noise update given the broadcast S and trace.
 
     W_new is the polar factor of A = 1/2 Xhat_i S^T, and the noise
     update's cross term uses <W_new^T Xhat_i, S> = 2 <W_new, A>, so the
-    voxel-scale work is one V x T x K product and one V x K SVD.
-    ``xhat_sq`` is ||Xhat_i||^2, which :func:`fit` computes once per
-    subject; without it, it is computed here.
+    voxel-scale work is one V x T x K product and one V x K SVD. As for
+    :func:`e_step_local`, ``X_i`` is Xhat_i without ``mu``, and with it
+    Xhat_i = X_i - mu 1^T, corrected in the product:
+    Xhat_i S^T = X_i S^T - mu (S 1)^T. ``xhat_sq`` is ||Xhat_i||^2, which
+    :func:`fit` computes once per subject; without it, it is computed here.
     """
     # the K x V product is the faster layout for the same numbers
-    A = (0.5 * (S @ Xhat_i.T)).T
+    A = S @ X_i.T
+    if mu is not None:
+        A -= np.outer(S.sum(axis=1), mu)
+    A *= 0.5
+    A = A.T
     W_new = polar_orthogonal(A)
     if xhat_sq is None:
-        xhat_sq = trace_ata(Xhat_i)
+        xhat_sq = trace_ata(X_i if mu is None else X_i - mu[:, None])
     n_trs = S.shape[1]
-    n_voxels = Xhat_i.shape[0]
+    n_voxels = X_i.shape[0]
     cross = 2.0 * float(np.einsum("vk,vk->", W_new, A))
     rho2 = (xhat_sq + n_trs * trace_sigma_s_new - 2.0 * cross) / (n_trs * n_voxels)
     return W_new, max(rho2, RHO_FLOOR)
@@ -264,54 +322,75 @@ def _tree_sum(blocks, n_subjects, nodes):
 def fit(subjects, config, comm):
     """Run the distributed EM; ``subjects`` are this worker's share.
 
-    Every worker calls this with the same config. ||Xhat_i||^2 is
-    computed once per subject up front. Per iteration: each worker
-    streams its subjects' [rho_i^{-2}, rho_i^2, K x T partial] terms
-    through the pairwise summation tree and gathers the resulting
-    [start, level, sums] node rows to the root -> the root checks that
-    they tile [0, N), finishes the tree, computes the posterior (whose
-    covariance the Sigma_s update reuses) and updates Sigma_s -> one
-    broadcast of S stacked on a row holding tr(Sigma_s_new) -> local
-    M-steps. With ``tolerance`` set, every worker runs the stopping test
-    on its identical copy of S, so no stop flag travels. A last gather
-    collects the noise variances on the root and a broadcast hands every
-    worker the final rho0. The root's ``objective_trace`` takes the tree's
-    sum of rho_i^2 from each iteration after the first, then the mean of
-    the final noise variances, so it covers every subject whatever the
-    partition. A subject whose demeaned data have rank below k fails its
-    M-step with a :class:`RankError` that names it.
+    Every worker calls this with the same config. The subjects' arrays
+    are only read, never copied or modified (the module notes say how
+    Xhat_i is avoided). Per iteration: each worker streams its subjects'
+    [rho_i^{-2}, rho_i^2, K x T partial] terms through the pairwise
+    summation tree and gathers the resulting [start, level, sums] node
+    rows to the root -> the root checks that they tile [0, N), finishes
+    the tree, computes the posterior (whose covariance the Sigma_s
+    update reuses) and updates Sigma_s -> one broadcast of S stacked on
+    a row holding tr(Sigma_s_new) -> local M-steps. With ``tolerance``
+    set, every worker runs the stopping test on its identical copy of S,
+    so no stop flag travels. A last gather collects the noise variances on the root
+    and a broadcast hands every worker the final rho0. The root's
+    ``objective_trace`` takes the tree's sum of rho_i^2 from each
+    iteration after the first, then the mean of the final noise
+    variances, so it covers every subject whatever the partition.
+
+    Bad subjects fail by name before any collective: a subject with fewer
+    than k voxels (:class:`ShapeError`), one that is constant over time
+    (:class:`InvalidInputError`) and one with fewer than k voxels that
+    vary beyond the rounding of their mean (:class:`RankError`). A
+    subject whose demeaned data have rank below k for another reason
+    fails its M-step with a :class:`RankError` that also names it.
     """
     config.validate()
     if not subjects:
         raise ConfigError("each worker needs at least one subject")
     n_trs = subjects[0].X.shape[1]
+    k = config.k
     for s in subjects:
         if s.X.shape[1] != n_trs:
             raise ShapeError(
                 f"subject {s.subject_id} has {s.X.shape[1]} TRs, expected {n_trs}"
             )
+        if s.X.shape[0] < k:
+            raise ShapeError(
+                f"subject {s.subject_id} has {s.X.shape[0]} voxels, fewer than "
+                f"k={k} factors"
+            )
     if n_trs < 2:
         raise ShapeError("need at least 2 TRs")
-    k = config.k
     if k >= n_trs:
         raise ConfigError(
             f"k={k} factors need more than T={n_trs} TRs: demeaned data has "
             f"rank at most T-1={n_trs - 1}"
         )
 
-    demeaned = [demean(s.X) for s in subjects]
-    Xhats = [d[0] for d in demeaned]
-    mus = [d[1] for d in demeaned]
-    xhat_sqs = [trace_ata(X) for X in Xhats]
-    # demeaning a constant voxel with mean m leaves only the rounding
+    Xs = [np.asarray(s.X, dtype=np.float64) for s in subjects]
+    scratch = np.empty((min(CENTER_BLOCK_ROWS, max(len(X) for X in Xs)), n_trs))
+    mus, xhat_sqs = [], []
+    # centering a constant voxel with mean m leaves only the rounding
     # error of the mean, under 2 T eps |m| per entry
     rounding = (2.0 * n_trs * np.finfo(np.float64).eps) ** 2 * n_trs
-    for s, mu, xhat_sq in zip(subjects, mus, xhat_sqs):
+    for s, X in zip(subjects, Xs):
+        mu, energy = center_stats(X, scratch)
+        xhat_sq = float(np.sum(energy))
         if xhat_sq <= rounding * float(mu @ mu):
             raise InvalidInputError(
                 f"subject {s.subject_id} is constant over time: its demeaned "
                 "data are zero up to rounding, so it has no mapping to fit"
             )
+        varying = int(np.count_nonzero(energy > rounding * mu**2))
+        if varying < k:
+            raise RankError(
+                f"subject {s.subject_id}: only {varying} of its {len(mu)} voxels "
+                "vary over time beyond rounding, so its demeaned data have rank "
+                f"below k={k}"
+            )
+        mus.append(mu)
+        xhat_sqs.append(xhat_sq)
 
     offset, n_subjects = rank_offsets(comm, len(subjects))
     states = [
@@ -333,7 +412,8 @@ def fit(subjects, config, comm):
         depth = 0
         for j in range(len(subjects)):
             nodes[depth, :4] = offset + j, 0, 1.0 / rho2s[j], rho2s[j]
-            nodes[depth, 4:] = e_step_local(Ws[j], rho2s[j], Xhats[j]).ravel()
+            row = nodes[depth, 4:].reshape(k, n_trs)
+            e_step_local(Ws[j], rho2s[j], Xs[j], mus[j], out=row)
             depth = _push_node(nodes, depth)
         blocks = gather_rows(comm, nodes[:depth])
         if comm.rank == 0:
@@ -357,7 +437,9 @@ def fit(subjects, config, comm):
 
         for j, s in enumerate(subjects):
             try:
-                Ws[j], rho2s[j] = m_step_subject(Xhats[j], S, trace_new, xhat_sqs[j])
+                Ws[j], rho2s[j] = m_step_subject(
+                    Xs[j], S, trace_new, xhat_sqs[j], mu=mus[j]
+                )
             except RankError as exc:
                 raise RankError(
                     f"subject {s.subject_id}: {exc}; its mapping needs demeaned "

@@ -419,6 +419,30 @@ class TestLocalStep:
         assert np.array_equal(a.widths, b.widths)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_no_factor_matrix_evaluated_twice(self, blob_data, monkeypatch):
+        """The weights and both block solves share one F memo per iteration:
+        the center solve starts from the weights' F and the width solve from
+        the center solve's, so no (centers, widths, voxels) point repeats."""
+        subjects, _, _, _ = blob_data
+        config = small_config(local=3)
+        template = htfa.init_template(subjects[0], config)
+        local = htfa.LocalModel(
+            "s0", np.zeros((3, 3)), np.ones(3), np.zeros((subjects[0].X.shape[1], 3)), 1.0
+        )
+        points = []
+        original = htfa.rbf_factor_matrix
+
+        def recorded(centers, widths, grid):
+            points.append((centers.tobytes(), widths.tobytes(), grid.positions.tobytes()))
+            return original(centers, widths, grid)
+
+        monkeypatch.setattr(htfa, "rbf_factor_matrix", recorded)
+        htfa.local_step(
+            subjects[0], template, local, config, small_plan(), np.random.default_rng(4)
+        )
+        assert len(points) > 3 * config.local_iterations
+        assert len(set(points)) == len(points)
+
     def test_errors_carry_subject_id(self, blob_data):
         subjects, _, _, _ = blob_data
         config = small_config(local=1)

@@ -72,6 +72,28 @@ class TestDemean:
         assert np.max(np.abs(Xhat.sum(axis=1))) <= 1e-10
 
 
+class TestCenterStats:
+    @pytest.mark.parametrize("n_voxels", [1, 63, 64, 65, 200])
+    def test_matches_demean(self, n_voxels):
+        rng = np.random.default_rng(27)
+        X = rng.normal(5.0, 2.0, (n_voxels, 17)) + rng.normal(0.0, 1e3, (n_voxels, 1))
+        Xhat, mu_ref = srm.demean(X)
+        mu, energy = srm.center_stats(X)
+        assert mu.tobytes() == mu_ref.tobytes()
+        assert np.allclose(energy, (Xhat**2).sum(axis=1), rtol=1e-13, atol=0.0)
+
+    def test_shared_scratch_and_read_only_input(self):
+        """A scratch smaller than the subject is reused block after block."""
+        rng = np.random.default_rng(28)
+        scratch = np.empty((7, 11))
+        for n_voxels in (30, 5):
+            X = rng.standard_normal((n_voxels, 11))
+            X.flags.writeable = False
+            got = srm.center_stats(X, scratch)
+            want = srm.center_stats(X)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 class TestInitSubject:
     def test_square_case_orthogonal(self):
         W, rho2 = srm.init_subject(4, srm.SrmConfig(k=4, seed=3), 0)
@@ -113,6 +135,18 @@ class TestEStep:
         Xhat = rng.standard_normal((9, 7))
         out = srm.e_step_local(W, 1.7, Xhat)
         assert np.max(np.abs(out - (1 / 1.7) * W.T @ Xhat)) <= 1e-12
+
+    def test_local_mean_correction_matches_centered(self):
+        """With mu, the term on X equals the term on X - mu 1^T."""
+        rng = np.random.default_rng(29)
+        W = polar_orthogonal(rng.standard_normal((50, 4)))
+        X = rng.normal(5.0, 1.0, (50, 1)) + rng.standard_normal((50, 23))
+        mu = X.mean(axis=1)
+        want = srm.e_step_local(W, 1.7, X - mu[:, None])
+        out = np.empty((4, 23))
+        got = srm.e_step_local(W, 1.7, X, mu, out=out)
+        assert got is out
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_global_single_subject_identity_covariance(self):
         rng = np.random.default_rng(4)
@@ -232,6 +266,20 @@ class TestMStep:
         W1, rho1 = srm.m_step_subject(Xhat, S, 1.3)
         W2, rho2 = srm.m_step_subject(Xhat, S, 1.3, trace_ata(Xhat))
         assert W1.tobytes() == W2.tobytes() and rho1 == rho2
+
+    @pytest.mark.parametrize("given_norm", [False, True])
+    def test_mean_correction_matches_centered(self, given_norm):
+        """With mu, the M-step on X equals the M-step on X - mu 1^T."""
+        rng = np.random.default_rng(30)
+        X = rng.normal(5.0, 1.0, (40, 1)) + rng.standard_normal((40, 30))
+        mu = X.mean(axis=1)
+        Xhat = X - mu[:, None]
+        S = rng.standard_normal((5, 30))
+        W_want, rho_want = srm.m_step_subject(Xhat, S, 1.3)
+        xhat_sq = trace_ata(Xhat) if given_norm else None
+        W_got, rho_got = srm.m_step_subject(X, S, 1.3, xhat_sq, mu=mu)
+        assert np.linalg.norm(W_got - W_want) <= 1e-12 * np.linalg.norm(W_want)
+        assert abs(rho_got - rho_want) <= 1e-12 * rho_want
 
     def test_rho_floor(self):
         W_true = polar_orthogonal(np.random.default_rng(10).standard_normal((5, 2)))
@@ -384,9 +432,49 @@ class TestFit:
         with pytest.raises(RankError, match="subject low-rank: .*k=3"):
             srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), SerialCommunicator())
 
+    @pytest.mark.parametrize("background", [1e3, 1e5])
+    def test_rank_deficient_over_large_background_named(self, background):
+        # the fit never subtracts the mean from the data, so the constant
+        # voxels keep a rounding residue of about eps * background; only the
+        # up-front count of varying voxels tells them from live ones
+        rng = np.random.default_rng(26)
+        low = np.full((20, 12), background)
+        low[7] += rng.standard_normal(12)
+        subjects = [
+            SubjectData("live", rng.standard_normal((20, 12))),
+            SubjectData("low-rank", low),
+        ]
+        with pytest.raises(RankError, match="subject low-rank: only 1 of its 20 .*k=3"):
+            srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), SerialCommunicator())
+
+    def test_too_few_voxels_named(self):
+        rng = np.random.default_rng(31)
+        subjects = [
+            SubjectData("live", rng.standard_normal((20, 12))),
+            SubjectData("tiny", rng.standard_normal((2, 12))),
+        ]
+        with pytest.raises(ShapeError, match="subject tiny has 2 voxels, fewer than k=3"):
+            srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), SerialCommunicator())
+
+    def test_voxel_offsets_do_not_change_fit(self):
+        """Adding 1e3 * c 1^T to a subject moves its mean, not its fit."""
+        matrices, _ = srm_subjects(n_subjects=3, n_voxels=40, n_trs=25, k=3, seed=32)
+        rng = np.random.default_rng(33)
+        shifted = [X + 1e3 * rng.standard_normal((len(X), 1)) for X in matrices]
+        cfg = srm.SrmConfig(k=3, iterations=6, seed=2)
+        base, moved = (
+            srm.fit([SubjectData(f"s{i}", X) for i, X in enumerate(data)], cfg,
+                    SerialCommunicator())
+            for data in (matrices, shifted)
+        )
+        assert np.linalg.norm(moved.S - base.S) <= 1e-9 * np.linalg.norm(base.S)
+        for W_base, W_moved in zip(base.W, moved.W):
+            assert np.linalg.norm(W_moved - W_base) <= 1e-9 * np.linalg.norm(W_base)
+
     def test_voxel_norms_once_posterior_inverted_once(self, monkeypatch):
-        """||Xhat_i||^2 once per subject; two K x K inversions per iteration."""
-        calls = {"trace_ata": 0, "spd_inverse": 0}
+        """One centering pass (means and ||Xhat_i||^2) per subject; two K x K
+        inversions per iteration."""
+        calls = {"center_stats": 0, "spd_inverse": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -400,7 +488,7 @@ class TestFit:
         subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
         model = srm.fit(subjects, srm.SrmConfig(k=2, iterations=5, seed=1),
                         SerialCommunicator())
-        assert calls == {"trace_ata": 3, "spd_inverse": 2 * 5}
+        assert calls == {"center_stats": 3, "spd_inverse": 2 * 5}
         assert len(model.objective_trace) == 5
         assert model.objective_trace[-1] == float(np.mean(model.rho2_all))
 
@@ -686,3 +774,35 @@ class TestMemoryContract:
         assert S.shape == (k, n_trs) and var_s.shape == (k, k)
         # V x V would be 200 MB; the actual working set is a few K x T blocks
         assert peak < 4 * n_voxels * k * 8
+
+    def test_fit_peak_below_one_subject(self):
+        """The fit keeps no centered copy: its peak is under one subject's bytes."""
+        import tracemalloc
+
+        rng = np.random.default_rng(34)
+        n_voxels, n_trs, k = 2000, 300, 10
+        subjects = [
+            SubjectData(f"s{i}", rng.normal(5.0, 1.0, (n_voxels, n_trs))) for i in range(3)
+        ]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            srm.fit(subjects, srm.SrmConfig(k=k, iterations=2, seed=0), SerialCommunicator())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n_voxels * n_trs * 8
+
+    def test_fit_leaves_input_unchanged(self):
+        """Serial and on 2 thread ranks, read-only inputs come back byte-equal."""
+        matrices, _ = srm_subjects(n_subjects=4, n_voxels=30, n_trs=12, k=3, seed=35)
+        before = [X.tobytes() for X in matrices]
+        for X in matrices:
+            X.flags.writeable = False
+        subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
+        cfg = srm.SrmConfig(k=3, iterations=4, seed=1)
+        srm.fit(subjects, cfg, SerialCommunicator())
+        assert [s.X.tobytes() for s in subjects] == before
+        fit_on_threads([subjects[:1], subjects[1:]], cfg)
+        assert [s.X.tobytes() for s in subjects] == before
