@@ -286,26 +286,25 @@ def _add_prior_blocks(H, rows):
     H.reshape(k, 3, k, 3)[j, :, j] += rows[:, :, None] * rows[:, None, :]
 
 
-def _last_point(evaluate):
-    """One-entry memo of ``evaluate(*args)``, keyed by the exact argument values.
+def _factor_memo(grid_view):
+    """F(centers, widths) on ``grid_view``, remembering the last point.
 
-    The residual at a trial point and (J^T J, J^T r) at the same accepted
+    A one-entry memo keyed by the exact values of centers and widths:
+    the residual at a trial point and (J^T J, J^T r) at the same accepted
     point then share one evaluation; any other point recomputes.
     """
     last = [None, None]
 
-    def at(*args):
-        if last[0] is None or not all(map(np.array_equal, last[0], args)):
-            value = evaluate(*args)
-            last[:] = [[np.array(a, copy=True) for a in args], value]
+    def at(centers, widths):
+        point = (centers, widths)
+        if last[0] is None or not all(map(np.array_equal, last[0], point)):
+            last[:] = [
+                [np.array(a, copy=True) for a in point],
+                rbf_factor_matrix(centers, widths, grid_view),
+            ]
         return last[1]
 
     return at
-
-
-def _factor_memo(grid_view):
-    """F(centers, widths) on ``grid_view``, remembering the last point."""
-    return _last_point(lambda c, w: rbf_factor_matrix(c, w, grid_view))
 
 
 def build_center_problem(
@@ -320,13 +319,13 @@ def build_center_problem(
     G = dF/dmu = F * 2 (p - mu) / lambda and a the data weight,
     ``normal_fn`` returns J^T J = a^2 (W^T W kron 1_3x3) * (G G^T) and
     J^T r = -a sum_v G (W^T R) plus the prior rows; ``jacobian_fn``
-    forms the dense Jacobian from the same G, as a test oracle. F and
-    the prior rows are shared between ``residual_fn`` and ``normal_fn``
-    at the same x: the problem keeps the last point it evaluated and
-    recomputes only for a different x. ``factors`` is the F memo
-    (:func:`_factor_memo` on ``grid_view``) to evaluate through; passing
-    the one the caller already evaluated F with, and later handing it to
-    the width problem, lets the solves start from F known at their x0.
+    forms the dense Jacobian from the same G, as a test oracle. F is
+    shared between ``residual_fn`` and ``normal_fn`` at the same x through
+    ``factors``, an F memo (:func:`_factor_memo` on ``grid_view``) that
+    keeps the last point it evaluated and recomputes only for another.
+    Passing the memo the caller already evaluated F with, and later
+    handing it to the width problem, lets the solves start from F known
+    at their x0.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
@@ -353,21 +352,19 @@ def build_center_problem(
         rows[live] = prior_w * U[live] / np.sqrt(q[live])[:, None]
         return F, prior_w * np.sqrt(np.maximum(q, 0.0)), rows
 
-    point = _last_point(evaluate)
-
     def gradients(x, F):
         centers = x.reshape(k, 3)
         return (pos.T - centers[:, :, None]) * (F * (2.0 / widths)[:, None])[:, None]
 
     def residual(x):
-        F, prior_residuals, _ = point(x)
+        F, prior_residuals, _ = evaluate(x)
         out = np.empty(n_data + k)
         out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
         out[n_data:] = prior_residuals
         return out
 
     def normal(x, r):
-        F, _, rows = point(x)
+        F, _, rows = evaluate(x)
         G = gradients(x, F)  # K x 3 x Vtilde
         WtR = W.T @ r[:n_data].reshape(n_trs, n_vox)
         g = (rows * r[n_data:, None] - data_w * np.einsum("kdv,kv->kd", G, WtR)).ravel()
@@ -377,7 +374,7 @@ def build_center_problem(
         return H, g
 
     def jacobian(x):
-        F, _, rows = point(x)
+        F, _, rows = evaluate(x)
         J = np.zeros((n_data + k, 3 * k))
         J[:n_data] = (-data_w * np.einsum("tk,kdv->tvkd", W, gradients(x, F))).reshape(
             n_data, 3 * k

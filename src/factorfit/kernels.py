@@ -170,11 +170,13 @@ def spd_inverse(A):
     return 0.5 * (inv + inv.T)
 
 
-def polar_orthogonal(A):
+def polar_orthogonal(A, atol=0.0):
     """Orthogonal polar factor W = U V^T from the economy SVD A = U S V^T.
 
-    Requires rows >= cols and full column rank. The polar factor of a
-    full-rank A is unique: flipping the sign of a singular pair
+    Requires rows >= cols and full column rank: the smallest singular
+    value must reach RANK_TOLERANCE times the largest and ``atol``, a
+    bound the caller knows on the rounding error in A. The polar factor
+    of a full-rank A is unique: flipping the sign of a singular pair
     (U[:, j], V^T[j]) leaves U V^T unchanged, so no sign convention is
     needed.
     """
@@ -187,6 +189,11 @@ def polar_orthogonal(A):
         raise RankError(
             f"rank-deficient input: smallest singular value {s[-1]:.3e} "
             f"below {RANK_TOLERANCE:.0e} * largest {s[0]:.3e}"
+        )
+    if s[-1] <= atol:
+        raise RankError(
+            f"rank-deficient input: smallest singular value {s[-1]:.3e} "
+            f"within the rounding error {atol:.3e} of the input"
         )
     return U @ Vt
 

@@ -128,24 +128,21 @@ def demean(X):
     return X - mu[:, None], mu
 
 
-def center_stats(X, scratch=None):
+def center_stats(X):
     """Each voxel's temporal mean and centered energy, in one blocked pass.
 
     Returns (mu, energy) with mu[v] the mean of row v of ``X`` and
     energy[v] = ||X[v] - mu[v]||^2, the same elementwise differences
-    :func:`demean` forms. Rows are centered a block at a time into
-    ``scratch``, a rows x T buffer (``CENTER_BLOCK_ROWS`` rows when not
-    given) that callers may reuse across subjects, so no centered copy of
-    ``X`` exists and ``X`` is only read.
+    :func:`demean` forms. Rows are centered ``CENTER_BLOCK_ROWS`` at a
+    time into one small buffer, so no centered copy of ``X`` exists and
+    ``X`` is only read.
     """
     n_voxels, n_trs = X.shape
-    if scratch is None:
-        scratch = np.empty((min(CENTER_BLOCK_ROWS, n_voxels), n_trs))
     mu = np.empty(n_voxels)
     energy = np.empty(n_voxels)
-    step = max(len(scratch), 1)
-    for start in range(0, n_voxels, step):
-        rows = slice(start, min(start + step, n_voxels))
+    scratch = np.empty((min(CENTER_BLOCK_ROWS, n_voxels), n_trs))
+    for start in range(0, n_voxels, CENTER_BLOCK_ROWS):
+        rows = slice(start, min(start + CENTER_BLOCK_ROWS, n_voxels))
         block = scratch[: rows.stop - start]
         np.mean(X[rows], axis=1, out=mu[rows])
         np.subtract(X[rows], mu[rows, None], out=block)
@@ -216,22 +213,38 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
 
     W_new is the polar factor of A = 1/2 Xhat_i S^T, and the noise
     update's cross term uses <W_new^T Xhat_i, S> = 2 <W_new, A>, so the
-    voxel-scale work is one V x T x K product and one V x K SVD. As for
-    :func:`e_step_local`, ``X_i`` is Xhat_i without ``mu``, and with it
-    Xhat_i = X_i - mu 1^T, corrected in the product:
-    Xhat_i S^T = X_i S^T - mu (S 1)^T. ``xhat_sq`` is ||Xhat_i||^2, which
-    :func:`fit` computes once per subject; without it, it is computed here.
+    voxel-scale work is one V x T x K product and one V x K SVD.
+    ``xhat_sq`` is ||Xhat_i||^2, which :func:`fit` computes once per
+    subject. As for :func:`e_step_local`, ``X_i`` is Xhat_i without
+    ``mu``, and ``xhat_sq`` is computed here when not given. With ``mu``,
+    Xhat_i = X_i - mu 1^T, corrected in the product,
+    Xhat_i S^T = X_i S^T - mu (S 1)^T, and ``xhat_sq`` is required.
+
+    The correction cancels the mean's share of X_i S^T, leaving each
+    entry of A with an error of up to T eps |mu_v| (|S| 1)_k (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.5),
+    a matrix of norm at most T eps ||mu|| || |S| 1 ||. As
+    tr(Sigma_s_new) = tr(var_s) + ||S||_F^2 / T >= ||S||_F^2 / T,
+    || |S| 1 || <= sqrt(T) ||S||_F <= T sqrt(tr(Sigma_s_new)), which
+    bounds the error without another pass over S. Singular values of A
+    within that bound are rounding, so a subject whose Xhat_i has rank
+    below K fails the SVD's rank check as it would on Xhat_i itself.
     """
+    n_trs = S.shape[1]
     # the K x V product is the faster layout for the same numbers
     A = S @ X_i.T
+    floor = 0.0
     if mu is not None:
+        if xhat_sq is None:
+            raise ValueError("m_step_subject needs xhat_sq when mu is given")
         A -= np.outer(S.sum(axis=1), mu)
+        floor = (n_trs**2 * np.finfo(np.float64).eps * float(np.linalg.norm(mu))
+                 * np.sqrt(max(trace_sigma_s_new, 0.0)))
     A *= 0.5
     A = A.T
-    W_new = polar_orthogonal(A)
+    W_new = polar_orthogonal(A, atol=floor)
     if xhat_sq is None:
-        xhat_sq = trace_ata(X_i if mu is None else X_i - mu[:, None])
-    n_trs = S.shape[1]
+        xhat_sq = trace_ata(X_i)
     n_voxels = X_i.shape[0]
     cross = 2.0 * float(np.einsum("vk,vk->", W_new, A))
     rho2 = (xhat_sq + n_trs * trace_sigma_s_new - 2.0 * cross) / (n_trs * n_voxels)
@@ -369,13 +382,12 @@ def fit(subjects, config, comm):
         )
 
     Xs = [np.asarray(s.X, dtype=np.float64) for s in subjects]
-    scratch = np.empty((min(CENTER_BLOCK_ROWS, max(len(X) for X in Xs)), n_trs))
     mus, xhat_sqs = [], []
     # centering a constant voxel with mean m leaves only the rounding
     # error of the mean, under 2 T eps |m| per entry
     rounding = (2.0 * n_trs * np.finfo(np.float64).eps) ** 2 * n_trs
     for s, X in zip(subjects, Xs):
-        mu, energy = center_stats(X, scratch)
+        mu, energy = center_stats(X)
         xhat_sq = float(np.sum(energy))
         if xhat_sq <= rounding * float(mu @ mu):
             raise InvalidInputError(

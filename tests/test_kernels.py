@@ -130,6 +130,13 @@ class TestPolarOrthogonal:
         with pytest.raises(RankError):
             polar_orthogonal(A)
 
+    def test_singular_values_within_atol_rejected(self):
+        A = np.zeros((4, 2))
+        A[0, 0], A[1, 1] = 2.0, 1e-6
+        assert polar_orthogonal(A, atol=0.9e-6)[1, 1] == 1.0
+        with pytest.raises(RankError, match="within the rounding error"):
+            polar_orthogonal(A, atol=1e-6)
+
     def test_wide_rejected(self):
         with pytest.raises(ShapeError):
             polar_orthogonal(np.ones((2, 4)))
