@@ -264,11 +264,16 @@ def _run_fit(args, manifest, command, fit, save, flops=0.0, outputs=None,
     return _run_workers(args, manifest, worker)
 
 
-def _cmd_fit_srm(args):
+def _srm_setup(args, min_iters):
+    """Flag checks, manifest, flop estimate and fit closure for fit-srm and bench.
+
+    Returns (manifest, flops, fit) for :func:`_run_fit`; --iters must be at
+    least ``min_iters``, and zero iterations fit nothing.
+    """
     if args.k < 1:
         raise UsageError("--k must be at least 1")
-    if args.iters < 1:
-        raise UsageError("--iters must be at least 1")
+    if args.iters < min_iters:
+        raise UsageError(f"--iters must be at least {min_iters}")
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
     manifest = load_manifest(args.manifest, model="srm")
@@ -276,14 +281,22 @@ def _cmd_fit_srm(args):
     flops = srm_flop_estimate(
         [h[0] for h in headers], headers[0][1], args.k, args.iters
     )
+
+    def fit(subjects, comm):
+        if args.iters == 0:
+            return None, []
+        config = srm.SrmConfig(k=args.k, iterations=args.iters, seed=args.seed)
+        model = srm.fit(subjects, config, comm)
+        return model, model.objective_trace
+
+    return manifest, flops, fit
+
+
+def _cmd_fit_srm(args):
+    manifest, flops, fit = _srm_setup(args, min_iters=1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "subjects").mkdir(exist_ok=True)
-    config = srm.SrmConfig(k=args.k, iterations=args.iters, seed=args.seed)
-
-    def fit(subjects, comm):
-        model = srm.fit(subjects, config, comm)
-        return model, model.objective_trace
 
     def save(comm, model, report):
         for sid, W, mu in zip(model.subject_ids, model.W, model.mu):
@@ -400,27 +413,10 @@ def _cmd_gen_synth(args):
 
 
 def _cmd_bench(args):
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
-    if args.iters < 0:
-        raise UsageError("--iters must be nonnegative")
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    manifest = load_manifest(args.manifest, model="srm")
-    headers = [read_header(e.data_path) for e in manifest.subjects]
-    flops = srm_flop_estimate(
-        [h[0] for h in headers], headers[0][1], args.k, args.iters
-    )
+    manifest, flops, fit = _srm_setup(args, min_iters=0)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    def fit(subjects, comm):
-        if args.iters == 0:
-            return None, []
-        config = srm.SrmConfig(k=args.k, iterations=args.iters, seed=args.seed)
-        model = srm.fit(subjects, config, comm)
-        return model, model.objective_trace
 
     def save(comm, _model, report):
         if comm.rank == 0:

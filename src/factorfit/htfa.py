@@ -100,7 +100,6 @@ class SubsamplePlan:
     tr_fraction: float = 0.10
     max_voxels: int = 3000
     max_trs: int = 300
-    with_replacement: bool = True
     seed: int = 0
 
     def validate(self):
@@ -242,12 +241,8 @@ def subsample(X, plan, rng=None):
     n_vox, n_trs = X.shape
     take_vox = _sample_count(plan.voxel_fraction, plan.max_voxels, n_vox)
     take_trs = _sample_count(plan.tr_fraction, plan.max_trs, n_trs)
-    if plan.with_replacement:
-        vox = rng.integers(0, n_vox, size=take_vox)
-        trs = rng.integers(0, n_trs, size=take_trs)
-    else:
-        vox = rng.choice(n_vox, size=take_vox, replace=False)
-        trs = rng.choice(n_trs, size=take_trs, replace=False)
+    vox = rng.integers(0, n_vox, size=take_vox)
+    trs = rng.integers(0, n_trs, size=take_trs)
     phi = (n_trs * n_vox) / (take_trs * take_vox)
     return X[np.ix_(vox, trs)], vox, trs, phi
 
@@ -308,16 +303,18 @@ def _factor_memo(grid_view):
 
 
 def build_center_problem(
-    Xtilde, W, widths, template, phi, grid_view, noise_weight, bounds_grid=None,
+    Xtilde, W, widths, template, phi, grid_view, noise_weight, bounds_grid,
     factors=None,
 ):
     """Center-block NLLS problem: 3K variables, Vtilde*Ttilde + K residuals.
 
     ``Xtilde`` is the sampled TRs x voxels matrix, ``W`` its weight
-    rows, ``grid_view`` the sampled voxels. The K width-prior residuals
-    are constant with widths frozen and are dropped. With the 3K x Vtilde
-    G = dF/dmu = F * 2 (p - mu) / lambda and a the data weight,
-    ``normal_fn`` returns J^T J = a^2 (W^T W kron 1_3x3) * (G G^T) and
+    rows, ``grid_view`` the sampled voxels and ``bounds_grid`` the
+    subject's whole grid, whose bounding box bounds the centers. The K
+    width-prior residuals are constant with widths frozen and are
+    dropped. With the 3K x Vtilde G = dF/dmu = F * 2 (p - mu) / lambda
+    and a the data weight, ``normal_fn`` returns
+    J^T J = a^2 (W^T W kron 1_3x3) * (G G^T) and
     J^T r = -a sum_v G (W^T R) plus the prior rows; ``jacobian_fn``
     forms the dense Jacobian from the same G, as a test oracle. F is
     shared between ``residual_fn`` and ``normal_fn`` at the same x through
@@ -383,8 +380,7 @@ def build_center_problem(
         J[n_data:].reshape(k, k, 3)[j, j] = rows
         return J
 
-    grid_for_bounds = bounds_grid if bounds_grid is not None else grid_view
-    lo, hi = _center_bounds(grid_for_bounds, k)
+    lo, hi = _center_bounds(bounds_grid, k)
     return trf.LeastSquaresProblem(
         n_vars=3 * k,
         n_residuals=n_data + k,
@@ -397,7 +393,7 @@ def build_center_problem(
 
 
 def build_width_problem(
-    Xtilde, W, centers, template, phi, grid_view, noise_weight, config, bounds_grid=None,
+    Xtilde, W, centers, template, phi, grid_view, noise_weight, config, bounds_grid,
     factors=None,
 ):
     """Width-block NLLS problem: K variables, Vtilde*Ttilde + K residuals.
@@ -407,7 +403,8 @@ def build_width_problem(
     J^T J = a^2 (W^T W) * (G G^T) plus the prior diagonal and J^T r as
     for the centers; ``jacobian_fn`` is the dense test oracle. F is
     shared between ``residual_fn`` and ``normal_fn`` at the same x, and
-    ``factors`` is an F memo, as for the centers.
+    ``factors`` is an F memo, as for the centers. The widths are bounded
+    by :func:`width_bounds` on ``bounds_grid``.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
@@ -445,8 +442,7 @@ def build_width_problem(
         J[n_data:] = width_prior_w * np.eye(k)
         return J
 
-    grid_for_bounds = bounds_grid if bounds_grid is not None else grid_view
-    lo, hi = width_bounds(grid_for_bounds, config)
+    lo, hi = width_bounds(bounds_grid, config)
     return trf.LeastSquaresProblem(
         n_vars=k,
         n_residuals=n_data + k,

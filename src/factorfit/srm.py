@@ -25,20 +25,19 @@ products (the E-step term and A_i) and one V x K SVD, the voxel-scale
 work that ``cli.srm_flops_per_subject_iteration`` counts.
 
 The fit holds one copy of each subject's data, the caller's X_i, and
-never writes to it. The demeaned Xhat_i = X_i - mu_i 1^T is never
-formed: both products take the mean back out as a rank-1 correction,
-
-    W_i^T Xhat_i = W_i^T X_i - (W_i^T mu_i) 1^T         (K x T)
-    Xhat_i S^T   = X_i S^T - mu_i (S 1)^T               (V x K)
-
-which costs O(VK + KT) next to the O(VTK) products. One blocked pass
-at fit start (:func:`center_stats`) gives mu_i and each voxel's centered
+never writes to it. Xhat_i = X_i - mu_i 1^T is never formed: each Xhat_i
+has zero row sums, so the reduced sum R = sum_i rho_i^{-2} W_i^T Xhat_i
+is the sum of the terms rho_i^{-2} W_i^T X_i less its row means, which
+the root subtracts once per iteration. S = C R then has zero row sums
+too, so X_i S^T = Xhat_i S^T; the root subtracts S's row means as well,
+to drop the rounding of the first centering. One blocked pass at fit
+start (:func:`center_stats`) gives mu_i and each voxel's centered
 energy, whose sum is ||Xhat_i||^2 and whose count above rounding is the
 number of voxels that vary, checked against k before any collective.
 
 Per iteration the E-step terms are summed along one fixed pairwise tree
 over the global subject indices [0, N). Each worker sums its own
-subjects' terms, [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T Xhat_i], into the
+subjects' terms, [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i], into the
 complete aligned subtrees of that tree, ships those few rows (at most
 about 2 log2 of its subject count) to the root, and the root finishes the
 same tree. Every addition combines the same two subtrees whatever the
@@ -165,20 +164,15 @@ def init_subject(n_voxels, config, subject_index):
     return W, 1.0
 
 
-def e_step_local(W_i, rho2_i, X_i, mu=None, out=None):
-    """This subject's term of the reduction: rho_i^{-2} W_i^T Xhat_i.
+def e_step_local(W_i, rho2_i, X_i, out=None):
+    """This subject's term of the reduction: rho_i^{-2} W_i^T X_i.
 
-    Without ``mu``, ``X_i`` is Xhat_i itself. With ``mu``, ``X_i`` still
-    carries that voxel mean, Xhat_i = X_i - mu 1^T, and the mean comes out
-    in K space: W_i^T Xhat_i = W_i^T X_i - (W_i^T mu) 1^T. The K x T term
-    is written into ``out`` when given.
+    ``X_i`` may still carry its voxel means; :func:`fit` takes their share
+    out of the summed terms once, at the root. The K x T term is written
+    into ``out`` when given.
     """
     # scaling the V x K mapping, not the K x T product, saves a K x T pass
-    scaled = W_i / rho2_i
-    out = np.matmul(scaled.T, X_i, out=out)
-    if mu is not None:
-        out -= (scaled.T @ mu)[:, None]
-    return out
+    return np.matmul((W_i / rho2_i).T, X_i, out=out)
 
 
 def e_step_global(reduced, sigma_s, rho0):
@@ -215,12 +209,12 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     update's cross term uses <W_new^T Xhat_i, S> = 2 <W_new, A>, so the
     voxel-scale work is one V x T x K product and one V x K SVD.
     ``xhat_sq`` is ||Xhat_i||^2, which :func:`fit` computes once per
-    subject. As for :func:`e_step_local`, ``X_i`` is Xhat_i without
-    ``mu``, and ``xhat_sq`` is computed here when not given. With ``mu``,
-    Xhat_i = X_i - mu 1^T, corrected in the product,
-    Xhat_i S^T = X_i S^T - mu (S 1)^T, and ``xhat_sq`` is required.
+    subject. Without ``mu``, ``X_i`` is Xhat_i and ``xhat_sq`` is computed
+    here when not given. With ``mu``, X_i = Xhat_i + mu 1^T, ``xhat_sq`` is
+    required and S must have zero row sums, as :func:`fit`'s S does, so
+    that X_i S^T = Xhat_i S^T; ``mu`` only sets the rank check's floor.
 
-    The correction cancels the mean's share of X_i S^T, leaving each
+    The mean's share of X_i S^T cancels in the product, leaving each
     entry of A with an error of up to T eps |mu_v| (|S| 1)_k (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.5),
     a matrix of norm at most T eps ||mu|| || |S| 1 ||. As
@@ -237,7 +231,6 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     if mu is not None:
         if xhat_sq is None:
             raise ValueError("m_step_subject needs xhat_sq when mu is given")
-        A -= np.outer(S.sum(axis=1), mu)
         floor = (n_trs**2 * np.finfo(np.float64).eps * float(np.linalg.norm(mu))
                  * np.sqrt(max(trace_sigma_s_new, 0.0)))
     A *= 0.5
@@ -341,22 +334,24 @@ def fit(subjects, config, comm):
     [rho_i^{-2}, rho_i^2, K x T partial] terms through the pairwise
     summation tree and gathers the resulting [start, level, sums] node
     rows to the root -> the root checks that they tile [0, N), finishes
-    the tree, computes the posterior (whose covariance the Sigma_s
-    update reuses) and updates Sigma_s -> one broadcast of S stacked on
-    a row holding tr(Sigma_s_new) -> local M-steps. With ``tolerance``
-    set, every worker runs the stopping test on its identical copy of S,
-    so no stop flag travels. A last gather collects the noise variances on the root
+    the tree, subtracts the K x T sum's row means, computes the posterior
+    (whose covariance the Sigma_s update reuses), subtracts S's row means
+    and updates Sigma_s -> one broadcast of S stacked on a row holding
+    tr(Sigma_s_new) -> local M-steps. With ``tolerance`` set, every
+    worker runs the stopping test on its identical copy of S, so no stop
+    flag travels. A last gather collects the noise variances on the root
     and a broadcast hands every worker the final rho0. The root's
     ``objective_trace`` takes the tree's sum of rho_i^2 from each
     iteration after the first, then the mean of the final noise
     variances, so it covers every subject whatever the partition.
 
     Bad subjects fail by name before any collective: a subject with fewer
-    than k voxels (:class:`ShapeError`), one that is constant over time
-    (:class:`InvalidInputError`) and one with fewer than k voxels that
-    vary beyond the rounding of their mean (:class:`RankError`). A
-    subject whose demeaned data have rank below k for another reason
-    fails its M-step with a :class:`RankError` that also names it.
+    than k voxels (:class:`ShapeError`), one with a NaN or infinite entry
+    or one that is constant over time (:class:`InvalidInputError`), and
+    one with fewer than k voxels that vary beyond the rounding of their
+    mean (:class:`RankError`). A subject whose demeaned data have rank
+    below k for another reason fails its M-step with a
+    :class:`RankError` that also names it.
     """
     config.validate()
     if not subjects:
@@ -389,6 +384,9 @@ def fit(subjects, config, comm):
     for s, X in zip(subjects, Xs):
         mu, energy = center_stats(X)
         xhat_sq = float(np.sum(energy))
+        # a NaN or infinite entry makes its voxel's energy NaN
+        if not np.isfinite(xhat_sq):
+            raise InvalidInputError(f"subject {s.subject_id} has NaN or infinite entries")
         if xhat_sq <= rounding * float(mu @ mu):
             raise InvalidInputError(
                 f"subject {s.subject_id} is constant over time: its demeaned "
@@ -425,7 +423,7 @@ def fit(subjects, config, comm):
         for j in range(len(subjects)):
             nodes[depth, :4] = offset + j, 0, 1.0 / rho2s[j], rho2s[j]
             row = nodes[depth, 4:].reshape(k, n_trs)
-            e_step_local(Ws[j], rho2s[j], Xs[j], mus[j], out=row)
+            e_step_local(Ws[j], rho2s[j], Xs[j], out=row)
             depth = _push_node(nodes, depth)
         blocks = gather_rows(comm, nodes[:depth])
         if comm.rank == 0:
@@ -434,7 +432,10 @@ def fit(subjects, config, comm):
             rho0 = float(sums[0])
             if iteration > 0:
                 objective_trace.append(float(sums[1]) / n_subjects)
-            S_root, var_s = e_step_global(sums[2:].reshape(k, n_trs), sigma_s, rho0)
+            reduced = sums[2:].reshape(k, n_trs)
+            reduced -= reduced.mean(axis=1, keepdims=True)
+            S_root, var_s = e_step_global(reduced, sigma_s, rho0)
+            S_root -= S_root.mean(axis=1, keepdims=True)
             sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S_root, var_s)
             packed = np.vstack([S_root, np.full((1, n_trs), trace_new)])
         else:

@@ -135,15 +135,15 @@ class TestEStep:
         assert np.max(np.abs(out - (1 / 1.7) * W.T @ Xhat)) <= 1e-12
 
     def test_local_mean_correction_matches_centered(self):
-        """With mu, the term on X equals the term on X - mu 1^T."""
+        """The term on X, less its row means, equals the term on X - mu 1^T."""
         rng = np.random.default_rng(29)
         W = polar_orthogonal(rng.standard_normal((50, 4)))
         X = rng.normal(5.0, 1.0, (50, 1)) + rng.standard_normal((50, 23))
-        mu = X.mean(axis=1)
-        want = srm.e_step_local(W, 1.7, X - mu[:, None])
+        want = srm.e_step_local(W, 1.7, X - X.mean(axis=1, keepdims=True))
         out = np.empty((4, 23))
-        got = srm.e_step_local(W, 1.7, X, mu, out=out)
+        got = srm.e_step_local(W, 1.7, X, out=out)
         assert got is out
+        got -= got.mean(axis=1, keepdims=True)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_global_single_subject_identity_covariance(self):
@@ -266,12 +266,14 @@ class TestMStep:
         assert W1.tobytes() == W2.tobytes() and rho1 == rho2
 
     def test_mean_correction_matches_centered(self):
-        """With mu, the M-step on X equals the M-step on X - mu 1^T."""
+        """For S with zero row sums, the M-step on X equals the M-step on
+        X - mu 1^T."""
         rng = np.random.default_rng(30)
         X = rng.normal(5.0, 1.0, (40, 1)) + rng.standard_normal((40, 30))
         mu = X.mean(axis=1)
         Xhat = X - mu[:, None]
         S = rng.standard_normal((5, 30))
+        S -= S.mean(axis=1, keepdims=True)
         W_want, rho_want = srm.m_step_subject(Xhat, S, 1.3)
         W_got, rho_got = srm.m_step_subject(X, S, 1.3, trace_ata(Xhat), mu=mu)
         assert np.linalg.norm(W_got - W_want) <= 1e-12 * np.linalg.norm(W_want)
@@ -484,6 +486,39 @@ class TestFit:
         assert np.linalg.norm(moved.S - base.S) <= 1e-9 * np.linalg.norm(base.S)
         for W_base, W_moved in zip(base.W, moved.W):
             assert np.linalg.norm(W_moved - W_base) <= 1e-9 * np.linalg.norm(W_base)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_response_has_zero_row_sums(self, workers):
+        """The root centers S, so S 1 is rounding even over large voxel means."""
+        matrices, _ = srm_subjects(n_subjects=4, n_voxels=40, n_trs=25, k=3, seed=35)
+        rng = np.random.default_rng(36)
+        subjects = [
+            SubjectData(f"s{i}", X + 1e5 * rng.standard_normal((len(X), 1)))
+            for i, X in enumerate(matrices)
+        ]
+        cfg = srm.SrmConfig(k=3, iterations=4, seed=3)
+        if workers == 1:
+            models = [srm.fit(subjects, cfg, SerialCommunicator())]
+        else:
+            models = fit_on_threads([subjects[:2], subjects[2:]], cfg)
+        eps = np.finfo(np.float64).eps
+        for model in models:
+            S = model.S
+            assert np.max(np.abs(S.sum(axis=1))) <= S.shape[1] * eps * np.max(np.abs(S))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_subject_named(self, bad):
+        rng = np.random.default_rng(37)
+        X = rng.standard_normal((20, 12))
+        X[4, 9] = bad
+        subjects = [
+            SubjectData("live", rng.standard_normal((20, 12))),
+            SubjectData("broken", X),
+        ]
+        comm = SerialCommunicator()
+        with pytest.raises(InvalidInputError, match="subject broken has NaN or infinite"):
+            srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), comm)
+        assert comm.stats.gather_calls == comm.stats.bcast_calls == 0
 
     def test_voxel_norms_once_posterior_inverted_once(self, monkeypatch):
         """One centering pass (means and ||Xhat_i||^2) per subject; two K x K
