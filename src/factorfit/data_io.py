@@ -126,8 +126,13 @@ class SynthSpec:
 
 
 def save_matrix(path, X):
-    """Write a 2-D float64 matrix into the SFAB container."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    """Write a 2-D float64 matrix into the SFAB container.
+
+    The payload is the little-endian, row-major bytes of ``X``, written
+    straight from its buffer: an input that already is C-contiguous
+    ``<f8`` is not copied, any other is converted once.
+    """
+    X = np.ascontiguousarray(X, dtype="<f8")
     if X.ndim != 2:
         raise ShapeError(f"container stores 2-D matrices, got ndim={X.ndim}")
     if not np.all(np.isfinite(X)):
@@ -135,7 +140,7 @@ def save_matrix(path, X):
     header = _HEADER.pack(MAGIC, VERSION, DTYPE_F64_LE, X.shape[0], X.shape[1])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(X.astype("<f8", copy=False).tobytes())
+        fh.write(X.data)
 
 
 def read_header(path):

@@ -15,6 +15,12 @@ Splitting the blocks shrinks the Jacobian (3K or K columns instead of
 constant. The data rows of each block Jacobian have Khatri-Rao
 structure, so the solver gets J^T J and J^T r from K x K and
 K x Vtilde products and nothing of size Ttilde x Vtilde x K is formed.
+Each evaluation allocates little beyond what it returns: the residual
+is written in place in the array handed to the solver, the center
+gradients are built once in one C-contiguous 3K x Vtilde buffer, and
+the sampled block is gathered once per local iteration as a
+C-contiguous Ttilde x Vtilde array. Template seeding reads the subject
+a block of rows at a time and never forms a V x T temporary.
 Data rows are weighted by sqrt(1/(2 sigma_i^2)), prior rows by
 sqrt(1/(2 phi_i)) through the prior precisions, with phi_i the
 subsampling compensation (T_i V_i) / (Ttilde_i Vtilde_i).
@@ -39,7 +45,7 @@ import numpy as np
 from . import trf
 from .collectives import gather_rows, rank_offsets
 from .errors import ConfigError, DefinitenessError, ShapeError
-from .kernels import rbf_factor_matrix, spd_inverse
+from .kernels import rbf_factor_matrix, row_blocks, spd_inverse
 
 __all__ = [
     "GlobalTemplate",
@@ -140,13 +146,34 @@ def width_bounds(grid, config):
     return config.width_lower_frac * d, config.width_upper_frac * d
 
 
+def _sq_distances(a, b):
+    """Squared distances ||a_i - b_j||^2 between two point sets, len(a) x len(b).
+
+    Filled one axis at a time into one output and one scratch buffer,
+    summed in x + y + z order, so no len(a) x len(b) x 3 broadcast is
+    formed and the bits are those of ``((a[:, None] - b) ** 2).sum(-1)``.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(out, out=out)
+    term = np.empty_like(out)
+    for d in (1, 2):
+        np.subtract.outer(a[:, d], b[:, d], out=term)
+        np.square(term, out=term)
+        out += term
+    return out
+
+
 def _weighted_kmeans(points, weights, k, rng, sweeps=10):
-    """k-means++ seeding plus Lloyd sweeps with per-point weights."""
+    """k-means++ seeding plus Lloyd sweeps with per-point weights.
+
+    Returns the centers and the n x k squared distances of every point
+    to them.
+    """
     n = points.shape[0]
     total = float(weights.sum())
     probs = weights / total if total > 0 else np.full(n, 1.0 / n)
     chosen = [int(rng.choice(n, p=probs))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _sq_distances(points, points[chosen])[:, 0]
     for _ in range(1, k):
         scores = probs * d2
         mass = float(scores.sum())
@@ -155,11 +182,10 @@ def _weighted_kmeans(points, weights, k, rng, sweeps=10):
         else:
             j = int(np.argmax(d2))
         chosen.append(j)
-        d2 = np.minimum(d2, ((points - points[j]) ** 2).sum(axis=1))
-    centers = points[np.array(chosen)].astype(np.float64).copy()
-    assign = np.zeros(n, dtype=np.intp)
+        d2 = np.minimum(d2, _sq_distances(points, points[[j]])[:, 0])
+    centers = points[chosen].astype(np.float64)
     for _ in range(sweeps):
-        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        dist = _sq_distances(points, centers)
         assign = np.argmin(dist, axis=1)
         for c in range(k):
             mask = assign == c
@@ -172,17 +198,18 @@ def _weighted_kmeans(points, weights, k, rng, sweeps=10):
                 centers[c] = (weights[mask, None] * points[mask]).sum(axis=0) / mass
             else:
                 centers[c] = points[mask].mean(axis=0)
-    dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    return centers, np.argmin(dist, axis=1)
+    return centers, _sq_distances(points, centers)
 
 
 def init_template(subject, config):
     """Seed the template from one subject's coordinates and activation.
 
-    Centers come from activation-weighted k-means++ with 10 refinement
-    sweeps; the initial width of each factor is its cluster's weighted
-    RMS radius squared, clamped into the width bounds. Deterministic
-    given ``config.seed``.
+    The activation of a voxel is its mean |X| over time, taken a block of
+    rows at a time (:func:`~factorfit.kernels.row_blocks`), so no V x T
+    temporary is formed. Centers come from activation-weighted k-means++
+    with 10 refinement sweeps; the initial width of each factor is its
+    cluster's weighted RMS radius squared, clamped into the width
+    bounds. Deterministic given ``config.seed``.
     """
     if subject.grid is None:
         raise ShapeError("template initialization needs voxel coordinates")
@@ -191,25 +218,23 @@ def init_template(subject, config):
         raise ShapeError(
             f"{grid.n_voxels} voxels cannot seed {config.k} factors"
         )
-    activation = np.abs(subject.X).mean(axis=1)
+    activation = np.empty(grid.n_voxels)
+    for rows, block in row_blocks(subject.X):
+        np.abs(subject.X[rows], out=block)
+        np.mean(block, axis=1, out=activation[rows])
     if float(activation.sum()) <= 0.0:
         activation = np.ones(grid.n_voxels)
     rng = np.random.default_rng((config.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1))
-    centers, assign = _weighted_kmeans(
+    centers, dist = _weighted_kmeans(
         grid.positions, activation, config.k, rng, sweeps=10
     )
+    assign = np.argmin(dist, axis=1)
     lo, hi = width_bounds(grid, config)
     widths = np.empty(config.k)
     for c in range(config.k):
         mask = assign == c
         mass = float(activation[mask].sum())
-        if mass > 0:
-            rms2 = float(
-                (activation[mask] * ((grid.positions[mask] - centers[c]) ** 2).sum(axis=1)).sum()
-                / mass
-            )
-        else:
-            rms2 = 0.0
+        rms2 = float((activation[mask] * dist[mask, c]).sum() / mass) if mass > 0 else 0.0
         widths[c] = min(max(rms2, lo), hi)
     diameter = grid.diameter
     prior_center_cov = np.eye(3) * (diameter / config.k ** (1.0 / 3.0)) ** 2 / 12.0
@@ -233,7 +258,9 @@ def subsample(X, plan, rng=None):
     """Draw a voxel/TR submatrix with replacement from a seeded stream.
 
     Returns (Xtilde, voxel_indices, tr_indices, phi) where phi is the
-    compensation coefficient (T V) / (Ttilde Vtilde).
+    compensation coefficient (T V) / (Ttilde Vtilde). ``Xtilde`` is
+    sampled voxels x TRs, gathered TR by TR, so its transpose, the
+    Ttilde x Vtilde block the local step works on, is C-contiguous.
     """
     plan.validate()
     if rng is None:
@@ -244,7 +271,7 @@ def subsample(X, plan, rng=None):
     vox = rng.integers(0, n_vox, size=take_vox)
     trs = rng.integers(0, n_trs, size=take_trs)
     phi = (n_trs * n_vox) / (take_trs * take_vox)
-    return X[np.ix_(vox, trs)], vox, trs, phi
+    return X.T[np.ix_(trs, vox)].T, vox, trs, phi
 
 
 def update_weights(Xtilde, Ftilde, alpha2):
@@ -279,6 +306,18 @@ def _add_prior_blocks(H, rows):
     k = rows.shape[0]
     j = np.arange(k)
     H.reshape(k, 3, k, 3)[j, :, j] += rows[:, :, None] * rows[:, None, :]
+
+
+def _data_residual(out, Xtilde, W, F, data_w):
+    """Write the data rows a (Xtilde - W F) into ``out``, a flat array.
+
+    W F, the subtraction and the weight a all run in place in the first
+    Ttilde * Vtilde entries of ``out``.
+    """
+    R = out[:Xtilde.size].reshape(Xtilde.shape)
+    np.matmul(W, F, out=R)
+    np.subtract(Xtilde, R, out=R)
+    R *= data_w
 
 
 def _factor_memo(grid_view):
@@ -316,7 +355,11 @@ def build_center_problem(
     and a the data weight, ``normal_fn`` returns
     J^T J = a^2 (W^T W kron 1_3x3) * (G G^T) and
     J^T r = -a sum_v G (W^T R) plus the prior rows; ``jacobian_fn``
-    forms the dense Jacobian from the same G, as a test oracle. F is
+    forms the dense Jacobian from the same G, as a test oracle.
+    ``residual_fn`` writes W F, the subtraction and the weight a into
+    the array it returns; ``normal_fn`` builds G once, in one
+    C-contiguous K x 3 x Vtilde buffer from a 3 x Vtilde copy of the
+    positions made once per problem, so G G^T needs no further copy. F is
     shared between ``residual_fn`` and ``normal_fn`` at the same x through
     ``factors``, an F memo (:func:`_factor_memo` on ``grid_view``) that
     keeps the last point it evaluated and recomputes only for another.
@@ -332,7 +375,7 @@ def build_center_problem(
     prior_prec = spd_inverse(template.prior_center_cov)
     prior_centers = template.centers
     widths = np.asarray(widths, dtype=np.float64)
-    pos = grid_view.positions
+    pos_t = np.ascontiguousarray(grid_view.positions.T)  # 3 x Vtilde
     wtw = np.kron(W.T @ W, np.ones((3, 3)))
     if factors is None:
         factors = _factor_memo(grid_view)
@@ -350,13 +393,16 @@ def build_center_problem(
         return F, prior_w * np.sqrt(np.maximum(q, 0.0)), rows
 
     def gradients(x, F):
-        centers = x.reshape(k, 3)
-        return (pos.T - centers[:, :, None]) * (F * (2.0 / widths)[:, None])[:, None]
+        """G = dF/dmu in one C-contiguous K x 3 x Vtilde buffer."""
+        G = np.empty((k, 3, n_vox))
+        np.subtract(pos_t, x.reshape(k, 3, 1), out=G)
+        G *= (F * (2.0 / widths)[:, None])[:, None]
+        return G
 
     def residual(x):
         F, prior_residuals, _ = evaluate(x)
         out = np.empty(n_data + k)
-        out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
+        _data_residual(out, Xtilde, W, F, data_w)
         out[n_data:] = prior_residuals
         return out
 
@@ -401,10 +447,13 @@ def build_width_problem(
     The width-prior residuals are linear. With the K x Vtilde
     G = dF/dlambda = F * ||p - mu||^2 / lambda^2, ``normal_fn`` returns
     J^T J = a^2 (W^T W) * (G G^T) plus the prior diagonal and J^T r as
-    for the centers; ``jacobian_fn`` is the dense test oracle. F is
-    shared between ``residual_fn`` and ``normal_fn`` at the same x, and
-    ``factors`` is an F memo, as for the centers. The widths are bounded
-    by :func:`width_bounds` on ``bounds_grid``.
+    for the centers; ``jacobian_fn`` is the dense test oracle. The
+    squared distances ||p - mu||^2 are formed once per problem, the
+    residual is written in place as for the centers and G in place in
+    its one K x Vtilde buffer. F is shared between ``residual_fn`` and
+    ``normal_fn`` at the same x, and ``factors`` is an F memo, as for the
+    centers. The widths are bounded by :func:`width_bounds` on
+    ``bounds_grid``.
     """
     k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
@@ -413,18 +462,19 @@ def build_width_problem(
     width_prior_w = np.sqrt(1.0 / (2.0 * phi * template.prior_width_var))
     prior_widths = template.widths
     centers = np.asarray(centers, dtype=np.float64).reshape(k, 3)
-    d2 = ((grid_view.positions[None] - centers[:, None]) ** 2).sum(axis=-1)
+    d2 = _sq_distances(centers, grid_view.positions)
     wtw = W.T @ W
     if factors is None:
         factors = _factor_memo(grid_view)
 
     def gradients(x):
-        return factors(centers, x) * d2 / (x**2)[:, None]
+        G = factors(centers, x) * d2
+        G /= (x**2)[:, None]
+        return G
 
     def residual(x):
-        F = factors(centers, x)
         out = np.empty(n_data + k)
-        out[:n_data] = (data_w * (Xtilde - W @ F)).ravel()
+        _data_residual(out, Xtilde, W, factors(centers, x), data_w)
         out[n_data:] = width_prior_w * (x - prior_widths)
         return out
 
@@ -476,7 +526,7 @@ def local_step(subject, template, local, config, plan, rng=None):
     try:
         for _ in range(config.local_iterations):
             Xs, vox, trs, phi = subsample(subject.X, plan, rng)
-            Xst = Xs.T  # sampled TRs x voxels
+            Xst = Xs.T  # sampled TRs x voxels, C-contiguous
             sigma2 = max(float(Xst.var()), 1e-12)
             noise_weight = 1.0 / (2.0 * sigma2)
             view = grid.take(vox)

@@ -26,6 +26,7 @@ __all__ = [
     "rbf_factor_matrix",
     "rbf_factor_matrix_direct",
     "residual_fro",
+    "row_blocks",
 ]
 
 #: Columns whose singular value falls below this multiple of the largest
@@ -33,6 +34,9 @@ __all__ = [
 RANK_TOLERANCE = 1e-12
 
 _RESIDUAL_BLOCK = 2048
+
+#: Rows per block of :func:`row_blocks`.
+ROW_BLOCK = 64
 
 
 def _as_matrix(a, name="matrix", require_finite=True):
@@ -274,3 +278,18 @@ def residual_fro(X, W, F):
         R = X[:, start:stop] - W @ F[:, start:stop]
         total += float(np.einsum("ij,ij->", R, R))
     return total
+
+
+def row_blocks(X):
+    """Yield (rows, scratch) that walk ``X`` ``ROW_BLOCK`` rows at a time.
+
+    ``rows`` slices the next rows of ``X`` and ``scratch`` is a buffer of
+    their shape, cut from one buffer allocated for the whole walk, so a
+    per-row reduction of a transformed ``X`` (centered, absolute) holds
+    one block of it at a time and leaves ``X`` unwritten.
+    """
+    n_rows = X.shape[0]
+    buffer = np.empty((min(ROW_BLOCK, n_rows), X.shape[1]))
+    for start in range(0, n_rows, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n_rows))
+        yield rows, buffer[: rows.stop - start]

@@ -55,7 +55,7 @@ import numpy as np
 
 from .collectives import gather_rows, rank_offsets
 from .errors import CollectiveContractError, ConfigError, InvalidInputError, RankError, ShapeError
-from .kernels import add_diag, polar_orthogonal, spd_inverse, trace_ata
+from .kernels import add_diag, polar_orthogonal, row_blocks, spd_inverse, trace_ata
 
 __all__ = [
     "SrmConfig",
@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 RHO_FLOOR = 1e-12
-CENTER_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -132,20 +131,19 @@ def center_stats(X):
 
     Returns (mu, energy) with mu[v] the mean of row v of ``X`` and
     energy[v] = ||X[v] - mu[v]||^2, the same elementwise differences
-    :func:`demean` forms. Rows are centered ``CENTER_BLOCK_ROWS`` at a
-    time into one small buffer, so no centered copy of ``X`` exists and
-    ``X`` is only read.
+    :func:`demean` forms. Rows are centered a block at a time
+    (:func:`~factorfit.kernels.row_blocks`), so no centered copy of ``X``
+    exists and ``X`` is only read. A row holding inf or NaN gets a NaN
+    energy without a floating-point warning; :func:`fit` names its
+    subject.
     """
-    n_voxels, n_trs = X.shape
-    mu = np.empty(n_voxels)
-    energy = np.empty(n_voxels)
-    scratch = np.empty((min(CENTER_BLOCK_ROWS, n_voxels), n_trs))
-    for start in range(0, n_voxels, CENTER_BLOCK_ROWS):
-        rows = slice(start, min(start + CENTER_BLOCK_ROWS, n_voxels))
-        block = scratch[: rows.stop - start]
-        np.mean(X[rows], axis=1, out=mu[rows])
-        np.subtract(X[rows], mu[rows, None], out=block)
-        np.einsum("vt,vt->v", block, block, out=energy[rows])
+    mu = np.empty(X.shape[0])
+    energy = np.empty(X.shape[0])
+    with np.errstate(invalid="ignore"):
+        for rows, block in row_blocks(X):
+            np.mean(X[rows], axis=1, out=mu[rows])
+            np.subtract(X[rows], mu[rows, None], out=block)
+            np.einsum("vt,vt->v", block, block, out=energy[rows])
     return mu, energy
 
 

@@ -86,6 +86,18 @@ class TestContainer:
         with pytest.raises(FormatError):
             load_matrix(path)
 
+    def test_views_and_byte_orders_write_little_endian_rows(self, tmp_path):
+        """The payload is the C-order little-endian bytes of X, whatever
+        the layout or byte order of the array passed in."""
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((6, 5))
+        path = tmp_path / "m.sfab"
+        for X in (base.T, base.astype(">f8"), base.astype(">f8").T, base[::2, 1:]):
+            save_matrix(path, X)
+            raw = path.read_bytes()
+            assert raw[HEADER_SIZE:] == np.ascontiguousarray(X, "<f8").tobytes()
+            assert struct.unpack_from("<QQ", raw, 12) == X.shape
+
     def test_non_finite_refused(self, tmp_path):
         with pytest.raises(InvalidInputError):
             save_matrix(tmp_path / "m.sfab", np.array([[np.inf]]))

@@ -72,6 +72,17 @@ class TestInitTemplate:
             assert np.array_equal(t.center_cov[k], t.prior_center_cov)
         assert t.prior_width_var == pytest.approx(float(t.width_var.mean()))
 
+    def test_sq_distances_bits_of_the_broadcast(self):
+        """Axis by axis in x + y + z order gives the bits of the
+        (n, m, 3) broadcast's sum, so k-means and the width problem's
+        distances do not move."""
+        rng = np.random.default_rng(6)
+        a = rng.uniform(-30.0, 30.0, (300, 3))
+        b = rng.uniform(-30.0, 30.0, (7, 3))
+        for p, q in ((a, b), (b, a), (a, a[[5]])):
+            want = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1)
+            assert htfa._sq_distances(p, q).tobytes() == want.tobytes()
+
     def test_too_few_voxels(self):
         grid = cuboid_grid(2, 2, 1)
         subject = SubjectData("tiny", np.ones((4, 5)), grid)
@@ -106,6 +117,13 @@ class TestSubsample:
         a = htfa.subsample(X, plan, np.random.default_rng(3))
         b = htfa.subsample(X, plan, np.random.default_rng(3))
         assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+
+    def test_block_gathered_for_a_contiguous_transpose(self):
+        X = np.arange(600.0).reshape(40, 15)
+        plan = htfa.SubsamplePlan(max_voxels=12, max_trs=6, seed=7)
+        Xs, vox, trs, _ = htfa.subsample(X, plan, np.random.default_rng(4))
+        assert Xs.tobytes() == X[np.ix_(vox, trs)].tobytes()
+        assert Xs.T.flags.c_contiguous
 
     def test_invalid_plan(self):
         with pytest.raises(ConfigError):
@@ -338,7 +356,76 @@ class TestBlockProblems:
             prob.residual_fn(np.zeros(3))
 
 
+def _traced_peak(fn, *args):
+    """Peak bytes traced above the level at entry while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryContract:
+    # room for the K-, 3K- and 3K x 3K-sized arrays of one evaluation
+    SLACK = 32 * 1024
+
+    @pytest.fixture(scope="class")
+    def block_problems(self):
+        """Center and width problems at K=8 on 40 TRs x 4,000 voxels."""
+        k, n_trs, n_vox = 8, 40, 4000
+        rng = np.random.default_rng(23)
+        grid = cuboid_grid(20, 20, 12)
+        view = grid.take(rng.integers(0, grid.n_voxels, n_vox))
+        lo, hi = grid.bounding_box()
+        centers = rng.uniform(lo + 2.0, hi - 2.0, (k, 3))
+        widths = rng.uniform(10.0, 20.0, k)
+        W = rng.standard_normal((n_trs, k))
+        Xst = W @ rbf_factor_matrix(centers, widths, view)
+        Xst += 0.01 * rng.standard_normal(Xst.shape)
+        template = htfa.GlobalTemplate(
+            centers=centers + rng.uniform(-1.0, 1.0, (k, 3)),
+            center_cov=None,
+            widths=widths,
+            width_var=None,
+            prior_center_cov=4.0 * np.eye(3),
+            prior_width_var=1.0,
+        )
+        center = htfa.build_center_problem(
+            Xst, W, widths, template, 1.0, view, 0.5, bounds_grid=grid
+        )
+        width = htfa.build_width_problem(
+            Xst, W, centers, template, 1.0, view, 0.5, htfa.HtfaConfig(k=k),
+            bounds_grid=grid,
+        )
+        points = [(center, template.centers.ravel()), (width, 1.1 * widths)]
+        return k, n_trs * n_vox, n_vox, points
+
+    def test_residual_allocates_only_its_result(self, block_problems):
+        k, n_data, _, points = block_problems
+        for prob, x in points:
+            prob.residual_fn(x)  # F memo warm at x
+            peak = _traced_peak(prob.residual_fn, x)
+            assert peak <= (n_data + k) * 8 + self.SLACK, peak
+
+    def test_normal_builds_gradients_once(self, block_problems):
+        """Center: one 3K x Vtilde G plus its K x Vtilde products (the scale
+        F * 2/lambda, then W^T R); width: G and W^T R, K x Vtilde each."""
+        k, _, n_vox, points = block_problems
+        for (prob, x), budget in zip(points, (3 * k * n_vox + 2 * k * n_vox, 2 * k * n_vox)):
+            r = prob.residual_fn(x)
+            peak = _traced_peak(prob.normal_fn, x, r)
+            assert peak <= budget * 8 + self.SLACK, peak
+
+    def test_init_template_below_one_subject_matrix(self):
+        grid = cuboid_grid(20, 20, 12)
+        X = np.random.default_rng(24).standard_normal((grid.n_voxels, 150))
+        subject = SubjectData("s", X, grid)
+        peak = _traced_peak(htfa.init_template, subject, small_config(k=8))
+        assert peak < X.nbytes, peak
+
     def test_center_solve_never_forms_the_jacobian(self):
         k, n_trs, n_vox = 20, 40, 800
         rng = np.random.default_rng(16)

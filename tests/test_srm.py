@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -516,9 +517,13 @@ class TestFit:
             SubjectData("broken", X),
         ]
         comm = SerialCommunicator()
-        with pytest.raises(InvalidInputError, match="subject broken has NaN or infinite"):
-            srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), comm)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError, match="subject broken has NaN or infinite"):
+                srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), comm)
         assert comm.stats.gather_calls == comm.stats.bcast_calls == 0
+        # the NaN energy is the signal; no floating-point warning precedes it
+        assert [str(w.message) for w in caught] == []
 
     def test_voxel_norms_once_posterior_inverted_once(self, monkeypatch):
         """One centering pass (means and ||Xhat_i||^2) per subject; two K x K
