@@ -76,6 +76,9 @@ DTYPE_F64_LE = 0
 _HEADER = struct.Struct("<4sIIQQ")
 HEADER_SIZE = _HEADER.size  # 28
 
+#: Entries per step of the finiteness check (a 128 KiB flag buffer).
+_FINITE_CHUNK = 1 << 17
+
 
 @dataclass
 class SubjectData:
@@ -135,7 +138,7 @@ def save_matrix(path, X):
     X = np.ascontiguousarray(X, dtype="<f8")
     if X.ndim != 2:
         raise ShapeError(f"container stores 2-D matrices, got ndim={X.ndim}")
-    if not np.all(np.isfinite(X)):
+    if not _all_finite(X):
         raise InvalidInputError("refusing to store non-finite entries")
     header = _HEADER.pack(MAGIC, VERSION, DTYPE_F64_LE, X.shape[0], X.shape[1])
     with open(path, "wb") as fh:
@@ -143,10 +146,33 @@ def save_matrix(path, X):
         fh.write(X.data)
 
 
+def _all_finite(X):
+    """Whether every entry of C-contiguous ``X`` is finite.
+
+    The entries are checked ``_FINITE_CHUNK`` at a time into one flag
+    buffer, so no boolean of the matrix's size is formed. Chunks of the
+    flat array, not row blocks, keep a narrow matrix (voxel coordinates
+    are V x 3) from paying a call per few entries.
+    """
+    flat = X.reshape(-1)
+    flags = np.empty(min(_FINITE_CHUNK, flat.size), dtype=bool)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        chunk = flags[: min(_FINITE_CHUNK, flat.size - start)]
+        np.isfinite(flat[start : start + chunk.size], out=chunk)
+        if not chunk.all():
+            return False
+    return True
+
+
 def read_header(path):
     """Validate a container header and return (rows, cols) without the payload."""
     with open(path, "rb") as fh:
-        raw = fh.read(HEADER_SIZE)
+        return _read_header(fh, path)
+
+
+def _read_header(fh, path):
+    """Read and validate the header at the start of open file ``fh``."""
+    raw = fh.read(HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"{path}: truncated header", offset=len(raw), field="header")
     magic, version, dtype, rows, cols = _HEADER.unpack(raw)
@@ -161,11 +187,10 @@ def read_header(path):
 
 def load_matrix(path):
     """Read a matrix back, validating header fields, payload length and finiteness."""
-    rows, cols = read_header(path)
-    expected = rows * cols * 8
-    X = np.empty((rows, cols), dtype="<f8")
     with open(path, "rb") as fh:
-        fh.seek(HEADER_SIZE)
+        rows, cols = _read_header(fh, path)
+        expected = rows * cols * 8
+        X = np.empty((rows, cols), dtype="<f8")
         got = fh.readinto(X)
         if got != expected:
             raise FormatError(
@@ -179,7 +204,7 @@ def load_matrix(path):
                 offset=HEADER_SIZE + expected,
                 field="payload",
             )
-    if not np.all(np.isfinite(X)):
+    if not _all_finite(X):
         raise InvalidInputError(f"{path}: payload holds non-finite entries")
     return X
 

@@ -39,13 +39,16 @@ _RESIDUAL_BLOCK = 2048
 ROW_BLOCK = 64
 
 
-def _as_matrix(a, name="matrix", require_finite=True):
-    out = np.ascontiguousarray(a, dtype=np.float64)
+def _as_matrix(a, name="matrix"):
+    return _check_matrix(np.ascontiguousarray(a, dtype=np.float64), name)
+
+
+def _check_matrix(out, name):
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column")
-    if require_finite and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
 
@@ -183,8 +186,13 @@ def polar_orthogonal(A, atol=0.0):
     of a full-rank A is unique: flipping the sign of a singular pair
     (U[:, j], V^T[j]) leaves U V^T unchanged, so no sign convention is
     needed.
+
+    ``A`` is only read, in whatever memory layout it has: a column-major
+    input reaches LAPACK without a C-ordered copy first (the SVD copies it
+    into its own column-major work array either way, so the result does
+    not depend on the layout).
     """
-    A = _as_matrix(A, "A")
+    A = _check_matrix(np.asarray(A, dtype=np.float64), "A")
     rows, cols = A.shape
     if rows < cols:
         raise ShapeError(f"polar_orthogonal needs rows >= cols, got {A.shape}")

@@ -35,6 +35,14 @@ start (:func:`center_stats`) gives mu_i and each voxel's centered
 energy, whose sum is ||Xhat_i||^2 and whose count above rounding is the
 number of voxels that vary, checked against k before any collective.
 
+Beyond the data, a worker holds only what the next step reads: each
+subject's current W_i (an initial mapping is dropped at its first
+M-step), mu_i and two scalars, one tree stack of (4 + K T)-wide rows,
+and the broadcast S. The root finishes the tree in that same stack,
+sized to cover both jobs, and drops its own S once it is packed for the
+broadcast. The M-step adds A_i, the SVD's work copy of it, U and the new
+W_i, all V_i x K.
+
 Per iteration the E-step terms are summed along one fixed pairwise tree
 over the global subject indices [0, N). Each worker sums its own
 subjects' terms, [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i], into the
@@ -282,11 +290,11 @@ def _tree_sum(blocks, n_subjects, nodes):
     ``blocks`` are the ranks' node rows in rank order. They must tile
     [0, n_subjects) exactly; the first gap, overlap or overrun raises
     :class:`CollectiveContractError`. The nodes go through the same merge
-    as on the workers, in ``nodes``, a scratch buffer of at least
+    as on the workers, in ``nodes``, a buffer of at least
     n_subjects.bit_length() + 1 rows (the root's stack is a binary
-    counter over [0, n_subjects)). What remains, one complete subtree per
-    set bit of n_subjects, is folded right to left. Returns the sums, a
-    view into ``nodes``.
+    counter over [0, n_subjects)) that no block is a view of. What
+    remains, one complete subtree per set bit of n_subjects, is folded
+    right to left. Returns the sums, a view into ``nodes``.
     """
     depth = 0
     covered = 0
@@ -328,7 +336,9 @@ def fit(subjects, config, comm):
 
     Every worker calls this with the same config. The subjects' arrays
     are only read, never copied or modified (the module notes say how
-    Xhat_i is avoided). Per iteration: each worker streams its subjects'
+    Xhat_i is avoided). Besides them the fit holds each subject's current
+    mapping and means, one tree stack, which the root also finishes the
+    tree in, and S. Per iteration: each worker streams its subjects'
     [rho_i^{-2}, rho_i^2, K x T partial] terms through the pairwise
     summation tree and gathers the resulting [start, level, sums] node
     rows to the root -> the root checks that they tile [0, N), finishes
@@ -401,20 +411,20 @@ def fit(subjects, config, comm):
         xhat_sqs.append(xhat_sq)
 
     offset, n_subjects = rank_offsets(comm, len(subjects))
-    states = [
-        init_subject(s.X.shape[0], config, offset + j)
-        for j, s in enumerate(subjects)
-    ]
-    Ws = [st[0] for st in states]
-    rho2s = [st[1] for st in states]
+    Ws, rho2s = [None] * len(Xs), [None] * len(Xs)
+    for j, X in enumerate(Xs):
+        Ws[j], rho2s[j] = init_subject(X.shape[0], config, offset + j)
 
     sigma_s = np.eye(k) if comm.rank == 0 else None
     S = None
     S_prev = None
     objective_trace = []
-    nodes = np.empty((_stack_rows(offset, len(subjects)), 4 + k * n_trs))
+    n_rows = _stack_rows(offset, len(subjects))
     if comm.rank == 0:
-        root_nodes = np.empty((n_subjects.bit_length() + 1, 4 + k * n_trs))
+        # the root finishes the tree in its own stack: gather_rows hands it
+        # packed copies of every rank's nodes, never views of this buffer
+        n_rows = max(n_rows, n_subjects.bit_length() + 1)
+    nodes = np.empty((n_rows, 4 + k * n_trs))
 
     for iteration in range(config.iterations):
         depth = 0
@@ -425,7 +435,7 @@ def fit(subjects, config, comm):
             depth = _push_node(nodes, depth)
         blocks = gather_rows(comm, nodes[:depth])
         if comm.rank == 0:
-            sums = _tree_sum(blocks, n_subjects, root_nodes)
+            sums = _tree_sum(blocks, n_subjects, nodes)
             del blocks
             rho0 = float(sums[0])
             if iteration > 0:
@@ -436,6 +446,7 @@ def fit(subjects, config, comm):
             S_root -= S_root.mean(axis=1, keepdims=True)
             sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S_root, var_s)
             packed = np.vstack([S_root, np.full((1, n_trs), trace_new)])
+            del S_root
         else:
             packed = None
         packed = comm.broadcast(packed)

@@ -3,15 +3,28 @@
 ``make_bundled_dataset`` is the canonical 4-subject set used for the
 backend-equivalence checks: model-generated shared-response data on a
 small grid, with coordinates, written out as subject files plus a
-manifest.
+manifest. ``traced_peak`` measures the memory contracts.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from factorfit.data_io import Manifest, ManifestEntry, save_matrix, write_manifest
 from factorfit.kernels import VoxelGrid, polar_orthogonal, rbf_factor_matrix
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced above the level at entry while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def cuboid_grid(nx, ny, nz):

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from datagen import cuboid_grid, write_dataset
+from datagen import cuboid_grid, traced_peak, write_dataset
+from factorfit import data_io
 from factorfit.data_io import (
+    _FINITE_CHUNK,
     HEADER_SIZE,
     SynthSpec,
     generate_synthetic,
@@ -109,6 +111,51 @@ class TestContainer:
         path.write_bytes(header + np.array([1.0, np.nan, 2.0, 3.0]).astype("<f8").tobytes())
         with pytest.raises(InvalidInputError, match="nan.sfab"):
             load_matrix(path)
+
+    def test_non_finite_found_past_the_first_chunk(self, tmp_path):
+        X = np.ones((_FINITE_CHUNK // 2 + 3, 4))
+        X[-1, 2] = np.inf
+        with pytest.raises(InvalidInputError):
+            save_matrix(tmp_path / "m.sfab", X)
+        path = tmp_path / "nan.sfab"
+        X[-1, 2] = np.nan
+        path.write_bytes(struct.pack("<4sIIQQ", b"SFAB", 1, 0, *X.shape) + X.tobytes())
+        with pytest.raises(InvalidInputError, match="nan.sfab"):
+            load_matrix(path)
+
+    def test_load_opens_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.sfab"
+        save_matrix(path, np.ones((3, 2)))
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(data_io, "open", counting_open, raising=False)
+        assert load_matrix(path).shape == (3, 2)
+        assert opened == [path]
+
+
+class TestContainerMemory:
+    """The finiteness checks hold one chunk of flags, not a V x T boolean
+    (6.6 MB for this matrix); a 64-row block of it would be 1.1 MB."""
+
+    SLACK = 64 * 1024
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return np.random.default_rng(12).standard_normal((3000, 2201))
+
+    def test_save_peaks_at_one_chunk(self, tmp_path, matrix):
+        peak = traced_peak(save_matrix, tmp_path / "m.sfab", matrix)
+        assert peak <= _FINITE_CHUNK + self.SLACK, peak
+
+    def test_load_peaks_at_the_matrix_plus_one_chunk(self, tmp_path, matrix):
+        path = tmp_path / "m.sfab"
+        save_matrix(path, matrix)
+        peak = traced_peak(load_matrix, path)
+        assert peak <= matrix.nbytes + _FINITE_CHUNK + self.SLACK, peak - matrix.nbytes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

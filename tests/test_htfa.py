@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from datagen import blob_subjects, cuboid_grid
+from datagen import blob_subjects, cuboid_grid, traced_peak
 from factorfit import htfa, reference, trf
 from factorfit.collectives import SerialCommunicator, create_thread_communicators
 from factorfit.data_io import SubjectData
@@ -356,18 +356,6 @@ class TestBlockProblems:
             prob.residual_fn(np.zeros(3))
 
 
-def _traced_peak(fn, *args):
-    """Peak bytes traced above the level at entry while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemoryContract:
     # room for the K-, 3K- and 3K x 3K-sized arrays of one evaluation
     SLACK = 32 * 1024
@@ -407,7 +395,7 @@ class TestMemoryContract:
         k, n_data, _, points = block_problems
         for prob, x in points:
             prob.residual_fn(x)  # F memo warm at x
-            peak = _traced_peak(prob.residual_fn, x)
+            peak = traced_peak(prob.residual_fn, x)
             assert peak <= (n_data + k) * 8 + self.SLACK, peak
 
     def test_normal_builds_gradients_once(self, block_problems):
@@ -416,14 +404,14 @@ class TestMemoryContract:
         k, _, n_vox, points = block_problems
         for (prob, x), budget in zip(points, (3 * k * n_vox + 2 * k * n_vox, 2 * k * n_vox)):
             r = prob.residual_fn(x)
-            peak = _traced_peak(prob.normal_fn, x, r)
+            peak = traced_peak(prob.normal_fn, x, r)
             assert peak <= budget * 8 + self.SLACK, peak
 
     def test_init_template_below_one_subject_matrix(self):
         grid = cuboid_grid(20, 20, 12)
         X = np.random.default_rng(24).standard_normal((grid.n_voxels, 150))
         subject = SubjectData("s", X, grid)
-        peak = _traced_peak(htfa.init_template, subject, small_config(k=8))
+        peak = traced_peak(htfa.init_template, subject, small_config(k=8))
         assert peak < X.nbytes, peak
 
     def test_center_solve_never_forms_the_jacobian(self):

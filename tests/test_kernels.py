@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from datagen import traced_peak
 from factorfit import htfa
 from factorfit.errors import (
     DefinitenessError,
@@ -140,6 +141,22 @@ class TestPolarOrthogonal:
     def test_wide_rejected(self):
         with pytest.raises(ShapeError):
             polar_orthogonal(np.ones((2, 4)))
+
+    def test_column_major_input_reaches_the_svd_uncopied(self):
+        """Beyond the SVD's own work copy, only U and the result are V x K."""
+        A = np.asfortranarray(np.random.default_rng(11).standard_normal((2000, 40)))
+        before = A.tobytes()
+        expected = polar_orthogonal(np.ascontiguousarray(A))
+        peak = traced_peak(polar_orthogonal, A)
+        assert peak <= 2 * A.nbytes + 64 * 1024, peak / A.nbytes
+        assert A.tobytes() == before
+        assert polar_orthogonal(A).tobytes() == expected.tobytes()
+
+    def test_non_finite_rejected(self):
+        A = np.asfortranarray(np.ones((5, 2)))
+        A[3, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            polar_orthogonal(A)
 
 
 def _random_grid(rng, dims=(11, 9, 7), keep=0.85):

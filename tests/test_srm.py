@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datagen import srm_subjects
+from datagen import srm_subjects, traced_peak
 from factorfit import reference, srm
 from factorfit.collectives import SerialCommunicator, create_thread_communicators
 from factorfit.data_io import SubjectData
@@ -847,6 +847,29 @@ class TestMemoryContract:
         finally:
             tracemalloc.stop()
         assert peak < n_voxels * n_trs * 8
+
+    def test_fit_holds_only_live_arrays(self):
+        """Above its inputs the fit holds the mappings, one tree stack on the
+        root, S twice (packed for the broadcast and received) and the M-step's
+        V x K arrays (A, the SVD's copy, U and the new mapping); the voxel means
+        and 64 KiB cover the rest. Retaining the initial mappings breaks it."""
+        n_subjects, n_voxels, n_trs, k = 6, 600, 120, 10
+        rng = np.random.default_rng(36)
+        subjects = [
+            SubjectData(f"s{i}", rng.standard_normal((n_voxels, n_trs))
+                        + rng.standard_normal((n_voxels, 1)))
+            for i in range(n_subjects)
+        ]
+        cfg = srm.SrmConfig(k=k, iterations=3, seed=0)
+        peak = traced_peak(srm.fit, subjects, cfg, SerialCommunicator())
+        doubles = (
+            n_subjects * n_voxels * k
+            + (n_subjects.bit_length() + 1) * (4 + k * n_trs)
+            + 2 * k * n_trs
+            + 4 * n_voxels * k
+            + n_subjects * n_voxels
+        )
+        assert peak <= doubles * 8 + 64 * 1024, peak
 
     def test_fit_leaves_input_unchanged(self):
         """Serial and on 2 thread ranks, read-only inputs come back byte-equal."""
