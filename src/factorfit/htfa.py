@@ -19,8 +19,8 @@ Each evaluation allocates little beyond what it returns: the residual
 is written in place in the array handed to the solver, the center
 gradients are built once in one C-contiguous 3K x Vtilde buffer, and
 the sampled block is gathered once per local iteration as a
-C-contiguous Ttilde x Vtilde array. Template seeding reads the subject
-a block of rows at a time and never forms a V x T temporary.
+C-contiguous Ttilde x Vtilde array. Matching pursuit seeds the template
+(:func:`init_template`) without forming a V x T temporary.
 Data rows are weighted by sqrt(1/(2 sigma_i^2)), prior rows by
 sqrt(1/(2 phi_i)) through the prior precisions, with phi_i the
 subsampling compensation (T_i V_i) / (Ttilde_i Vtilde_i).
@@ -45,7 +45,8 @@ import numpy as np
 from . import trf
 from .collectives import gather_rows, rank_offsets
 from .errors import ConfigError, DefinitenessError, ShapeError
-from .kernels import rbf_factor_matrix, row_blocks, spd_inverse
+from .kernels import center_stats, check_centered, rbf_factor_matrix, row_residual_energy
+from .kernels import spd_inverse
 
 __all__ = [
     "GlobalTemplate",
@@ -141,6 +142,11 @@ class HtfaConfig:
         self.nlls.validate()
 
 
+#: Candidate widths per pick of :func:`init_template`, and voxels per block
+#: it scores them over.
+_SEED_WIDTHS, _SEED_BLOCK = 12, 1024
+
+
 def width_bounds(grid, config):
     d = grid.diameter
     return config.width_lower_frac * d, config.width_upper_frac * d
@@ -151,7 +157,8 @@ def _sq_distances(a, b):
 
     Filled one axis at a time into one output and one scratch buffer,
     summed in x + y + z order, so no len(a) x len(b) x 3 broadcast is
-    formed and the bits are those of ``((a[:, None] - b) ** 2).sum(-1)``.
+    formed and the bits are those of ``((a[:, None] - b) ** 2).sum(-1)``,
+    the squared distances :func:`~factorfit.kernels.rbf_factor_matrix` sums.
     """
     out = np.subtract.outer(a[:, 0], b[:, 0])
     np.square(out, out=out)
@@ -163,81 +170,57 @@ def _sq_distances(a, b):
     return out
 
 
-def _weighted_kmeans(points, weights, k, rng, sweeps=10):
-    """k-means++ seeding plus Lloyd sweeps with per-point weights.
-
-    Returns the centers and the n x k squared distances of every point
-    to them.
-    """
-    n = points.shape[0]
-    total = float(weights.sum())
-    probs = weights / total if total > 0 else np.full(n, 1.0 / n)
-    chosen = [int(rng.choice(n, p=probs))]
-    d2 = _sq_distances(points, points[chosen])[:, 0]
-    for _ in range(1, k):
-        scores = probs * d2
-        mass = float(scores.sum())
-        if mass > 0:
-            j = int(rng.choice(n, p=scores / mass))
-        else:
-            j = int(np.argmax(d2))
-        chosen.append(j)
-        d2 = np.minimum(d2, _sq_distances(points, points[[j]])[:, 0])
-    centers = points[chosen].astype(np.float64)
-    for _ in range(sweeps):
-        dist = _sq_distances(points, centers)
-        assign = np.argmin(dist, axis=1)
-        for c in range(k):
-            mask = assign == c
-            if not mask.any():
-                far = int(np.argmax(dist.min(axis=1)))
-                centers[c] = points[far]
-                continue
-            mass = float(weights[mask].sum())
-            if mass > 0:
-                centers[c] = (weights[mask, None] * points[mask]).sum(axis=0) / mass
-            else:
-                centers[c] = points[mask].mean(axis=0)
-    return centers, _sq_distances(points, centers)
-
-
 def init_template(subject, config):
-    """Seed the template from one subject's coordinates and activation.
+    """Seed the template by matching pursuit on one subject's data.
 
-    The activation of a voxel is its mean |X| over time, taken a block of
-    rows at a time (:func:`~factorfit.kernels.row_blocks`), so no V x T
-    temporary is formed. Centers come from activation-weighted k-means++
-    with 10 refinement sweeps; the initial width of each factor is its
-    cluster's weighted RMS radius squared, clamped into the width
-    bounds. Deterministic given ``config.seed``.
+    K times: take the voxel of largest residual energy ||R_v||^2; of 12
+    RBFs centered there, with widths spaced geometrically across
+    :func:`width_bounds`, keep the f maximizing ||f^T R||^2 / ||f||^2;
+    deflate R by f c^T, c = R^T f / ||f||^2 (Mallat & Zhang, IEEE Trans.
+    Signal Process. 41(12), 1993). R = X - F C^T is never formed: the
+    picked RBF rows F (K x V) and coefficients C (T x K) give f^T R and
+    the energy updates, and the candidates, which share one row of
+    squared distances, are scored ``_SEED_BLOCK`` voxels at a time.
     """
     if subject.grid is None:
         raise ShapeError("template initialization needs voxel coordinates")
     grid = subject.grid
-    if grid.n_voxels < config.k:
-        raise ShapeError(
-            f"{grid.n_voxels} voxels cannot seed {config.k} factors"
-        )
-    activation = np.empty(grid.n_voxels)
-    for rows, block in row_blocks(subject.X):
-        np.abs(subject.X[rows], out=block)
-        np.mean(block, axis=1, out=activation[rows])
-    if float(activation.sum()) <= 0.0:
-        activation = np.ones(grid.n_voxels)
-    rng = np.random.default_rng((config.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1))
-    centers, dist = _weighted_kmeans(
-        grid.positions, activation, config.k, rng, sweeps=10
-    )
-    assign = np.argmin(dist, axis=1)
-    lo, hi = width_bounds(grid, config)
-    widths = np.empty(config.k)
-    for c in range(config.k):
-        mask = assign == c
-        mass = float(activation[mask].sum())
-        rms2 = float((activation[mask] * dist[mask, c]).sum() / mass) if mass > 0 else 0.0
-        widths[c] = min(max(rms2, lo), hi)
-    diameter = grid.diameter
-    prior_center_cov = np.eye(3) * (diameter / config.k ** (1.0 / 3.0)) ** 2 / 12.0
+    k = config.k
+    if grid.n_voxels < k:
+        raise ShapeError(f"{grid.n_voxels} voxels cannot seed {k} factors")
+    X = np.asarray(subject.X, dtype=np.float64)
+    n_vox, n_trs = X.shape
+    negated = -np.geomspace(*width_bounds(grid, config), _SEED_WIDTHS)[:, None]
+    F = np.empty((k, n_vox))
+    C = np.empty((n_trs, k))
+    energy = np.einsum("vt,vt->v", X, X)  # ||R_v||^2 before the first pick
+    centers = np.empty((k, 3))
+    widths = np.empty(k)
+    scratch = np.empty((_SEED_WIDTHS, min(_SEED_BLOCK, n_vox)))
+    for j in range(k):
+        centers[j] = grid.positions[int(np.argmax(energy))]
+        d2 = _sq_distances(centers[j:j + 1], grid.positions)[0]
+        fx = np.zeros((_SEED_WIDTHS, n_trs))  # f^T X per candidate
+        ff = np.zeros((_SEED_WIDTHS, j))      # f^T F_sel^T
+        norms = np.zeros(_SEED_WIDTHS)
+        for start in range(0, n_vox, _SEED_BLOCK):
+            rows = slice(start, min(start + _SEED_BLOCK, n_vox))
+            G = scratch[:, :rows.stop - start]
+            # d2 / -lambda is -(d2 / lambda) to the bit: rbf_factor_matrix's F
+            np.exp(np.divide(d2[rows], negated, out=G), out=G)
+            fx += G @ X[rows]
+            ff += G @ F[:j, rows].T
+            norms += np.einsum("wv,wv->w", G, G)
+        fx -= ff @ C[:, :j].T  # f^T R
+        best = int(np.argmax(np.einsum("wt,wt->w", fx, fx) / norms))
+        widths[j] = -negated[best, 0]
+        coef = fx[best] / norms[best]
+        f = np.exp(np.divide(d2, negated[best], out=F[j]), out=F[j])
+        # ||R_v - f_v c||^2 = ||R_v||^2 - f_v (2 (R c)_v - f_v ||c||^2)
+        rc = X @ coef - F[:j].T @ (C[:, :j].T @ coef)
+        energy -= f * (2.0 * rc - f * (coef @ coef))
+        C[:, j] = coef
+    prior_center_cov = np.eye(3) * (grid.diameter / k ** (1.0 / 3.0)) ** 2 / 12.0
     width_var = (0.1 * widths) ** 2
     return GlobalTemplate(
         centers=centers,
@@ -606,15 +589,14 @@ def global_step(local_centers, local_widths, template, n_subjects):
 
 
 def _rescue_degenerate(subject, local):
-    """Re-seed factors whose weight column died to the highest-residual voxel."""
+    """Re-seed factors whose weight column died to the highest-residual voxel
+    (:func:`~factorfit.kernels.row_residual_energy`: no V x T residual)."""
     dead = np.where(~local.weights.any(axis=0))[0]
     if dead.size == 0:
         return local
     F = rbf_factor_matrix(local.centers, local.widths, subject.grid)
-    R = subject.X - (local.weights @ F).T
-    per_voxel = np.einsum("vt,vt->v", R, R)
-    for j in dead:
-        local.centers[j] = subject.grid.positions[int(np.argmax(per_voxel))]
+    voxel = int(np.argmax(row_residual_energy(subject.X, F.T, local.weights.T)))
+    local.centers[dead] = subject.grid.positions[voxel]
     return local
 
 
@@ -632,6 +614,10 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     When ``iteration_log`` is a list, the root appends the mean data-noise
     variance over all N subjects once per outer iteration, so the trace
     does not depend on the partition; other ranks leave it empty.
+
+    Bad subjects fail by name before any collective: one without voxel
+    coordinates, and one that is not finite or is constant over time
+    (:func:`~factorfit.kernels.check_centered`, as in SRM).
     """
     config.validate()
     plan.validate()
@@ -640,6 +626,7 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     for s in subjects:
         if s.grid is None:
             raise ShapeError(f"subject {s.subject_id} has no voxel coordinates")
+        check_centered(s.subject_id, s.X.shape[1], *center_stats(s.X))
     offset, n_total = rank_offsets(comm, len(subjects))
     k = config.k
 

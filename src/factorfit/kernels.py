@@ -26,14 +26,15 @@ __all__ = [
     "rbf_factor_matrix",
     "rbf_factor_matrix_direct",
     "residual_fro",
+    "row_residual_energy",
+    "center_stats",
+    "check_centered",
     "row_blocks",
 ]
 
 #: Columns whose singular value falls below this multiple of the largest
 #: are treated as rank deficient by :func:`polar_orthogonal`.
 RANK_TOLERANCE = 1e-12
-
-_RESIDUAL_BLOCK = 2048
 
 #: Rows per block of :func:`row_blocks`.
 ROW_BLOCK = 64
@@ -268,11 +269,8 @@ def rbf_factor_matrix_direct(centers, widths, positions):
 
 
 def residual_fro(X, W, F):
-    """Squared Frobenius norm of X - W @ F.
-
-    Accumulated over column blocks so the full residual matrix is never
-    materialized when X is wide.
-    """
+    """Squared Frobenius norm of X - W @ F: the sum of
+    :func:`row_residual_energy`, so the residual is never materialized."""
     X = _as_matrix(X, "X")
     W = _as_matrix(W, "W")
     F = _as_matrix(F, "F")
@@ -280,12 +278,55 @@ def residual_fro(X, W, F):
         raise ShapeError(
             f"shapes do not conform for X - W @ F: X={X.shape} W={W.shape} F={F.shape}"
         )
-    total = 0.0
-    for start in range(0, X.shape[1], _RESIDUAL_BLOCK):
-        stop = min(start + _RESIDUAL_BLOCK, X.shape[1])
-        R = X[:, start:stop] - W @ F[:, start:stop]
-        total += float(np.einsum("ij,ij->", R, R))
-    return total
+    return float(np.sum(row_residual_energy(X, W, F)))
+
+
+def row_residual_energy(X, W, F):
+    """Each row's squared norm ||X_v - W_v F||^2, inputs unchecked, from a
+    :func:`row_blocks` walk that holds one block of the residual."""
+    out = np.empty(X.shape[0])
+    for rows, block in row_blocks(X):
+        np.matmul(W[rows], F, out=block)
+        np.subtract(X[rows], block, out=block)
+        np.einsum("vt,vt->v", block, block, out=out[rows])
+    return out
+
+
+def center_stats(X):
+    """Each row's mean mu[v] and centered energy ||X[v] - mu[v]||^2.
+
+    Rows are centered a :func:`row_blocks` block at a time, so ``X`` is
+    only read. A row holding inf or NaN gets a NaN energy without a
+    floating-point warning; :func:`check_centered` names its subject.
+    """
+    mu = np.empty(X.shape[0])
+    energy = np.empty(X.shape[0])
+    with np.errstate(invalid="ignore"):
+        for rows, block in row_blocks(X):
+            np.mean(X[rows], axis=1, out=mu[rows])
+            np.subtract(X[rows], mu[rows, None], out=block)
+            np.einsum("vt,vt->v", block, block, out=energy[rows])
+    return mu, energy
+
+
+def check_centered(subject_id, n_trs, mu, energy):
+    """Refuse, by name, a subject that is not finite or is constant over time.
+
+    ``mu``, ``energy``: :func:`center_stats` of its V x ``n_trs`` matrix.
+    Returns ||X - mu 1^T||^2 and the count of voxels varying beyond rounding.
+    """
+    # centering a constant voxel with mean m leaves only the rounding
+    # error of the mean, under 2 T eps |m| per entry
+    rounding = (2.0 * n_trs * np.finfo(np.float64).eps) ** 2 * n_trs
+    xhat_sq = float(np.sum(energy))
+    if not np.isfinite(xhat_sq):
+        raise InvalidInputError(f"subject {subject_id} has NaN or infinite entries")
+    if xhat_sq <= rounding * float(mu @ mu):
+        raise InvalidInputError(
+            f"subject {subject_id} is constant over time: its demeaned "
+            "data are zero up to rounding, so it has no mapping to fit"
+        )
+    return xhat_sq, int(np.count_nonzero(energy > rounding * mu**2))
 
 
 def row_blocks(X):

@@ -62,8 +62,9 @@ from typing import Optional
 import numpy as np
 
 from .collectives import gather_rows, rank_offsets
-from .errors import CollectiveContractError, ConfigError, InvalidInputError, RankError, ShapeError
-from .kernels import add_diag, polar_orthogonal, row_blocks, spd_inverse, trace_ata
+from .errors import CollectiveContractError, ConfigError, RankError, ShapeError
+from .kernels import add_diag, center_stats, check_centered, polar_orthogonal
+from .kernels import spd_inverse, trace_ata
 
 __all__ = [
     "SrmConfig",
@@ -132,27 +133,6 @@ def demean(X):
     X = np.asarray(X, dtype=np.float64)
     mu = X.mean(axis=1)
     return X - mu[:, None], mu
-
-
-def center_stats(X):
-    """Each voxel's temporal mean and centered energy, in one blocked pass.
-
-    Returns (mu, energy) with mu[v] the mean of row v of ``X`` and
-    energy[v] = ||X[v] - mu[v]||^2, the same elementwise differences
-    :func:`demean` forms. Rows are centered a block at a time
-    (:func:`~factorfit.kernels.row_blocks`), so no centered copy of ``X``
-    exists and ``X`` is only read. A row holding inf or NaN gets a NaN
-    energy without a floating-point warning; :func:`fit` names its
-    subject.
-    """
-    mu = np.empty(X.shape[0])
-    energy = np.empty(X.shape[0])
-    with np.errstate(invalid="ignore"):
-        for rows, block in row_blocks(X):
-            np.mean(X[rows], axis=1, out=mu[rows])
-            np.subtract(X[rows], mu[rows, None], out=block)
-            np.einsum("vt,vt->v", block, block, out=energy[rows])
-    return mu, energy
 
 
 def init_subject(n_voxels, config, subject_index):
@@ -386,21 +366,9 @@ def fit(subjects, config, comm):
 
     Xs = [np.asarray(s.X, dtype=np.float64) for s in subjects]
     mus, xhat_sqs = [], []
-    # centering a constant voxel with mean m leaves only the rounding
-    # error of the mean, under 2 T eps |m| per entry
-    rounding = (2.0 * n_trs * np.finfo(np.float64).eps) ** 2 * n_trs
     for s, X in zip(subjects, Xs):
         mu, energy = center_stats(X)
-        xhat_sq = float(np.sum(energy))
-        # a NaN or infinite entry makes its voxel's energy NaN
-        if not np.isfinite(xhat_sq):
-            raise InvalidInputError(f"subject {s.subject_id} has NaN or infinite entries")
-        if xhat_sq <= rounding * float(mu @ mu):
-            raise InvalidInputError(
-                f"subject {s.subject_id} is constant over time: its demeaned "
-                "data are zero up to rounding, so it has no mapping to fit"
-            )
-        varying = int(np.count_nonzero(energy > rounding * mu**2))
+        xhat_sq, varying = check_centered(s.subject_id, n_trs, mu, energy)
         if varying < k:
             raise RankError(
                 f"subject {s.subject_id}: only {varying} of its {len(mu)} voxels "

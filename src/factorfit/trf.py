@@ -352,11 +352,12 @@ def _update_radius(radius, actual, predicted, step_h_norm, bound_hit):
     return radius, ratio
 
 
-def _snap_to_bounds(residual, x, r, cost, g, lb, ub, cfg):
+def _snap_to_bounds(residual, x, cost, g, lb, ub, cfg):
     """Move components resting against a bound exactly onto it.
 
     The snap is kept only when it does not increase the cost, so the
-    accepted-cost sequence stays non-increasing.
+    accepted-cost sequence stays non-increasing. Returns (x, cost, r),
+    with r the residual at a kept snap and None otherwise.
     """
     window = 100.0 * cfg.step_tolerance
     candidate = x.copy()
@@ -369,12 +370,12 @@ def _snap_to_bounds(residual, x, r, cost, g, lb, ub, cfg):
             candidate[j] = lb[j]
             snapped = True
     if not snapped:
-        return x, r, cost, False
-    r_new = residual(candidate)
-    cost_new = 0.5 * float(r_new @ r_new)
+        return x, cost, None
+    r = residual(candidate)
+    cost_new = 0.5 * float(r @ r)
     if cost_new <= cost:
-        return candidate, r_new, cost_new, True
-    return x, r, cost, False
+        return candidate, cost_new, r
+    return x, cost, None
 
 
 def solve(problem, x0, config=None):
@@ -402,6 +403,7 @@ def solve(problem, x0, config=None):
     r = residual(x)
     H, g = _eval_normal(problem, x, r, cfg, lb, ub)
     cost = 0.5 * float(r @ r)
+    del r  # H, g and the cost are all the iterations read of it
 
     radius = cfg.initial_trust_radius
     reason = None
@@ -449,10 +451,9 @@ def solve(problem, x0, config=None):
                 radius, actual, predicted, step_h_norm, hit_boundary
             )
             step_norm = norm(x_new - x)
-            trial = (cost_new, x_new, r_new, actual, ratio, step_norm, step_h_norm)
 
             if actual > 0 and (best is None or cost_new < best[0]):
-                best = trial
+                best = (cost_new, x_new, r_new, actual, ratio, step_norm, step_h_norm)
                 # internal doubling: a near-exact model truncated by the
                 # region earns an immediate retry with a larger radius
                 if ratio > 0.95 and hit_boundary and expansions < 6:
@@ -479,9 +480,10 @@ def solve(problem, x0, config=None):
                 reason = "cost"
             elif step_norm < cfg.step_tolerance * (cfg.step_tolerance + norm(x)):
                 reason = "step"
-            x, r, cost = x_new, r_new, cost_new
+            x, cost = x_new, cost_new
             accepted_costs.append(cost)
-            H, g = _eval_normal(problem, x, r, cfg, lb, ub)
+            H, g = _eval_normal(problem, x, r_new, cfg, lb, ub)
+            best = r_new = None  # so a trial holds only the best residual and its own
             break
         else:
             reason = "step"
@@ -489,8 +491,8 @@ def solve(problem, x0, config=None):
     if reason is None:
         reason = "max_iterations"
 
-    x, r, cost, snapped = _snap_to_bounds(residual, x, r, cost, g, lb, ub, cfg)
-    if snapped:
+    x, cost, r = _snap_to_bounds(residual, x, cost, g, lb, ub, cfg)
+    if r is not None:
         accepted_costs.append(cost)
         _, g = _eval_normal(problem, x, r, cfg, lb, ub)
     v, _ = _cl_scaling(x, g, lb, ub)

@@ -87,6 +87,42 @@ def blob_subjects(
     return data, grid, centers, widths
 
 
+def scattered_blob_subjects(
+    n_subjects=2,
+    grid_dims=(20, 20, 12),
+    k=8,
+    n_trs=150,
+    min_separation=6.5,
+    jitter=0.3,
+    noise=0.05,
+    seed=0,
+):
+    """Subjects sharing k spherical factors at random, well-separated centers.
+
+    Centers are rejection-sampled at least ``min_separation`` voxels apart
+    and 2 voxels inside the grid, widths drawn from [10, 20] voxel^2 and
+    weights from 1.5 + N(0, 1), so factors overlap more than in
+    :func:`blob_subjects`. Returns (list of X, grid, true_centers,
+    true_widths).
+    """
+    rng = np.random.default_rng(seed)
+    grid = cuboid_grid(*grid_dims)
+    lo, hi = grid.bounding_box()
+    centers = np.empty((0, 3))
+    while len(centers) < k:
+        candidate = rng.uniform(lo + 2.0, hi - 2.0)
+        if np.all(np.linalg.norm(centers - candidate, axis=1) >= min_separation):
+            centers = np.vstack([centers, candidate])
+    widths = rng.uniform(10.0, 20.0, k)
+    data = []
+    for _ in range(n_subjects):
+        F = rbf_factor_matrix(centers + jitter * rng.standard_normal((k, 3)), widths, grid)
+        W = rng.standard_normal((n_trs, k)) + 1.5
+        X = (W @ F).T + noise * rng.standard_normal((grid.n_voxels, n_trs))
+        data.append(X)
+    return data, grid, centers, widths
+
+
 def write_dataset(out_dir, matrices, grid=None, name="testset"):
     """Write subject matrices (and optional shared coords) plus a manifest."""
     out_dir = Path(out_dir)

@@ -7,11 +7,11 @@ from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from datagen import blob_subjects, cuboid_grid, traced_peak
+from datagen import blob_subjects, cuboid_grid, scattered_blob_subjects, traced_peak
 from factorfit import htfa, reference, trf
 from factorfit.collectives import SerialCommunicator, create_thread_communicators
 from factorfit.data_io import SubjectData
-from factorfit.errors import ConfigError, DefinitenessError, ShapeError
+from factorfit.errors import ConfigError, DefinitenessError, InvalidInputError, ShapeError
 from factorfit.kernels import rbf_factor_matrix
 
 
@@ -37,12 +37,30 @@ def blob_data():
 
 
 class TestInitTemplate:
-    def test_single_factor_weighted_centroid(self, blob_data):
-        subjects, grid, _, _ = blob_data
-        template = htfa.init_template(subjects[0], small_config(k=1))
-        act = np.abs(subjects[0].X).mean(axis=1)
-        centroid = (act[:, None] * grid.positions).sum(axis=0) / act.sum()
-        assert np.max(np.abs(template.centers[0] - centroid)) <= 1e-9
+    def test_single_factor_matching_pursuit_pick(self):
+        """At k=1 the center is the voxel of largest energy ||X_v||^2 and the
+        width the one of 12 geometric candidates maximizing
+        ||f^T X||^2 / ||f||^2, evaluated here by brute force."""
+        matrices, grid, _, _ = blob_subjects(n_subjects=1, k=1, seed=8)
+        subject = SubjectData("one", matrices[0], grid)
+        config = small_config(k=1)
+        template = htfa.init_template(subject, config)
+        X = subject.X
+        center = grid.positions[np.argmax((X**2).sum(axis=1))]
+        candidates = np.geomspace(*htfa.width_bounds(grid, config), 12)
+        F = rbf_factor_matrix(np.tile(center, (12, 1)), candidates, grid)
+        scores = ((F @ X) ** 2).sum(axis=1) / (F**2).sum(axis=1)
+        assert np.array_equal(template.centers[0], center)
+        assert template.widths[0] == candidates[np.argmax(scores)]
+        assert np.sort(scores)[-1] > np.sort(scores)[-2] * (1 + 1e-6)
+
+    def test_every_scattered_factor_seeded(self):
+        """Eight overlapping factors: each true center gets a seeded center
+        within 3 voxels (activation-weighted k-means left two further off)."""
+        matrices, grid, centers, _ = scattered_blob_subjects(n_subjects=1, seed=2)
+        template = htfa.init_template(SubjectData("s0", matrices[0], grid), htfa.HtfaConfig(k=8))
+        nearest = cdist(centers, template.centers).min(axis=1)
+        assert np.all(nearest <= 3.0), nearest
 
     def test_deterministic(self, blob_data):
         subjects, _, _, _ = blob_data
@@ -74,8 +92,8 @@ class TestInitTemplate:
 
     def test_sq_distances_bits_of_the_broadcast(self):
         """Axis by axis in x + y + z order gives the bits of the
-        (n, m, 3) broadcast's sum, so k-means and the width problem's
-        distances do not move."""
+        (n, m, 3) broadcast's sum, so the seeding's candidate RBFs and the
+        width problem's distances do not move."""
         rng = np.random.default_rng(6)
         a = rng.uniform(-30.0, 30.0, (300, 3))
         b = rng.uniform(-30.0, 30.0, (7, 3))
@@ -724,6 +742,78 @@ class TestFit:
                 assert got.tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("seed", [0, 2, 6, 13])
+    def test_no_factor_lost(self, seed):
+        """At the benchmark's HTFA shape (8 factors on 20 x 20 x 12, 3 outer x
+        3 local iterations, TRF capped at 5) every true center keeps a fitted
+        center within 3 voxels under the best one-to-one match. With the
+        k-means seeding these seeds lost one or two factors."""
+        matrices, grid, centers, _ = scattered_blob_subjects(seed=seed)
+        subjects = [SubjectData(f"s{i}", X, grid) for i, X in enumerate(matrices)]
+        config = htfa.HtfaConfig(
+            k=8, outer_iterations=3, local_iterations=3, nlls=trf.TrfConfig(max_iterations=5)
+        )
+        plan = htfa.SubsamplePlan(max_voxels=800, max_trs=40)
+        template, _ = htfa.fit(subjects, config, plan, SerialCommunicator())
+        cost = cdist(template.centers, centers)
+        rows, cols = linear_sum_assignment(cost)
+        assert np.all(cost[rows, cols] <= 3.0), cost[rows, cols]
+
+
+class TestInputChecks:
+    """Bad subjects fail by name before any collective, as in SRM."""
+
+    CASES = [
+        ("nan", "has NaN or infinite entries"),
+        ("inf", "has NaN or infinite entries"),
+        ("constant", "is constant over time"),
+    ]
+    # a plan small enough that a NaN at [7, 3] is never sampled
+    PLAN = htfa.SubsamplePlan(max_voxels=50, max_trs=5, voxel_fraction=0.05, tr_fraction=0.05)
+
+    @staticmethod
+    def subjects(bad):
+        matrices, grid, _, _ = blob_subjects(k=3, seed=5)
+        X = matrices[1].copy()
+        if bad == "constant":
+            X[:] = 2.5
+        else:
+            X[7, 3] = np.nan if bad == "nan" else np.inf
+        return [SubjectData("s0", matrices[0], grid), SubjectData("s1", X, grid)]
+
+    @pytest.mark.parametrize("bad, message", CASES)
+    def test_serial(self, bad, message):
+        comm = SerialCommunicator()
+        with pytest.raises(InvalidInputError, match=f"subject s1 {message}"):
+            htfa.fit(self.subjects(bad), small_config(outer=2, local=2), self.PLAN, comm)
+        assert comm.stats.gather_calls == comm.stats.bcast_calls == 0
+
+    @pytest.mark.parametrize("bad, message", CASES)
+    def test_two_thread_ranks(self, bad, message):
+        subjects = self.subjects(bad)
+        comms = create_thread_communicators(2, timeout=10.0)
+        errors = [None, None]
+
+        def run(rank):
+            try:
+                htfa.fit(subjects[rank:rank + 1], small_config(outer=2, local=2), self.PLAN,
+                         comms[rank])
+            except BaseException as exc:  # noqa: BLE001
+                errors[rank] = exc
+                comms[rank].abort()
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        assert isinstance(errors[1], InvalidInputError), errors
+        assert f"subject s1 {message}" in str(errors[1])
+        assert comms[1].stats.gather_calls == comms[1].stats.bcast_calls == 0
+        assert errors[0] is not None  # rank 0 learns of the abort
+
+
 class TestConnectivity:
     def test_identical_columns_correlate_fully(self):
         rng = np.random.default_rng(19)
@@ -780,3 +870,18 @@ class TestRescue:
             np.all(grid.positions == before, axis=1)
         )
         assert np.array_equal(out.centers[0], local.centers[0])
+
+    def test_residual_energies_by_blocks(self, blob_data):
+        """The re-seeding voxel is the argmax of ||X_v - (W F)^T_v||^2, found
+        without forming the V x T residual."""
+        subjects, grid, _, _ = blob_data
+        X = subjects[0].X
+        weights = np.random.default_rng(23).standard_normal((X.shape[1], 3))
+        weights[:, 2] = 0.0
+        local = htfa.LocalModel("s0", grid.positions[[5, 300, 900]] + 0.5, np.full(3, 4.0),
+                                weights, 1.0)
+        R = X - (weights @ rbf_factor_matrix(local.centers, local.widths, grid)).T
+        voxel = np.argmax((R**2).sum(axis=1))
+        peak = traced_peak(htfa._rescue_degenerate, subjects[0], local)
+        assert peak < X.nbytes / 4, (peak, X.nbytes)
+        assert np.array_equal(local.centers[2], grid.positions[voxel])

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
+from datagen import traced_peak
+
 from factorfit import trf
 from factorfit.errors import ConfigError, EvaluationError, InvalidInputError, ShapeError
 from factorfit.trf import LeastSquaresProblem, TrfConfig, check_jacobian, solve
@@ -221,6 +223,32 @@ class TestNormalFn:
         with pytest.raises(EvaluationError) as excinfo:
             solve(self.problem(normal), np.zeros(2))
         assert excinfo.value.x is not None
+
+    def test_at_most_two_residuals_alive(self):
+        """Far from a linear problem's solution each trial reaches the edge
+        of the region with an exact model, so the solver keeps doubling the
+        radius. The accepted residual is dropped once (H, g) are formed and
+        a better trial replaces the best one, so a trial holds at most the
+        best residual, its own and the finiteness check's bool array."""
+        n = 200_000
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((n, 2))
+        b = A @ np.array([40.0, -25.0])
+        gram = A.T @ A
+
+        def residual(x):
+            r = A @ x
+            r -= b
+            return r
+
+        problem = LeastSquaresProblem(2, n, residual, normal_fn=lambda x, r: (gram, A.T @ r))
+        results = []
+        peak = traced_peak(
+            lambda: results.append(solve(problem, np.zeros(2), TrfConfig(initial_trust_radius=1e-2)))
+        )
+        assert np.allclose(results[0].x, [40.0, -25.0])
+        assert results[0].nfev > results[0].iterations + 1  # the doubling retries
+        assert peak <= 2 * 8 * n + n + 64 * 1024, peak / (8 * n)
 
 
 _coords = st.floats(-10.0, 10.0, allow_nan=False)
