@@ -49,7 +49,6 @@ config = htfa.HtfaConfig(
     k=3,
     outer_iterations=5,
     local_iterations=4,
-    seed=3,
     nlls=trf.TrfConfig(max_iterations=25),
 )
 plan = htfa.SubsamplePlan(max_voxels=300, max_trs=25, seed=5)

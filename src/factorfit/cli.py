@@ -339,7 +339,6 @@ def _cmd_fit_htfa(args):
         local_iterations=args.local_iters,
         width_lower_frac=args.width_lo,
         width_upper_frac=args.width_hi,
-        seed=args.seed,
     )
     plan = htfa.SubsamplePlan(
         voxel_fraction=args.voxel_frac,

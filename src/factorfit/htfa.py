@@ -12,17 +12,15 @@ bound-constrained nonlinear least-squares block solves, one for all
 centers with widths fixed and one for all widths with centers fixed.
 Splitting the blocks shrinks the Jacobian (3K or K columns instead of
 4K) and drops the K prior residuals of the frozen block, which are
-constant. The data rows of each block Jacobian have Khatri-Rao
-structure, so the solver gets J^T J and J^T r from K x K and
-K x Vtilde products and nothing of size Ttilde x Vtilde x K is formed.
-Each evaluation allocates little beyond what it returns: the residual
-is written in place in the array handed to the solver, the center
-gradients are built once in one C-contiguous 3K x Vtilde buffer, and
-the sampled block is gathered once per local iteration as a
-C-contiguous Ttilde x Vtilde array. Matching pursuit seeds the template
-(:func:`init_template`) without forming a V x T temporary.
-Data rows are weighted by sqrt(1/(2 sigma_i^2)), prior rows by
-sqrt(1/(2 phi_i)) through the prior precisions, with phi_i the
+constant. One builder (:func:`_block_problem`) serves both blocks: the
+data rows of its Jacobian have Khatri-Rao structure, so the solver gets
+J^T J and J^T r from K x K and K x Vtilde products and nothing of size
+Ttilde x Vtilde x K is formed; the residual is written in place in the
+array handed to the solver, and the sampled block is gathered once per
+local iteration as a C-contiguous Ttilde x Vtilde array. Matching
+pursuit seeds the template (:func:`init_template`) without forming a
+V x T temporary. Data rows are weighted by sqrt(1/(2 sigma_i^2)), prior
+rows by sqrt(1/(2 phi_i)) through the prior precisions, with phi_i the
 subsampling compensation (T_i V_i) / (Ttilde_i Vtilde_i).
 
 The global step combines gathered local centers/widths with the
@@ -76,7 +74,7 @@ class GlobalTemplate:
     """
 
     centers: np.ndarray          # K x 3
-    center_cov: Optional[np.ndarray]  # K x 3 x 3, root only mid-fit
+    center_cov: Optional[np.ndarray]  # K x 3 x 3
     widths: np.ndarray           # K
     width_var: Optional[np.ndarray]   # K
     prior_center_cov: np.ndarray  # 3 x 3
@@ -119,6 +117,9 @@ class SubsamplePlan:
 
 @dataclass
 class HtfaConfig:
+    """HTFA fit settings. Nothing reads ``seed``: the template seeding is
+    deterministic, and the subsampling draws from ``SubsamplePlan.seed``."""
+
     k: int = 60
     outer_iterations: int = 10
     local_iterations: int = 10
@@ -275,32 +276,17 @@ def update_weights(Xtilde, Ftilde, alpha2):
     return (Xtilde @ Ftilde.T) @ inv
 
 
-def _center_bounds(grid, k):
-    lo, hi = grid.bounding_box()
-    return np.tile(lo, k), np.tile(hi, k)
-
-
 def _add_prior_blocks(H, rows):
-    """H[3j:3j+3, 3j:3j+3] += outer(rows[j], rows[j]) for each factor j.
+    """H[mj:mj+m, mj:mj+m] += outer(rows[j], rows[j]) for each factor j.
 
-    Writes through a (k, 3, k, 3) view of the 3K x 3K matrix ``H``, so
-    no block-diagonal matrix is formed.
+    ``rows`` is K x m: the prior's gradient rows, m = 3 for the centers
+    and m = 1 (the width prior's diagonal) for the widths. Writes through
+    a (K, m, K, m) view of the mK x mK matrix ``H``, so no block-diagonal
+    matrix is formed.
     """
-    k = rows.shape[0]
+    k, m = rows.shape
     j = np.arange(k)
-    H.reshape(k, 3, k, 3)[j, :, j] += rows[:, :, None] * rows[:, None, :]
-
-
-def _data_residual(out, Xtilde, W, F, data_w):
-    """Write the data rows a (Xtilde - W F) into ``out``, a flat array.
-
-    W F, the subtraction and the weight a all run in place in the first
-    Ttilde * Vtilde entries of ``out``.
-    """
-    R = out[:Xtilde.size].reshape(Xtilde.shape)
-    np.matmul(W, F, out=R)
-    np.subtract(Xtilde, R, out=R)
-    R *= data_w
+    H.reshape(k, m, k, m)[j, :, j] += rows[:, :, None] * rows[:, None, :]
 
 
 def _factor_memo(grid_view):
@@ -324,100 +310,116 @@ def _factor_memo(grid_view):
     return at
 
 
-def build_center_problem(
-    Xtilde, W, widths, template, phi, grid_view, noise_weight, bounds_grid,
-    factors=None,
-):
-    """Center-block NLLS problem: 3K variables, Vtilde*Ttilde + K residuals.
+def _block_problem(Xtilde, W, noise_weight, m, evaluate, gradients, lower, upper):
+    """NLLS problem over one parameter block of m values per factor.
 
-    ``Xtilde`` is the sampled TRs x voxels matrix, ``W`` its weight
-    rows, ``grid_view`` the sampled voxels and ``bounds_grid`` the
-    subject's whole grid, whose bounding box bounds the centers. The K
-    width-prior residuals are constant with widths frozen and are
-    dropped. With the 3K x Vtilde G = dF/dmu = F * 2 (p - mu) / lambda
-    and a the data weight, ``normal_fn`` returns
-    J^T J = a^2 (W^T W kron 1_3x3) * (G G^T) and
-    J^T r = -a sum_v G (W^T R) plus the prior rows; ``jacobian_fn``
-    forms the dense Jacobian from the same G, as a test oracle.
-    ``residual_fn`` writes W F, the subtraction and the weight a into
-    the array it returns; ``normal_fn`` builds G once, in one
-    C-contiguous K x 3 x Vtilde buffer from a 3 x Vtilde copy of the
-    positions made once per problem, so G G^T needs no further copy. F is
-    shared between ``residual_fn`` and ``normal_fn`` at the same x through
-    ``factors``, an F memo (:func:`_factor_memo` on ``grid_view``) that
-    keeps the last point it evaluated and recomputes only for another.
-    Passing the memo the caller already evaluated F with, and later
-    handing it to the width problem, lets the solves start from F known
-    at their x0.
+    Residuals are the Ttilde*Vtilde data rows a (Xtilde - W F), with a =
+    sqrt(noise_weight), then K prior residuals. ``evaluate(x)`` returns
+    (F, the prior residuals, their K x m gradient rows) and
+    ``gradients(x, F)`` the K x m x Vtilde G = dF/dx. ``residual_fn``
+    writes W F, the subtraction and the weight a into the array it
+    returns. ``normal_fn`` returns J^T J = a^2 (W^T W kron 1_mxm) * (G G^T)
+    plus the prior's m x m blocks and J^T r = rows * r_prior -
+    a sum_v G (W^T R), so nothing of size Ttilde x Vtilde x K is formed;
+    ``jacobian_fn`` forms the dense Jacobian from the same G, as a test
+    oracle.
     """
-    k = template.centers.shape[0]
     n_trs, n_vox = Xtilde.shape
+    k = W.shape[1]
     n_data = n_trs * n_vox
     data_w = np.sqrt(noise_weight)
-    prior_w = np.sqrt(1.0 / (2.0 * phi))
-    prior_prec = spd_inverse(template.prior_center_cov)
-    prior_centers = template.centers
-    widths = np.asarray(widths, dtype=np.float64)
-    pos_t = np.ascontiguousarray(grid_view.positions.T)  # 3 x Vtilde
-    wtw = np.kron(W.T @ W, np.ones((3, 3)))
-    if factors is None:
-        factors = _factor_memo(grid_view)
-
-    def evaluate(x):
-        """F, the scaled prior residuals sqrt(d^T P d) and their K x 3 gradient rows."""
-        centers = x.reshape(k, 3)
-        F = factors(centers, widths)
-        D = centers - prior_centers
-        U = D @ prior_prec
-        q = np.einsum("kd,kd->k", D, U)
-        rows = np.zeros_like(U)
-        live = q > 1e-300
-        rows[live] = prior_w * U[live] / np.sqrt(q[live])[:, None]
-        return F, prior_w * np.sqrt(np.maximum(q, 0.0)), rows
-
-    def gradients(x, F):
-        """G = dF/dmu in one C-contiguous K x 3 x Vtilde buffer."""
-        G = np.empty((k, 3, n_vox))
-        np.subtract(pos_t, x.reshape(k, 3, 1), out=G)
-        G *= (F * (2.0 / widths)[:, None])[:, None]
-        return G
+    wtw = np.kron(W.T @ W, np.ones((m, m)))
 
     def residual(x):
         F, prior_residuals, _ = evaluate(x)
         out = np.empty(n_data + k)
-        _data_residual(out, Xtilde, W, F, data_w)
+        R = out[:n_data].reshape(n_trs, n_vox)
+        np.matmul(W, F, out=R)
+        np.subtract(Xtilde, R, out=R)
+        R *= data_w
         out[n_data:] = prior_residuals
         return out
 
     def normal(x, r):
         F, _, rows = evaluate(x)
-        G = gradients(x, F)  # K x 3 x Vtilde
+        G = gradients(x, F)
         WtR = W.T @ r[:n_data].reshape(n_trs, n_vox)
         g = (rows * r[n_data:, None] - data_w * np.einsum("kdv,kv->kd", G, WtR)).ravel()
-        G = G.reshape(3 * k, n_vox)
+        G = G.reshape(m * k, n_vox)
         H = (noise_weight * wtw) * (G @ G.T)
         _add_prior_blocks(H, rows)
         return H, g
 
     def jacobian(x):
         F, _, rows = evaluate(x)
-        J = np.zeros((n_data + k, 3 * k))
+        J = np.zeros((n_data + k, m * k))
         J[:n_data] = (-data_w * np.einsum("tk,kdv->tvkd", W, gradients(x, F))).reshape(
-            n_data, 3 * k
+            n_data, m * k
         )
         j = np.arange(k)
-        J[n_data:].reshape(k, k, 3)[j, j] = rows
+        J[n_data:].reshape(k, k, m)[j, j] = rows
         return J
 
-    lo, hi = _center_bounds(bounds_grid, k)
     return trf.LeastSquaresProblem(
-        n_vars=3 * k,
+        n_vars=m * k,
         n_residuals=n_data + k,
         residual_fn=residual,
         jacobian_fn=jacobian,
-        lower=lo,
-        upper=hi,
+        lower=lower,
+        upper=upper,
         normal_fn=normal,
+    )
+
+
+def build_center_problem(
+    Xtilde, W, widths, template, phi, grid_view, noise_weight, bounds_grid,
+    factors=None,
+):
+    """Center-block NLLS problem (:func:`_block_problem`, m = 3): 3K
+    variables, Vtilde*Ttilde + K residuals.
+
+    ``Xtilde`` is the sampled TRs x voxels matrix, ``W`` its weight
+    rows, ``grid_view`` the sampled voxels and ``bounds_grid`` the
+    subject's whole grid, whose bounding box bounds the centers. The K
+    width-prior residuals are constant with widths frozen and are
+    dropped; the K center-prior residuals are sqrt(1/(2 phi)) sqrt(d^T P d),
+    d the offset from the template center and P = Sigma_mu^{-1}. G = dF/dmu = F * 2 (p - mu) /
+    lambda is built once per evaluation in one C-contiguous K x 3 x
+    Vtilde buffer, from a 3 x Vtilde copy of the positions made once per
+    problem. ``factors`` is an F memo (:func:`_factor_memo` on
+    ``grid_view``) that keeps the last point it evaluated, so the residual
+    and (J^T J, J^T r) at one x share F; passing the memo the caller
+    already evaluated F with, and later handing it to the width problem,
+    lets the solves start from F known at their x0.
+    """
+    k = template.centers.shape[0]
+    prior_w = np.sqrt(1.0 / (2.0 * phi))
+    prior_prec = spd_inverse(template.prior_center_cov)
+    prior_centers = template.centers
+    widths = np.asarray(widths, dtype=np.float64)
+    pos_t = np.ascontiguousarray(grid_view.positions.T)  # 3 x Vtilde
+    if factors is None:
+        factors = _factor_memo(grid_view)
+
+    def evaluate(x):
+        centers = x.reshape(k, 3)
+        D = centers - prior_centers
+        U = D @ prior_prec
+        q = np.einsum("kd,kd->k", D, U)
+        rows = np.zeros_like(U)
+        live = q > 1e-300
+        rows[live] = prior_w * U[live] / np.sqrt(q[live])[:, None]
+        return factors(centers, widths), prior_w * np.sqrt(np.maximum(q, 0.0)), rows
+
+    def gradients(x, F):
+        G = np.empty((k, 3, F.shape[1]))
+        np.subtract(pos_t, x.reshape(k, 3, 1), out=G)
+        G *= (F * (2.0 / widths)[:, None])[:, None]
+        return G
+
+    lo, hi = bounds_grid.bounding_box()
+    return _block_problem(
+        Xtilde, W, noise_weight, 3, evaluate, gradients, np.tile(lo, k), np.tile(hi, k)
     )
 
 
@@ -425,65 +427,36 @@ def build_width_problem(
     Xtilde, W, centers, template, phi, grid_view, noise_weight, config, bounds_grid,
     factors=None,
 ):
-    """Width-block NLLS problem: K variables, Vtilde*Ttilde + K residuals.
+    """Width-block NLLS problem (:func:`_block_problem`, m = 1): K
+    variables, Vtilde*Ttilde + K residuals.
 
-    The width-prior residuals are linear. With the K x Vtilde
-    G = dF/dlambda = F * ||p - mu||^2 / lambda^2, ``normal_fn`` returns
-    J^T J = a^2 (W^T W) * (G G^T) plus the prior diagonal and J^T r as
-    for the centers; ``jacobian_fn`` is the dense test oracle. The
-    squared distances ||p - mu||^2 are formed once per problem, the
-    residual is written in place as for the centers and G in place in
-    its one K x Vtilde buffer. F is shared between ``residual_fn`` and
-    ``normal_fn`` at the same x, and ``factors`` is an F memo, as for the
-    centers. The widths are bounded by :func:`width_bounds` on
-    ``bounds_grid``.
+    The width-prior residuals sqrt(1/(2 phi sigma_lambda^2)) (lambda -
+    lambdaBar) are linear, so their rows are that constant.
+    G = dF/dlambda = F * ||p - mu||^2 / lambda^2 is built in place in one
+    K x Vtilde buffer from squared distances formed once per problem.
+    ``factors`` is an F memo, as for the centers. The widths are bounded
+    by :func:`width_bounds` on ``bounds_grid``.
     """
     k = template.centers.shape[0]
-    n_trs, n_vox = Xtilde.shape
-    n_data = n_trs * n_vox
-    data_w = np.sqrt(noise_weight)
     width_prior_w = np.sqrt(1.0 / (2.0 * phi * template.prior_width_var))
     prior_widths = template.widths
+    rows = np.full((k, 1), width_prior_w)
     centers = np.asarray(centers, dtype=np.float64).reshape(k, 3)
     d2 = _sq_distances(centers, grid_view.positions)
-    wtw = W.T @ W
     if factors is None:
         factors = _factor_memo(grid_view)
 
-    def gradients(x):
-        G = factors(centers, x) * d2
+    def evaluate(x):
+        return factors(centers, x), width_prior_w * (x - prior_widths), rows
+
+    def gradients(x, F):
+        G = F * d2
         G /= (x**2)[:, None]
-        return G
-
-    def residual(x):
-        out = np.empty(n_data + k)
-        _data_residual(out, Xtilde, W, factors(centers, x), data_w)
-        out[n_data:] = width_prior_w * (x - prior_widths)
-        return out
-
-    def normal(x, r):
-        G = gradients(x)
-        H = (noise_weight * wtw) * (G @ G.T)
-        H[np.diag_indices(k)] += width_prior_w**2
-        WtR = W.T @ r[:n_data].reshape(n_trs, n_vox)
-        g = -data_w * np.einsum("kv,kv->k", G, WtR) + width_prior_w * r[n_data:]
-        return H, g
-
-    def jacobian(x):
-        J = np.zeros((n_data + k, k))
-        J[:n_data] = (-data_w * np.einsum("tk,kv->tvk", W, gradients(x))).reshape(n_data, k)
-        J[n_data:] = width_prior_w * np.eye(k)
-        return J
+        return G[:, None]
 
     lo, hi = width_bounds(bounds_grid, config)
-    return trf.LeastSquaresProblem(
-        n_vars=k,
-        n_residuals=n_data + k,
-        residual_fn=residual,
-        jacobian_fn=jacobian,
-        lower=np.full(k, lo),
-        upper=np.full(k, hi),
-        normal_fn=normal,
+    return _block_problem(
+        Xtilde, W, noise_weight, 1, evaluate, gradients, np.full(k, lo), np.full(k, hi)
     )
 
 
@@ -540,6 +513,7 @@ def local_step(subject, template, local, config, plan, rng=None):
             wrapped = type(exc)(f"subject {subject.subject_id}: {exc}")
         except Exception:
             raise exc
+        wrapped.__dict__.update(vars(exc))  # keep .x, .pivot, .rank ...
         raise wrapped from exc
     return LocalModel(
         subject_id=subject.subject_id,
@@ -600,16 +574,53 @@ def _rescue_degenerate(subject, local):
     return local
 
 
+def _broadcast_template(comm, template):
+    """The root's whole template on every rank, in one broadcast.
+
+    One (K+1) x 14 matrix: row k holds centers[k], widths[k],
+    center_cov[k] (9 values) and width_var[k]; the last row holds the 3 x 3
+    prior covariance, the prior width variance and 4 zeros. Other ranks
+    pass anything as ``template``; every rank gets its own copy.
+    """
+    packed = None
+    if comm.rank == 0:
+        k = template.centers.shape[0]
+        priors = np.zeros((1, 14))
+        priors[0, :9] = template.prior_center_cov.ravel()
+        priors[0, 9] = template.prior_width_var
+        packed = np.vstack([
+            np.hstack([
+                template.centers,
+                template.widths[:, None],
+                template.center_cov.reshape(k, 9),
+                template.width_var[:, None],
+            ]),
+            priors,
+        ])
+    packed = comm.broadcast(packed)
+    k = packed.shape[0] - 1
+    return GlobalTemplate(
+        centers=packed[:k, :3].copy(),
+        center_cov=packed[:k, 4:13].reshape(k, 3, 3).copy(),
+        widths=packed[:k, 3].copy(),
+        width_var=packed[:k, 13].copy(),
+        prior_center_cov=packed[k, :9].reshape(3, 3).copy(),
+        prior_width_var=float(packed[k, 9]),
+    )
+
+
 def fit(subjects, config, plan, comm, iteration_log=None):
     """Distributed MAP fit; ``subjects`` are this worker's share.
 
-    Outer loop: broadcast template -> per-subject local steps -> gather
-    one [centers, widths, noise variance] row of 4K + 1 values per
-    subject, in subject order -> root template update. One K x 14
-    broadcast then hands the final template with its posterior
-    covariances to every rank, and a final pass rebuilds every subject's
-    full weight matrix from its final factors. Returns (template, local
-    models); the template is identical on every rank.
+    Outer loop: broadcast the template -> per-subject local steps ->
+    gather one [centers, widths, noise variance] row of 4K + 1 values per
+    subject, in subject order -> root template update. Each template
+    broadcast (:func:`_broadcast_template`) hands the root's whole
+    template, posterior covariances and priors included, to every rank;
+    one more after the loop hands over the final template, and a final
+    pass rebuilds every subject's full weight matrix from its final
+    factors. Returns (template, local models); the template is identical
+    on every rank.
 
     When ``iteration_log`` is a list, the root appends the mean data-noise
     variance over all N subjects once per outer iteration, so the trace
@@ -631,15 +642,6 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     k = config.k
 
     template = init_template(subjects[0], config) if comm.rank == 0 else None
-    prior_center_cov = comm.broadcast(
-        template.prior_center_cov if comm.rank == 0 else None
-    )
-    prior_width_var = float(
-        comm.broadcast(
-            np.array([[template.prior_width_var]]) if comm.rank == 0 else None
-        )[0, 0]
-    )
-
     locals_ = [
         LocalModel(
             subject_id=s.subject_id,
@@ -652,24 +654,12 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     ]
 
     for outer in range(config.outer_iterations):
-        packed = comm.broadcast(
-            np.hstack([template.centers, template.widths[:, None]])
-            if comm.rank == 0
-            else None
-        )
-        shared = GlobalTemplate(
-            centers=packed[:, :3].copy(),
-            center_cov=None,
-            widths=packed[:, 3].copy(),
-            width_var=None,
-            prior_center_cov=prior_center_cov,
-            prior_width_var=prior_width_var,
-        )
+        template = _broadcast_template(comm, template)
         for j, subject in enumerate(subjects):
             rng = np.random.default_rng(
                 (plan.seed & 0xFFFFFFFFFFFFFFFF, offset + j, outer)
             )
-            locals_[j] = local_step(subject, shared, locals_[j], config, plan, rng=rng)
+            locals_[j] = local_step(subject, template, locals_[j], config, plan, rng=rng)
             locals_[j] = _rescue_degenerate(subject, locals_[j])
         blocks = gather_rows(
             comm,
@@ -686,26 +676,7 @@ def fit(subjects, config, plan, comm, iteration_log=None):
             )
             if iteration_log is not None:
                 iteration_log.append(float(np.mean(gathered[:, 4 * k])))
-
-    # hand the final template to every rank as one K x 14 matrix
-    packed = comm.broadcast(
-        np.hstack([
-            template.centers,
-            template.widths[:, None],
-            template.center_cov.reshape(k, 9),
-            template.width_var[:, None],
-        ])
-        if comm.rank == 0
-        else None
-    )
-    template = GlobalTemplate(
-        centers=packed[:, :3].copy(),
-        center_cov=packed[:, 4:13].reshape(k, 3, 3).copy(),
-        widths=packed[:, 3].copy(),
-        width_var=packed[:, 13].copy(),
-        prior_center_cov=prior_center_cov,
-        prior_width_var=prior_width_var,
-    )
+    template = _broadcast_template(comm, template)
 
     # final full-weight refresh against each subject's complete data
     for j, subject in enumerate(subjects):

@@ -253,8 +253,8 @@ def rbf_factor_matrix(centers, widths, grid):
 def rbf_factor_matrix_direct(centers, widths, positions):
     """Uncached reference path of :func:`rbf_factor_matrix`.
 
-    Used for irregular clouds that have no grid decomposition and as the
-    oracle the cached path is tested against.
+    No fit goes through it (``VoxelGrid.from_positions`` decomposes every
+    cloud); it is the oracle of criterion 10 and ``validate rbf-cache``.
     """
     centers, widths = _check_rbf_args(centers, widths)
     pos = _as_matrix(positions, "positions")

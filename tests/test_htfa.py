@@ -11,7 +11,9 @@ from datagen import blob_subjects, cuboid_grid, scattered_blob_subjects, traced_
 from factorfit import htfa, reference, trf
 from factorfit.collectives import SerialCommunicator, create_thread_communicators
 from factorfit.data_io import SubjectData
-from factorfit.errors import ConfigError, DefinitenessError, InvalidInputError, ShapeError
+from factorfit.errors import (
+    ConfigError, DefinitenessError, EvaluationError, InvalidInputError, ShapeError,
+)
 from factorfit.kernels import rbf_factor_matrix
 
 
@@ -356,9 +358,11 @@ class TestBlockProblems:
         rows = prior_rows.reshape(k, k, 3)[np.arange(k), np.arange(k)]
         assert np.all(rows != 0.0)
         assert prior_rows.tobytes() == block_diag(*rows[:, None]).tobytes()
-        for k in (1, 2, 5):
-            H = rng.standard_normal((3 * k, 3 * k))
-            rows = rng.standard_normal((k, 3))
+        # m = 3: the center prior's gradient rows; m = 1: the width prior's
+        # constant diagonal
+        for k, m in [(1, 3), (2, 3), (5, 3), (1, 1), (5, 1)]:
+            H = rng.standard_normal((m * k, m * k))
+            rows = rng.standard_normal((k, m))
             want = H + block_diag(*(rows[:, :, None] * rows[:, None, :]))
             htfa._add_prior_blocks(H, rows)
             assert H.tobytes() == want.tobytes()
@@ -554,6 +558,29 @@ class TestLocalStep:
         with pytest.raises(Exception, match="s0"):
             htfa.local_step(subjects[0], bad, local, config, small_plan())
 
+    def test_wrapped_error_keeps_its_attributes(self, blob_data, monkeypatch):
+        """A non-finite residual inside a local step surfaces as an
+        EvaluationError that names the subject and still holds its point."""
+        subjects, _, _, _ = blob_data
+        config = small_config(local=1)
+        template = htfa.init_template(subjects[0], config)
+        local = htfa.LocalModel(
+            "s0", np.zeros((3, 3)), np.ones(3), np.zeros((subjects[0].X.shape[1], 3)), 1.0
+        )
+        original, calls = htfa.rbf_factor_matrix, []
+
+        def poisoned(*args):
+            calls.append(None)
+            F = original(*args)
+            return F if len(calls) == 1 else np.full_like(F, np.nan)
+
+        monkeypatch.setattr(htfa, "rbf_factor_matrix", poisoned)
+        with pytest.raises(EvaluationError, match="subject s0: ") as info:
+            htfa.local_step(subjects[0], template, local, config, small_plan())
+        cause = info.value.__cause__
+        assert isinstance(cause, EvaluationError) and cause.x is not None
+        assert info.value.x is cause.x
+
 
 class TestGlobalStep:
     def rand_template(self, rng, k=4):
@@ -668,9 +695,8 @@ class TestFit:
         lo, hi = grid.bounding_box()
         assert np.all(template.centers >= lo) and np.all(template.centers <= hi)
         assert all(m.weights.shape == (s.X.shape[1], 3) for m, s in zip(locals_, subjects))
-        # rank_offsets, the two priors, one template per outer iteration
-        # and the final K x 14 template
-        assert comm.stats.bcast_calls == config.outer_iterations + 4
+        # rank_offsets, one template per outer iteration and the final one
+        assert comm.stats.bcast_calls == config.outer_iterations + 2
 
     def test_serial_vs_threads_identical(self, blob_data):
         subjects, _, _, _ = blob_data
@@ -741,6 +767,41 @@ class TestFit:
                 got, want = getattr(template, field), getattr(serial_t, field)
                 assert got.tobytes() == want.tobytes()
 
+
+    def test_template_broadcast_byte_for_byte(self, blob_data):
+        """Every one of 3 thread ranks gets the root's whole template,
+        posterior covariances and priors included."""
+        subjects, _, _, _ = blob_data
+        root = htfa.init_template(subjects[0], small_config())
+        # distinct covariances per factor, so a row mix-up shows
+        root.center_cov = root.center_cov * np.arange(1.0, 4.0)[:, None, None]
+        comms = create_thread_communicators(3, timeout=30.0)
+        results = [None] * 3
+
+        def run(rank):
+            try:
+                results[rank] = htfa._broadcast_template(
+                    comms[rank], root if rank == 0 else None
+                )
+            except BaseException:
+                comms[rank].abort()
+                raise
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+        for got in results:
+            for name in ("centers", "center_cov", "widths", "width_var", "prior_center_cov"):
+                want = getattr(root, name)
+                assert getattr(got, name).shape == want.shape
+                assert getattr(got, name).tobytes() == want.tobytes()
+            assert np.float64(got.prior_width_var).tobytes() == np.float64(
+                root.prior_width_var
+            ).tobytes()
+        assert [c.stats.bcast_calls for c in comms] == [1, 1, 1]
 
     @pytest.mark.parametrize("seed", [0, 2, 6, 13])
     def test_no_factor_lost(self, seed):
