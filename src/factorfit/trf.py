@@ -1,20 +1,19 @@
 """Bound-constrained nonlinear least squares by a trust-region reflective method.
 
-Minimizes 0.5 * ||r(x)||^2 subject to box bounds. The trust-region
-subproblem is solved in a 2-D subspace spanned by the scaled gradient
-and the Gauss-Newton direction; bounds are handled by Coleman-Li
-interior scaling with reflected search directions, so iterates stay
-strictly feasible while the region shrinks naturally near active
-bounds. After termination, components resting against a bound are
-snapped onto it exactly when that does not increase the cost.
+Minimizes 0.5 * ||r(x)||^2 subject to box bounds. Bounds are handled by
+Coleman-Li interior scaling with reflected search directions, so
+iterates stay strictly feasible while the region shrinks naturally near
+active bounds. After termination, components resting against a bound
+are snapped onto it exactly when that does not increase the cost.
 
 The solver only sees the normal-equation pieces H = J^T J and
 g = J^T r: a problem may supply them directly through ``normal_fn``
 (so a structured problem never forms its Jacobian), otherwise they are
-formed from the analytic or finite-difference Jacobian. The
-Gauss-Newton direction comes from an eigendecomposition of the scaled
-model Hessian; Levenberg damping is added when its condition number
-exceeds 1e12.
+formed from the analytic or finite-difference Jacobian. One
+eigendecomposition of the scaled model Hessian per iteration is its
+only factorization: every trial radius takes the exact trust-region
+step in that eigenbasis, with Levenberg damping added when the
+condition number exceeds 1e12.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +33,8 @@ __all__ = [
 ]
 
 _LEVENBERG_RATIO = 1e-12  # damp when mu_min <= ratio * mu_max
+_SECULAR_ITERATIONS = 50  # cap on Newton steps for the boundary multiplier
+_SECULAR_RTOL = 1e-10  # accept ||p|| within this fraction above the radius
 
 
 @dataclass
@@ -239,45 +240,44 @@ def _evaluate_quadratic(M, g, s):
     return 0.5 * float(s @ (M @ s)) + float(g @ s)
 
 
-def _gauss_newton_step(M, g_h):
-    """Solve M p = -g_h by eigendecomposition of the scaled model Hessian M."""
+def _eigen_model(M, g_h):
+    """Eigenvalues mu, eigenvectors V and V^T g_h of the scaled model Hessian M.
+
+    Negative eigenvalues (rounding; M is PSD) are clipped to zero, and a
+    Levenberg floor of ``_LEVENBERG_RATIO * mu_max`` is added when M is
+    near-singular, so mu is positive unless M = 0, when it is all zero.
+    """
     mu, V = np.linalg.eigh(M)
-    if mu[-1] <= 0.0:
-        return np.zeros_like(g_h)
     mu = np.maximum(mu, 0.0)
     if mu[0] <= _LEVENBERG_RATIO * mu[-1]:
-        mu = mu + _LEVENBERG_RATIO * mu[-1]  # Levenberg damping, near-singular M
-    return -V @ ((V.T @ g_h) / mu)
+        mu += _LEVENBERG_RATIO * mu[-1]
+    return mu, V, V.T @ g_h
 
 
-def _solve_trust_region_2d(B, g, radius):
-    """Exact minimizer of 0.5 p^T B p + g^T p over ||p|| <= radius, dim <= 2."""
-    if B.shape[0] == 1:
-        a = 0.5 * float(B[0, 0])
-        t, _ = _minimize_quadratic_1d(a, float(g[0]), -radius, radius)
-        return np.array([t])
-    # interior Newton point when B is positive definite
-    det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    if B[0, 0] > 0.0 and det > 0.0:
-        p = -np.linalg.solve(B, g)
-        if norm(p) <= radius:
-            return p
-    # boundary: parametrize p = radius*(sin th, cos th), t = tan(th/2);
-    # stationarity of the model along the circle is a quartic in t
-    a = radius**2 * (B[0, 0] - B[1, 1])
-    b = radius**2 * B[0, 1]
-    c = radius * g[0]
-    d = radius * g[1]
-    coeffs = np.array([c - b, 2 * (a + d), 6 * b, 2 * (d - a), -b - c])
-    if np.all(coeffs == 0.0):
-        return np.array([0.0, radius])
-    t = np.roots(coeffs)
-    t = np.real(t[np.isreal(t)])
-    if t.size == 0:
-        return np.array([0.0, radius])
-    p = radius * np.vstack([2 * t / (1 + t**2), (1 - t**2) / (1 + t**2)])
-    values = 0.5 * np.sum(p * (B @ p), axis=0) + g @ p
-    return p[:, int(np.argmin(values))]
+def _trust_region_step(mu, V, Vg, radius):
+    """Minimizer of 0.5 p^T M p + g^T p over ||p|| <= radius, M = V diag(mu) V^T.
+
+    The Newton step -V (Vg / mu) is taken when it lies inside the region.
+    Otherwise p(lam) = -V (Vg / (mu + lam)) with ||p(lam)|| = radius is
+    found by Newton's method on 1/radius - 1/||p(lam)|| from lam = 0
+    (More & Sorensen, 1983), which increases lam monotonically towards
+    the root; the last iterate is scaled back onto the boundary. M = 0
+    steps along -g to the boundary.
+    """
+    if mu[-1] == 0.0:
+        return V @ (Vg * (-radius / norm(Vg)))
+    q = Vg / mu
+    q_norm = norm(q)
+    lam = 0.0
+    for _ in range(_SECULAR_ITERATIONS):
+        if q_norm <= radius * (1.0 + _SECULAR_RTOL):
+            break
+        lam += (q_norm / radius - 1.0) * q_norm**2 / float(q @ (q / (mu + lam)))
+        q = Vg / (mu + lam)
+        q_norm = norm(q)
+    if q_norm > radius:
+        q *= radius / q_norm
+    return -(V @ q)
 
 
 def _select_step(x, M, g_h, p, p_h, d, radius, lb, ub, theta):
@@ -360,17 +360,11 @@ def _snap_to_bounds(residual, x, cost, g, lb, ub, cfg):
     with r the residual at a kept snap and None otherwise.
     """
     window = 100.0 * cfg.step_tolerance
-    candidate = x.copy()
-    snapped = False
-    for j in range(x.size):
-        if np.isfinite(ub[j]) and g[j] < 0 and ub[j] - x[j] <= window * max(1.0, abs(ub[j])):
-            candidate[j] = ub[j]
-            snapped = True
-        elif np.isfinite(lb[j]) and g[j] > 0 and x[j] - lb[j] <= window * max(1.0, abs(lb[j])):
-            candidate[j] = lb[j]
-            snapped = True
-    if not snapped:
+    to_ub = np.isfinite(ub) & (g < 0) & (ub - x <= window * np.maximum(1.0, np.abs(ub)))
+    to_lb = np.isfinite(lb) & (g > 0) & (x - lb <= window * np.maximum(1.0, np.abs(lb)))
+    if not (np.any(to_ub) or np.any(to_lb)):
         return x, cost, None
+    candidate = np.where(to_ub, ub, np.where(to_lb, lb, x))
     r = residual(candidate)
     cost_new = 0.5 * float(r @ r)
     if cost_new <= cost:
@@ -424,19 +418,14 @@ def solve(problem, x0, config=None):
         M = d[:, None] * H * d  # scaled model Hessian D H D + diag(diag_h)
         M[np.diag_indices_from(M)] += diag_h
 
-        gn_h = _gauss_newton_step(M, g_h)
-        basis = np.column_stack([g_h, gn_h])
-        S, _ = np.linalg.qr(basis)
-        B_S = S.T @ M @ S
-        g_S = S.T @ g_h
+        mu, V, Vg = _eigen_model(M, g_h)
 
         theta = max(0.995, 1.0 - g_proj_norm)
         best = None  # most improving trial of this iteration
         expansions = 0
 
         for _ in range(60):
-            p_S = _solve_trust_region_2d(B_S, g_S, radius)
-            p_h = S @ p_S
+            p_h = _trust_region_step(mu, V, Vg, radius)
             p = d * p_h
             step, step_h, predicted = _select_step(
                 x, M, g_h, p, p_h, d, radius, lb, ub, theta

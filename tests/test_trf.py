@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import norm
 from scipy.optimize import lsq_linear
 
-from datagen import traced_peak
+from datagen import blob_subjects, traced_peak
 
-from factorfit import trf
+from factorfit import htfa, trf
 from factorfit.errors import ConfigError, EvaluationError, InvalidInputError, ShapeError
+from factorfit.kernels import rbf_factor_matrix
 from factorfit.trf import LeastSquaresProblem, TrfConfig, check_jacobian, solve
 
 
@@ -31,6 +33,35 @@ def rosenbrock_problem():
         return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
     return LeastSquaresProblem(2, 2, residual, jacobian)
+
+
+def box_problem():
+    """Target outside a box in both coordinates: each ends on a bound."""
+    return linear_problem(
+        np.array([5.0, -5.0]), lower=np.array([0.0, -1.0]), upper=np.array([2.0, 1.0])
+    )
+
+
+def htfa_center_problem():
+    """The center block of a 3-factor HTFA local step on blob data."""
+    matrices, grid, centers, widths = blob_subjects(n_subjects=1, seed=321)
+    Xs, vox, _, phi = htfa.subsample(
+        matrices[0], htfa.SubsamplePlan(max_voxels=250, max_trs=20), np.random.default_rng(11)
+    )
+    view = grid.take(vox)
+    W = htfa.update_weights(Xs.T, rbf_factor_matrix(centers, widths, view), 1.0)
+    template = htfa.GlobalTemplate(
+        centers=centers + 0.7,
+        center_cov=np.tile(np.eye(3), (3, 1, 1)),
+        widths=widths.copy(),
+        width_var=np.ones(3),
+        prior_center_cov=np.eye(3),
+        prior_width_var=1.0,
+    )
+    problem = htfa.build_center_problem(
+        Xs.T, W, widths, template, phi, view, 0.5, bounds_grid=grid
+    )
+    return problem, template.centers.ravel()
 
 
 class TestSolve:
@@ -79,14 +110,7 @@ class TestSolve:
         suite = [
             (rosenbrock_problem(), np.array([-1.2, 1.0])),
             (linear_problem(np.array([4.0, 4.0])), np.array([0.0, 0.0])),
-            (
-                linear_problem(
-                    np.array([5.0, -5.0]),
-                    lower=np.array([0.0, -1.0]),
-                    upper=np.array([2.0, 1.0]),
-                ),
-                np.array([1.0, 0.0]),
-            ),
+            (box_problem(), np.array([1.0, 0.0])),
         ]
         for problem, x0 in suite:
             result = solve(problem, x0)
@@ -177,20 +201,139 @@ class TestSolve:
         problem = LeastSquaresProblem(3, 5, lambda x: A @ x - b, lambda x: A, lower, upper)
 
         ratios = []
-        original = trf._gauss_newton_step
+        original = trf._eigen_model
 
         def spy(M, g_h):
             mu = np.linalg.eigvalsh(M)
             ratios.append(mu[0] / mu[-1])
             return original(M, g_h)
 
-        monkeypatch.setattr(trf, "_gauss_newton_step", spy)
+        monkeypatch.setattr(trf, "_eigen_model", spy)
         result = solve(problem, np.zeros(3))
         assert ratios and min(ratios) <= trf._LEVENBERG_RATIO
         assert np.all(result.x >= lower) and np.all(result.x <= upper)
         assert np.all(np.diff(result.accepted_costs) <= 0.0)
         reduced = lsq_linear(A[:, 1:], b, bounds=(lower[1:], upper[1:]))
         assert result.cost <= reduced.cost * (1 + 1e-8) + 1e-12
+
+
+class TestSnapToBounds:
+    def test_one_solve_snaps_onto_lower_and_upper(self):
+        # iterates stay strictly inside the box, so exact equality with
+        # both bounds can only come from the final snap
+        result = solve(box_problem(), np.array([1.0, 0.0]))
+        assert result.x.tolist() == [2.0, -1.0]
+        assert result.projected_gradient_norm == 0.0
+
+    @staticmethod
+    def snapped_by_loop(x, g, lb, ub, window):
+        """Per-component reference: upper bound first, then lower."""
+        candidate = x.copy()
+        for j in range(x.size):
+            if np.isfinite(ub[j]) and g[j] < 0 and ub[j] - x[j] <= window * max(1.0, abs(ub[j])):
+                candidate[j] = ub[j]
+            elif np.isfinite(lb[j]) and g[j] > 0 and x[j] - lb[j] <= window * max(1.0, abs(lb[j])):
+                candidate[j] = lb[j]
+        return candidate
+
+    def test_same_decisions_as_per_component_loop(self):
+        cfg = TrfConfig()
+        window = 100.0 * cfg.step_tolerance
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            lb = rng.choice([-5.0, -2.0, 0.0, 3e4], n)  # bounds at 0 hit the window edge exactly
+            ub = lb + rng.choice([0.5, 2.0, 7e4], n)
+            # gaps on both sides of the window, measured from one bound
+            gap = rng.choice([0.5, 1.0, 2.0, 10.0], n) * window
+            x = np.where(
+                rng.random(n) < 0.5,
+                ub - gap * np.maximum(1.0, np.abs(ub)),
+                lb + gap * np.maximum(1.0, np.abs(lb)),
+            )
+            lb[rng.random(n) < 0.25] = -np.inf
+            ub[rng.random(n) < 0.25] = np.inf
+            g = rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
+            expected = self.snapped_by_loop(x, g, lb, ub, window)
+            cost_after = float(rng.choice([0.5, 2.0]))
+            r_snap = np.array([np.sqrt(2.0 * cost_after)])
+
+            x_out, cost, r = trf._snap_to_bounds(lambda c: r_snap, x, 1.0, g, lb, ub, cfg)
+            if np.array_equal(expected, x) or cost_after > 1.0:
+                assert x_out is x and cost == 1.0 and r is None
+            else:
+                assert np.array_equal(x_out, expected) and cost == cost_after and r is r_snap
+
+
+class TestOneLinearAlgebraPath:
+    def test_one_eigh_per_iteration_and_nothing_else(self, monkeypatch):
+        cases = [
+            (rosenbrock_problem(), np.array([-1.2, 1.0])),
+            (box_problem(), np.array([1.0, 0.0])),
+            htfa_center_problem(),
+        ]
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        for module, name in [(np.linalg, "eigh"), (np.linalg, "qr"), (np.linalg, "solve"), (np, "roots")]:
+            counted(module, name)
+        for problem, x0 in cases:
+            calls.update(eigh=0, qr=0, solve=0, roots=0)
+            result = solve(problem, x0)
+            assert 1 <= calls.pop("eigh") <= result.iterations
+            assert calls == dict(qr=0, solve=0, roots=0)
+
+
+_entries = st.integers(-30, 30).map(lambda v: v / 10.0)
+
+
+@st.composite
+def _trust_region_models(draw):
+    """A PSD M = A A^T of random rank (0 gives M = 0), g != 0 and a radius."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, n))
+    A = np.array(draw(st.lists(_entries, min_size=n * rank, max_size=n * rank))).reshape(n, rank)
+    g = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+    assume(np.any(g != 0.0))
+    radius = draw(st.floats(1e-3, 10.0))
+    return A @ A.T, g, radius, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trust_region_models())
+def test_property_exact_trust_region_step(case):
+    M, g, radius, seed = case
+    p = trf._trust_region_step(*trf._eigen_model(M, g), radius)
+
+    def model(s):
+        return 0.5 * np.einsum("...i,ij,...j->...", s, M, s) + s @ g
+
+    g_norm = norm(g)
+    assert norm(p) <= radius * (1 + 1e-12)
+    if not np.any(M):
+        assert np.allclose(p, -radius * g / g_norm, rtol=1e-12, atol=0.0)
+        return
+    tol = 1e-9 * (radius * g_norm + radius**2 * np.max(np.abs(M)))
+    curvature = g @ M @ g
+    t = radius / g_norm if curvature <= 0 else min(radius / g_norm, g_norm**2 / curvature)
+    assert model(p) <= model(-t * g) + tol  # Cauchy point
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((200, g.size))
+    u *= (radius * rng.random(200) ** (1.0 / g.size) / norm(u, axis=1))[:, None]
+    assert model(p) <= np.min(model(u)) + tol
+    mu = np.linalg.eigvalsh(M)
+    if mu[0] > 1e-8 * mu[-1]:
+        newton = np.linalg.solve(M, -g)
+        if norm(newton) <= radius:
+            assert np.allclose(p, newton, rtol=1e-8, atol=1e-12 * radius)
 
 
 class TestNormalFn:
