@@ -65,8 +65,8 @@ REPORT_SCHEMA = 1
 def srm_flops_per_subject_iteration(n_voxels, n_trs, k):
     """Analytic flop count of one subject-iteration of the SRM fit.
 
-    Two V x T x K products, one V x K x K product, and one V x K
-    economy SVD counted as a Householder QR (2 m n^2 - (2/3) n^3).
+    Two V x T x K products, then ``kernels.polar_orthogonal``'s QR route:
+    a QR (2 V K^2 - (2/3) K^3) and Q applied as one V x K x K product.
     """
     v, t = float(n_voxels), float(n_trs)
     k = float(k)

@@ -179,7 +179,7 @@ def spd_inverse(A):
 
 
 def polar_orthogonal(A, atol=0.0):
-    """Orthogonal polar factor W = U V^T from the economy SVD A = U S V^T.
+    """Orthogonal polar factor W = U V^T of A = U S V^T (economy SVD).
 
     Requires rows >= cols and full column rank: the smallest singular
     value must reach RANK_TOLERANCE times the largest and ``atol``, a
@@ -188,16 +188,24 @@ def polar_orthogonal(A, atol=0.0):
     (U[:, j], V^T[j]) leaves U V^T unchanged, so no sign convention is
     needed.
 
-    ``A`` is only read, in whatever memory layout it has: a column-major
-    input reaches LAPACK without a C-ordered copy first (the SVD copies it
-    into its own column-major work array either way, so the result does
-    not depend on the layout).
+    A tall A (rows >= 8 cols) takes polar(A) = Q polar(R) (Higham,
+    Functions of Matrices, 2008, sec. 8): ``dgeqrt`` keeps Q in compact-WY
+    form, the rank checks and the SVD see only R, and ``dgemqrt`` applies
+    Q to [U_R V_R^T; 0] in place. ``A`` is only read, in any layout: each
+    route copies it column-major for LAPACK, so the layout cannot matter.
     """
     A = _check_matrix(np.asarray(A, dtype=np.float64), "A")
     rows, cols = A.shape
     if rows < cols:
         raise ShapeError(f"polar_orthogonal needs rows >= cols, got {A.shape}")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    tall = rows >= 8 * cols
+    if tall:
+        v, t, info = lapack.dgeqrt(min(32, cols), A)
+        if info < 0:
+            raise InvalidInputError(f"illegal value in argument {-info} of dgeqrt")
+        U, s, Vt = np.linalg.svd(np.triu(v[:cols]))
+    else:
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0.0 or s[-1] < RANK_TOLERANCE * s[0]:
         raise RankError(
             f"rank-deficient input: smallest singular value {s[-1]:.3e} "
@@ -208,7 +216,14 @@ def polar_orthogonal(A, atol=0.0):
             f"rank-deficient input: smallest singular value {s[-1]:.3e} "
             f"within the rounding error {atol:.3e} of the input"
         )
-    return U @ Vt
+    if not tall:
+        return U @ Vt
+    W = np.zeros((rows, cols), order="F")
+    W[:cols] = U @ Vt
+    W, info = lapack.dgemqrt(v, t, W, overwrite_c=1)
+    if info < 0:
+        raise InvalidInputError(f"illegal value in argument {-info} of dgemqrt")
+    return W
 
 
 def _check_rbf_args(centers, widths):

@@ -21,8 +21,8 @@ A_i = 1/2 Xhat_i S^T. The noise update needs the cross term
 <W_i^T Xhat_i, S> = tr(W_i^T Xhat_i S^T) = 2 <W_i, A_i>, a V x K inner
 product, and ||Xhat_i||^2, which does not change between iterations and
 is computed once per subject. So a subject-iteration does two V x T x K
-products (the E-step term and A_i) and one V x K SVD, the voxel-scale
-work that ``cli.srm_flops_per_subject_iteration`` counts.
+products (the E-step term and A_i), a QR of A_i and one product with its
+Q, the voxel-scale work ``cli.srm_flops_per_subject_iteration`` counts.
 
 The fit holds one copy of each subject's data, the caller's X_i, and
 never writes to it. Xhat_i = X_i - mu_i 1^T is never formed: each Xhat_i
@@ -40,8 +40,8 @@ subject's current W_i (an initial mapping is dropped at its first
 M-step), mu_i and two scalars, one tree stack of (4 + K T)-wide rows,
 and the broadcast S. The root finishes the tree in that same stack,
 sized to cover both jobs, and drops its own S once it is packed for the
-broadcast. The M-step adds A_i, the SVD's work copy of it, U and the new
-W_i, all V_i x K.
+broadcast. The M-step adds A_i, the QR's work copy of it and the new
+W_i, all V_i x K (under 8 K voxels, the SVD's copy, U and W_i).
 
 Per iteration the E-step terms are summed along one fixed pairwise tree
 over the global subject indices [0, N). Each worker sums its own
@@ -193,7 +193,7 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
 
     W_new is the polar factor of A = 1/2 Xhat_i S^T, and the noise
     update's cross term uses <W_new^T Xhat_i, S> = 2 <W_new, A>, so the
-    voxel-scale work is one V x T x K product and one V x K SVD.
+    voxel-scale work is one V x T x K product and A's polar factor by QR.
     ``xhat_sq`` is ||Xhat_i||^2, which :func:`fit` computes once per
     subject. Without ``mu``, ``X_i`` is Xhat_i and ``xhat_sq`` is computed
     here when not given. With ``mu``, X_i = Xhat_i + mu 1^T, ``xhat_sq`` is

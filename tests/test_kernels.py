@@ -158,6 +158,46 @@ class TestPolarOrthogonal:
         with pytest.raises(InvalidInputError):
             polar_orthogonal(A)
 
+    @pytest.mark.parametrize("shape", [(64, 32), (256, 32), (3000, 60), (2000, 10)])
+    def test_both_routes_match_the_economy_svd(self, shape):
+        # (64, 32) takes gesdd; the taller shapes go through the QR of A
+        A = np.random.default_rng(12).standard_normal(shape)
+        U, _, Vt = np.linalg.svd(A, full_matrices=False)
+        assert np.max(np.abs(polar_orthogonal(A) - U @ Vt)) <= 1e-13
+
+    def test_tall_ill_conditioned_stays_orthogonal(self):
+        rng = np.random.default_rng(13)
+        Q = np.linalg.qr(rng.standard_normal((800, 20)))[0]
+        V = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+        A = Q @ np.diag(np.logspace(0, -10, 20)) @ V.T
+        W = polar_orthogonal(A)
+        assert np.max(np.abs(W.T @ W - np.eye(20))) <= 1e-12
+
+    def test_tall_rank_errors_unchanged(self):
+        A = np.random.default_rng(14).standard_normal((400, 5))
+        A[:, 3] = A[:, 1]
+        with pytest.raises(RankError, match=r"below 1e-12 \* largest"):
+            polar_orthogonal(A)
+        B = np.zeros((400, 2))
+        B[0, 0], B[1, 1] = 2.0, 1e-6
+        assert polar_orthogonal(B, atol=0.9e-6)[1, 1] == 1.0
+        with pytest.raises(RankError, match="within the rounding error"):
+            polar_orthogonal(B, atol=1e-6)
+
+    def test_only_a_tall_input_skips_the_full_svd(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rng = np.random.default_rng(15)
+        polar_orthogonal(rng.standard_normal((3000, 60)))
+        polar_orthogonal(rng.standard_normal((64, 32)))
+        assert seen == [(60, 60), (64, 32)]
+
 
 def _random_grid(rng, dims=(11, 9, 7), keep=0.85):
     axes = np.meshgrid(
