@@ -51,7 +51,7 @@ from .data_io import (
     read_header,
     save_matrix,
 )
-from .errors import FactorFitError, UsageError
+from .errors import ConfigError, FactorFitError, InvalidInputError, UsageError
 from .kernels import (
     VoxelGrid,
     polar_orthogonal,
@@ -67,6 +67,9 @@ def srm_flops_per_subject_iteration(n_voxels, n_trs, k):
 
     Two V x T x K products, then ``kernels.polar_orthogonal``'s QR route:
     a QR (2 V K^2 - (2/3) K^3) and Q applied as one V x K x K product.
+    The model counts that route at every shape, though below 8 K rows the
+    kernel runs gesdd instead, so a Gflop/s figure there (``srm-fanin``'s,
+    say) is against the model, not the flops executed.
     """
     v, t = float(n_voxels), float(n_trs)
     k = float(k)
@@ -160,15 +163,10 @@ def _run_workers(args, manifest, worker):
     # sockets
     if args.spawn_local:
         return _spawn_local(args)
-    env = os.environ
-    missing = [k for k in (ENV_RANK, ENV_SIZE, ENV_COORD) if k not in env]
-    if missing:
-        raise UsageError(
-            "sockets backend needs "
-            + ", ".join(missing)
-            + " in the environment (or use --spawn-local N)"
-        )
-    comm = SocketCommunicator.from_env()
+    try:
+        comm = SocketCommunicator.from_env()
+    except ConfigError as exc:
+        raise UsageError(f"{exc} (or use --spawn-local N)") from None
     if comm.size > n_subjects:
         comm.close()
         raise UsageError(
@@ -222,8 +220,22 @@ def _spawn_local(args):
             p.wait()
 
 
-def _run_fit(args, manifest, command, fit, save, flops=0.0, outputs=None,
-             need_coords=False):
+def _validate(*settings, workers=1):
+    """Check the flags before any file is read.
+
+    ``--workers`` is checked here; every other rule lives in its settings
+    object's own ``validate()``, and the usage error quotes its text.
+    """
+    if workers < 1:
+        raise UsageError("--workers must be at least 1")
+    try:
+        for s in settings:
+            s.validate()
+    except (ConfigError, InvalidInputError) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _run_fit(args, manifest, command, fit, save, flops=0.0, outputs=None):
     """The worker body every fitting command shares, on every rank.
 
     Load this rank's subjects -> barrier -> ``fit(subjects, comm)``, which
@@ -234,14 +246,7 @@ def _run_fit(args, manifest, command, fit, save, flops=0.0, outputs=None,
 
     def worker(comm, entries):
         t0 = time.perf_counter()
-        subjects = [
-            load_subject(
-                e.data_path,
-                e.coords_path if (need_coords or e.coords_path) else None,
-                e.subject_id,
-            )
-            for e in entries
-        ]
+        subjects = [load_subject(e.data_path, e.coords_path, e.subject_id) for e in entries]
         comm.barrier()
         t1 = time.perf_counter()
         result, objective = fit(subjects, comm)
@@ -264,18 +269,15 @@ def _run_fit(args, manifest, command, fit, save, flops=0.0, outputs=None,
     return _run_workers(args, manifest, worker)
 
 
-def _srm_setup(args, min_iters):
+def _srm_setup(args, zero_iters=False):
     """Flag checks, manifest, flop estimate and fit closure for fit-srm and bench.
 
-    Returns (manifest, flops, fit) for :func:`_run_fit`; --iters must be at
-    least ``min_iters``, and zero iterations fit nothing.
+    Returns (manifest, flops, fit) for :func:`_run_fit`. With
+    ``zero_iters`` (bench), --iters 0 is allowed and fits nothing.
     """
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
-    if args.iters < min_iters:
-        raise UsageError(f"--iters must be at least {min_iters}")
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
+    skip = zero_iters and args.iters == 0
+    config = srm.SrmConfig(k=args.k, iterations=1 if skip else args.iters, seed=args.seed)
+    _validate(config, workers=args.workers)
     manifest = load_manifest(args.manifest, model="srm")
     headers = [read_header(e.data_path) for e in manifest.subjects]
     flops = srm_flop_estimate(
@@ -283,9 +285,8 @@ def _srm_setup(args, min_iters):
     )
 
     def fit(subjects, comm):
-        if args.iters == 0:
+        if skip:
             return None, []
-        config = srm.SrmConfig(k=args.k, iterations=args.iters, seed=args.seed)
         model = srm.fit(subjects, config, comm)
         return model, model.objective_trace
 
@@ -293,7 +294,7 @@ def _srm_setup(args, min_iters):
 
 
 def _cmd_fit_srm(args):
-    manifest, flops, fit = _srm_setup(args, min_iters=1)
+    manifest, flops, fit = _srm_setup(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "subjects").mkdir(exist_ok=True)
@@ -314,25 +315,6 @@ def _cmd_fit_srm(args):
 
 
 def _cmd_fit_htfa(args):
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
-    if args.outer < 1:
-        raise UsageError("--outer must be at least 1")
-    if args.local_iters < 0:
-        raise UsageError("--local-iters must be nonnegative")
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    if not (0.0 < args.width_lo < args.width_hi):
-        raise UsageError("need 0 < --width-lo < --width-hi")
-    for name, value in (("--voxel-frac", args.voxel_frac), ("--tr-frac", args.tr_frac)):
-        if not (0.0 < value <= 1.0):
-            raise UsageError(f"{name} must lie in (0, 1]")
-    if args.max_voxels < 1 or args.max_trs < 1:
-        raise UsageError("--max-voxels and --max-trs must be at least 1")
-    manifest = load_manifest(args.manifest, model="htfa")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "subjects").mkdir(exist_ok=True)
     config = htfa.HtfaConfig(
         k=args.k,
         outer_iterations=args.outer,
@@ -347,6 +329,11 @@ def _cmd_fit_htfa(args):
         max_trs=args.max_trs,
         seed=args.seed,
     )
+    _validate(config, plan, workers=args.workers)
+    manifest = load_manifest(args.manifest, model="htfa")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "subjects").mkdir(exist_ok=True)
 
     def fit(subjects, comm):
         objective = []
@@ -382,37 +369,28 @@ def _cmd_fit_htfa(args):
                 fh.write("\n")
             _write_report(out_dir, report)
 
-    return _run_fit(
-        args, manifest, "fit-htfa", fit, save, outputs={"dir": str(out_dir)},
-        need_coords=True,
-    )
+    return _run_fit(args, manifest, "fit-htfa", fit, save, outputs={"dir": str(out_dir)})
 
 
 def _cmd_gen_synth(args):
-    if args.subjects < 1:
-        raise UsageError("--subjects must be at least 1")
-    parts = args.partition.split(",")
-    if len(parts) != 3:
-        raise UsageError("--partition must be X,Y,Z")
     try:
-        dims = tuple(int(p) for p in parts)
+        dims = tuple(int(p) for p in args.partition.split(","))
     except ValueError:
-        raise UsageError("--partition must be three integers") from None
-    if any(d < 1 for d in dims):
-        raise UsageError("--partition entries must be at least 1")
+        raise UsageError("--partition must be integers X,Y,Z") from None
     spec = SynthSpec(
         seed_manifest=Path(args.seed_manifest),
         n_subjects=args.subjects,
         partition_dims=dims,
         base_seed=args.seed,
     )
+    _validate(spec)
     manifest = generate_synthetic(spec, args.out)
     print(manifest.path)
     return 0
 
 
 def _cmd_bench(args):
-    manifest, flops, fit = _srm_setup(args, min_iters=0)
+    manifest, flops, fit = _srm_setup(args, zero_iters=True)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -426,7 +404,7 @@ def _cmd_bench(args):
     return _run_fit(args, manifest, "bench", fit, save, flops=flops)
 
 
-def _check_woodbury(corrupt):
+def _check_woodbury():
     rng = np.random.default_rng(20240)
     worst = 0.0
     for _ in range(5):
@@ -447,12 +425,10 @@ def _check_woodbury(corrupt):
             float(np.max(np.abs(S_opt - S_ref))),
             float(np.max(np.abs(var_opt - var_ref))),
         )
-    if corrupt:
-        worst += 1e-6
     return worst <= 1e-8, f"max abs deviation {worst:.3e} (tol 1e-8)"
 
 
-def _check_lemma(corrupt):
+def _check_lemma():
     rng = np.random.default_rng(20241)
     worst = 0.0
     for _ in range(20):
@@ -491,8 +467,6 @@ def _check_lemma(corrupt):
             float(np.max(np.abs(new.widths - ref[2]))),
             float(np.max(np.abs(new.width_var - ref[3]))),
         )
-    if corrupt:
-        worst += 1e-8
     return worst <= 1e-10, f"max abs deviation {worst:.3e} (tol 1e-10)"
 
 
@@ -509,7 +483,7 @@ def _blob_problem(rng):
     return grid, centers, widths, W, X
 
 
-def _check_jacobian(corrupt):
+def _check_jacobian():
     rng = np.random.default_rng(20242)
     grid, centers, widths, W, X = _blob_problem(rng)
     cfg = htfa.HtfaConfig(k=3)
@@ -530,12 +504,10 @@ def _check_jacobian(corrupt):
         )
         w0 = widths * rng.uniform(0.8, 1.2, widths.shape)
         worst = max(worst, trf.check_jacobian(prob, w0))
-    if corrupt:
-        worst += 1e-3
     return worst <= 1e-5, f"max relative deviation {worst:.3e} (tol 1e-5)"
 
 
-def _check_rbf_cache(corrupt):
+def _check_rbf_cache():
     rng = np.random.default_rng(20243)
     worst = 0.0
     for _ in range(10):
@@ -557,8 +529,6 @@ def _check_rbf_cache(corrupt):
         cached = rbf_factor_matrix(centers, widths, grid)
         direct = rbf_factor_matrix_direct(centers, widths, grid.positions)
         worst = max(worst, float(np.max(np.abs(cached - direct))))
-    if corrupt:
-        worst += 1e-12
     return worst <= 1e-14, f"max abs deviation {worst:.3e} (tol 1e-14)"
 
 
@@ -580,11 +550,10 @@ def _cmd_validate(args):
                 f"unknown checks: {', '.join(unknown)} (have: {', '.join(names)})"
             )
         names = requested
-    corrupt_target = os.environ.get("FACTORFIT_VALIDATE_CORRUPT", "")
     failures = 0
     width = max(len(n) for n in names)
     for name in names:
-        ok, detail = _VALIDATION_CHECKS[name](corrupt=(name == corrupt_target))
+        ok, detail = _VALIDATION_CHECKS[name]()
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1

@@ -319,18 +319,18 @@ class SocketCommunicator(Communicator):
             self._send(0, _OP_HELLO, 0, _LEN.pack(rank))
 
     @classmethod
-    def from_env(cls, env=None, rank=None, size=None, coord=None, timeout=60.0):
-        """Build from FACTORFIT_RANK / FACTORFIT_SIZE / FACTORFIT_COORD."""
+    def from_env(cls, env=None, timeout=60.0):
+        """Build from FACTORFIT_RANK / _SIZE / _COORD; a missing one, or a
+        non-integer rank or size, raises :class:`ConfigError`."""
         env = os.environ if env is None else env
+        missing = [k for k in (ENV_RANK, ENV_SIZE, ENV_COORD) if k not in env]
+        if missing:
+            raise ConfigError(f"sockets backend needs {', '.join(missing)} in the environment")
         try:
-            rank = int(env[ENV_RANK]) if rank is None else int(rank)
-            size = int(env[ENV_SIZE]) if size is None else int(size)
-            coord = env[ENV_COORD] if coord is None else coord
-        except KeyError as missing:
-            raise ConfigError(
-                f"sockets backend needs {missing} in the environment or flags"
-            ) from None
-        return cls(rank, size, coord, timeout=timeout)
+            rank, size = int(env[ENV_RANK]), int(env[ENV_SIZE])
+        except ValueError:
+            raise ConfigError(f"{ENV_RANK} and {ENV_SIZE} must be integers") from None
+        return cls(rank, size, env[ENV_COORD], timeout=timeout)
 
     def _send(self, peer, opcode, seq, body):
         # One buffer and one sendall per frame: a frame split over several

@@ -231,15 +231,36 @@ def load_manifest(path, model=None):
     Reads every referenced subject header (not the payloads). With
     ``model="srm"`` additionally requires an equal TR count across
     subjects; with ``model="htfa"`` requires coordinates for every
-    subject.
+    subject. A manifest that is not a JSON object with a "subjects" list
+    (and a "grid_dims" list, if given) raises :class:`FormatError`, and a
+    subject entry without string "id" and "data_path" values raises
+    :class:`DatasetConsistencyError`; both name the manifest.
     """
     path = Path(path)
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"manifest {path} is not valid JSON: {exc}") from None
+    subjects = doc.get("subjects", []) if isinstance(doc, dict) else None
+    if not isinstance(subjects, list):
+        raise FormatError(f'manifest {path} must be a JSON object with a "subjects" list')
+    if not isinstance(doc.get("grid_dims") or [], list):
+        raise FormatError(f'manifest {path}: "grid_dims" must be a list')
     base = path.parent
     entries = []
     seen = set()
-    for item in doc.get("subjects", []):
+    for i, item in enumerate(subjects):
+        if not (
+            isinstance(item, dict)
+            and isinstance(item.get("id"), str)
+            and isinstance(item.get("data_path"), str)
+            and isinstance(item.get("coords_path") or "", str)
+        ):
+            raise DatasetConsistencyError(
+                f'manifest {path}: subject entry {i} needs string "id" and "data_path" '
+                'values (and "coords_path", if given)'
+            )
         sid = item["id"]
         if sid in seen:
             raise DatasetConsistencyError("duplicate subject id", offenders=[sid])

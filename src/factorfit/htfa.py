@@ -44,7 +44,7 @@ from . import trf
 from .collectives import gather_rows, rank_offsets
 from .errors import ConfigError, DefinitenessError, ShapeError
 from .kernels import center_stats, check_centered, rbf_factor_matrix, row_residual_energy
-from .kernels import spd_inverse
+from .kernels import grid_sq_distances, spd_inverse
 
 __all__ = [
     "GlobalTemplate",
@@ -134,8 +134,8 @@ class HtfaConfig:
             raise ConfigError("k must be at least 1")
         if self.outer_iterations < 1:
             raise ConfigError("outer_iterations must be at least 1")
-        if self.local_iterations < 0:
-            raise ConfigError("local_iterations must be nonnegative")
+        if self.local_iterations < 1:
+            raise ConfigError("local_iterations must be at least 1")
         if self.local_tolerance <= 0:
             raise ConfigError("local_tolerance must be positive")
         if not (0.0 < self.width_lower_frac < self.width_upper_frac):
@@ -151,24 +151,6 @@ _SEED_WIDTHS, _SEED_BLOCK = 12, 1024
 def width_bounds(grid, config):
     d = grid.diameter
     return config.width_lower_frac * d, config.width_upper_frac * d
-
-
-def _sq_distances(a, b):
-    """Squared distances ||a_i - b_j||^2 between two point sets, len(a) x len(b).
-
-    Filled one axis at a time into one output and one scratch buffer,
-    summed in x + y + z order, so no len(a) x len(b) x 3 broadcast is
-    formed and the bits are those of ``((a[:, None] - b) ** 2).sum(-1)``,
-    the squared distances :func:`~factorfit.kernels.rbf_factor_matrix` sums.
-    """
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    np.square(out, out=out)
-    term = np.empty_like(out)
-    for d in (1, 2):
-        np.subtract.outer(a[:, d], b[:, d], out=term)
-        np.square(term, out=term)
-        out += term
-    return out
 
 
 def init_template(subject, config):
@@ -200,7 +182,7 @@ def init_template(subject, config):
     scratch = np.empty((_SEED_WIDTHS, min(_SEED_BLOCK, n_vox)))
     for j in range(k):
         centers[j] = grid.positions[int(np.argmax(energy))]
-        d2 = _sq_distances(centers[j:j + 1], grid.positions)[0]
+        d2 = grid_sq_distances(centers[j:j + 1], grid)[0]
         fx = np.zeros((_SEED_WIDTHS, n_trs))  # f^T X per candidate
         ff = np.zeros((_SEED_WIDTHS, j))      # f^T F_sel^T
         norms = np.zeros(_SEED_WIDTHS)
@@ -442,7 +424,7 @@ def build_width_problem(
     prior_widths = template.widths
     rows = np.full((k, 1), width_prior_w)
     centers = np.asarray(centers, dtype=np.float64).reshape(k, 3)
-    d2 = _sq_distances(centers, grid_view.positions)
+    d2 = grid_sq_distances(centers, grid_view)
     if factors is None:
         factors = _factor_memo(grid_view)
 
@@ -468,8 +450,6 @@ def local_step(subject, template, local, config, plan, rng=None):
     block solve until the relative parameter change drops below
     ``config.local_tolerance`` or ``config.local_iterations`` runs out.
     """
-    if config.local_iterations == 0:
-        return local
     if subject.grid is None:
         raise ShapeError(f"subject {subject.subject_id} has no voxel coordinates")
     if rng is None:

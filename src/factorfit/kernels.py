@@ -23,6 +23,7 @@ __all__ = [
     "add_diag",
     "spd_inverse",
     "polar_orthogonal",
+    "grid_sq_distances",
     "rbf_factor_matrix",
     "rbf_factor_matrix_direct",
     "residual_fro",
@@ -240,25 +241,32 @@ def _check_rbf_args(centers, widths):
     return centers, widths
 
 
+def grid_sq_distances(centers, grid):
+    """Squared distances ||p_v - mu_k||^2 from K x 3 ``centers`` to the
+    grid's voxels, K x V, from three per-axis lookup tables of shapes
+    (K, n_x), (K, n_y), (K, n_z): O(n_x + n_y + n_z) subtractions and
+    squarings per center instead of O(3 V). Each table is gathered once
+    along the voxels, so at most one K x V temporary lives beside the
+    result, and the fixed x + y + z order gives the bits of
+    ``((p - mu) ** 2).sum(-1)`` whatever the backend.
+    """
+    index = grid.voxel_axis_index
+    tables = [(v - centers[:, d, None]) ** 2 for d, v in enumerate(grid.axis_values)]
+    d2 = np.take(tables[0], index[:, 0], axis=1)
+    for d in (1, 2):
+        d2 += np.take(tables[d], index[:, d], axis=1)
+    return d2
+
+
 def rbf_factor_matrix(centers, widths, grid):
     """Evaluate K radial-basis factors on a voxel grid, K x V.
 
-    Entry (k, v) is exp(-||p_v - mu_k||^2 / lambda_k). The squared
-    distances are assembled from three per-axis lookup tables of shapes
-    (K, n_x), (K, n_y), (K, n_z), an exact rewrite of the direct
-    evaluation: only O(n_x + n_y + n_z) subtractions/squarings are spent
-    per factor instead of O(3 V). All K factors go through one pass:
-    each table is gathered once along the voxels, so at most one K x V
-    temporary lives beside F, and the divide, negate and ``exp`` run in
-    place in F.
+    Entry (k, v) is exp(-||p_v - mu_k||^2 / lambda_k), from
+    :func:`grid_sq_distances`; the divide, negate and ``exp`` run in
+    place in its output.
     """
     centers, widths = _check_rbf_args(centers, widths)
-    index = grid.voxel_axis_index
-    tables = [(v - centers[:, d, None]) ** 2 for d, v in enumerate(grid.axis_values)]
-    F = np.take(tables[0], index[:, 0], axis=1)
-    # fixed x + y + z order keeps results backend independent
-    for d in (1, 2):
-        F += np.take(tables[d], index[:, d], axis=1)
+    F = grid_sq_distances(centers, grid)
     F /= widths[:, None]
     np.negative(F, out=F)
     np.exp(F, out=F)

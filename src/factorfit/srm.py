@@ -38,8 +38,8 @@ number of voxels that vary, checked against k before any collective.
 Beyond the data, a worker holds only what the next step reads: each
 subject's current W_i (an initial mapping is dropped at its first
 M-step), mu_i and two scalars, one tree stack of (4 + K T)-wide rows,
-and the broadcast S. The root finishes the tree in that same stack,
-sized to cover both jobs, and drops its own S once it is packed for the
+and the broadcast S. The root keeps its own nodes in that stack and
+finishes the tree there, and drops its own S once it is packed for the
 broadcast. The M-step adds A_i, the QR's work copy of it and the new
 W_i, all V_i x K (under 8 K voxels, the SVD's copy, U and W_i).
 
@@ -47,9 +47,9 @@ Per iteration the E-step terms are summed along one fixed pairwise tree
 over the global subject indices [0, N). Each worker sums its own
 subjects' terms, [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i], into the
 complete aligned subtrees of that tree, ships those few rows (at most
-about 2 log2 of its subject count) to the root, and the root finishes the
-same tree. Every addition combines the same two subtrees whatever the
-partition, so results are bit-identical no matter how subjects are
+about 2 log2 of its subject count) to the root, which sends none and
+finishes the same tree. Every addition combines the same two subtrees
+whatever the partition, so results are bit-identical no matter how subjects are
 grouped onto workers, and the summation error grows with log N, not N
 (Higham, SIAM J. Sci. Comput. 14(4), 1993). The root then updates
 Sigma_s and broadcasts the posterior mean and the trace of the new
@@ -264,20 +264,19 @@ def _stack_rows(offset, count):
     return rows
 
 
-def _tree_sum(blocks, n_subjects, nodes):
+def _tree_sum(blocks, n_subjects, nodes, depth, covered):
     """Root side: finish the pairwise tree over subjects [0, n_subjects).
 
-    ``blocks`` are the ranks' node rows in rank order. They must tile
-    [0, n_subjects) exactly; the first gap, overlap or overrun raises
-    :class:`CollectiveContractError`. The nodes go through the same merge
-    as on the workers, in ``nodes``, a buffer of at least
-    n_subjects.bit_length() + 1 rows (the root's stack is a binary
-    counter over [0, n_subjects)) that no block is a view of. What
+    ``nodes[:depth]`` is the root's own stack over subjects [0, covered),
+    and ``blocks`` are the ranks' node rows in rank order (the root's is
+    empty). Together they must tile [0, n_subjects) exactly; the first
+    gap, overlap or overrun raises :class:`CollectiveContractError`. The
+    nodes go through the same merge as on the workers, in ``nodes``, a
+    buffer of at least n_subjects.bit_length() + 1 rows (the root's stack
+    is a binary counter over [0, n_subjects)) that no block is a view of. What
     remains, one complete subtree per set bit of n_subjects, is folded
     right to left. Returns the sums, a view into ``nodes``.
     """
-    depth = 0
-    covered = 0
     for rank, block in enumerate(blocks):
         for node in block:
             start, level = int(node[0]), int(node[1])
@@ -321,8 +320,8 @@ def fit(subjects, config, comm):
     tree in, and S. Per iteration: each worker streams its subjects'
     [rho_i^{-2}, rho_i^2, K x T partial] terms through the pairwise
     summation tree and gathers the resulting [start, level, sums] node
-    rows to the root -> the root checks that they tile [0, N), finishes
-    the tree, subtracts the K x T sum's row means, computes the posterior
+    rows (none from the root) -> the root checks that they tile [0, N),
+    finishes the tree, subtracts the K x T sum's row means, computes the posterior
     (whose covariance the Sigma_s update reuses), subtracts S's row means
     and updates Sigma_s -> one broadcast of S stacked on a row holding
     tr(Sigma_s_new) -> local M-steps. With ``tolerance`` set, every
@@ -387,11 +386,13 @@ def fit(subjects, config, comm):
     S = None
     S_prev = None
     objective_trace = []
-    n_rows = _stack_rows(offset, len(subjects))
+    # the root (offset 0) keeps its nodes and finishes the tree in its own
+    # stack: gather_rows hands it packed copies of the other ranks' nodes,
+    # never views of this buffer
     if comm.rank == 0:
-        # the root finishes the tree in its own stack: gather_rows hands it
-        # packed copies of every rank's nodes, never views of this buffer
-        n_rows = max(n_rows, n_subjects.bit_length() + 1)
+        n_rows = n_subjects.bit_length() + 1
+    else:
+        n_rows = _stack_rows(offset, len(subjects))
     nodes = np.empty((n_rows, 4 + k * n_trs))
 
     for iteration in range(config.iterations):
@@ -401,9 +402,9 @@ def fit(subjects, config, comm):
             row = nodes[depth, 4:].reshape(k, n_trs)
             e_step_local(Ws[j], rho2s[j], Xs[j], out=row)
             depth = _push_node(nodes, depth)
-        blocks = gather_rows(comm, nodes[:depth])
+        blocks = gather_rows(comm, nodes[:0 if comm.rank == 0 else depth])
         if comm.rank == 0:
-            sums = _tree_sum(blocks, n_subjects, nodes)
+            sums = _tree_sum(blocks, n_subjects, nodes, depth, len(subjects))
             del blocks
             rho0 = float(sums[0])
             if iteration > 0:

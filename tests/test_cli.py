@@ -21,6 +21,67 @@ def run_main(args):
     return main([str(a) for a in args])
 
 
+def assert_usage_error(args, capsys):
+    """Exit 2 with one ``usage error:`` line on stderr; returns that line."""
+    capsys.readouterr()
+    assert run_main(args) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("usage error: ")
+    return line
+
+
+FLAG_RULES = [
+    ("fit-srm", ["--k", 0]),
+    ("fit-srm", ["--iters", 0]),
+    ("fit-srm", ["--workers", 0]),
+    ("bench", ["--k", 0]),
+    ("fit-htfa", ["--k", 0]),
+    ("fit-htfa", ["--outer", 0]),
+    ("fit-htfa", ["--local-iters", -1]),
+    ("fit-htfa", ["--local-iters", 0]),
+    ("fit-htfa", ["--workers", 0]),
+    ("fit-htfa", ["--width-lo", 2, "--width-hi", 1]),
+    ("fit-htfa", ["--width-lo", 0]),
+    ("fit-htfa", ["--voxel-frac", 0]),
+    ("fit-htfa", ["--tr-frac", 1.5]),
+    ("fit-htfa", ["--max-voxels", 0]),
+    ("fit-htfa", ["--max-trs", 0]),
+    ("gen-synth", ["--subjects", 0]),
+    ("gen-synth", ["--partition", "0,1,1"]),
+    ("gen-synth", ["--partition", "4,x,2"]),
+]
+
+
+class TestFlagRules:
+    """Every flag rule is a usage error, checked before any file is read:
+    the manifest named here does not exist."""
+
+    @pytest.mark.parametrize(
+        "command, flags", FLAG_RULES,
+        ids=[" ".join(map(str, [c, *f])) for c, f in FLAG_RULES],
+    )
+    def test_rule_fails_before_any_file_is_read(self, command, flags, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        if command == "gen-synth":
+            args = [command, "--seed-manifest", missing, "--subjects", 2, *flags]
+        else:
+            args = [command, "--manifest", missing, *flags]
+        assert_usage_error([*args, "--out", tmp_path / "x"], capsys)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--outer", 0], "outer_iterations must be at least 1"),
+        (["--local-iters", 0], "local_iterations must be at least 1"),
+        (["--tr-frac", 1.5], "sampling fractions must lie in (0, 1]"),
+    ])
+    def test_usage_error_quotes_the_setting(self, flags, text, tmp_path, capsys):
+        line = assert_usage_error(
+            ["fit-htfa", "--manifest", tmp_path / "m.json", *flags, "--out", tmp_path / "x"],
+            capsys,
+        )
+        assert line == f"usage error: {text}"
+
+
 class TestFitSrmCommand:
     def test_defaults_produce_valid_artifacts(self, bundled, tmp_path):
         out = tmp_path / "out"
@@ -56,11 +117,10 @@ class TestFitSrmCommand:
         assert stats["barrier_calls"] == 2
         assert stats["gather_bytes"] > 0 and stats["seconds"] >= 0.0
 
-    def test_k_zero_usage_error(self, bundled, tmp_path):
-        rc = run_main(
-            ["fit-srm", "--manifest", bundled, "--k", 0, "--out", tmp_path / "x"]
+    def test_k_zero_usage_error(self, bundled, tmp_path, capsys):
+        assert_usage_error(
+            ["fit-srm", "--manifest", bundled, "--k", 0, "--out", tmp_path / "x"], capsys
         )
-        assert rc == 2
 
     def test_missing_manifest_runtime_error(self, tmp_path, capsys):
         rc = run_main(
@@ -69,6 +129,25 @@ class TestFitSrmCommand:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error" in err
+
+    @pytest.mark.parametrize("text, error", [
+        ("{not json", "FormatError"),
+        ("[1, 2]", "FormatError"),
+        ('{"subjects": {"id": "s0"}}', "FormatError"),
+        ('{"subjects": [], "grid_dims": 5}', "FormatError"),
+        ('{"subjects": [{"data_path": "s0.sfab"}]}', "DatasetConsistencyError"),
+        ('{"subjects": [{"id": "s0"}]}', "DatasetConsistencyError"),
+        ('{"subjects": [{"id": "s0", "data_path": 5}]}', "DatasetConsistencyError"),
+        ('{"subjects": [{"id": ["s0"], "data_path": "s0.sfab"}]}', "DatasetConsistencyError"),
+    ])
+    def test_malformed_manifest_fails_by_name(self, text, error, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        rc = run_main(["fit-srm", "--manifest", manifest, "--out", tmp_path / "x"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == error
+        assert str(manifest) in err["message"]
 
 
 class TestFitHtfaCommand:
@@ -116,17 +195,17 @@ class TestFitHtfaCommand:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "DatasetConsistencyError"
 
-    def test_inverted_width_bounds_usage_error(self, bundled, tmp_path):
-        rc = run_main(
+    def test_inverted_width_bounds_usage_error(self, bundled, tmp_path, capsys):
+        assert_usage_error(
             [
                 "fit-htfa",
                 "--manifest", bundled,
                 "--width-lo", 2,
                 "--width-hi", 1,
                 "--out", tmp_path / "x",
-            ]
+            ],
+            capsys,
         )
-        assert rc == 2
 
 
 class TestGenSynthCommand:
@@ -171,28 +250,28 @@ class TestGenSynthCommand:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_zero_subjects_usage_error(self, bundled, tmp_path):
-        rc = run_main(
+    def test_zero_subjects_usage_error(self, bundled, tmp_path, capsys):
+        assert_usage_error(
             [
                 "gen-synth",
                 "--seed-manifest", bundled,
                 "--subjects", 0,
                 "--out", tmp_path / "x",
-            ]
+            ],
+            capsys,
         )
-        assert rc == 2
 
-    def test_bad_partition_usage_error(self, bundled, tmp_path):
-        rc = run_main(
+    def test_bad_partition_usage_error(self, bundled, tmp_path, capsys):
+        assert_usage_error(
             [
                 "gen-synth",
                 "--seed-manifest", bundled,
                 "--subjects", 1,
                 "--partition", "4,4",
                 "--out", tmp_path / "x",
-            ]
+            ],
+            capsys,
         )
-        assert rc == 2
 
 
 class TestBenchCommand:
@@ -257,9 +336,12 @@ class TestValidateCommand:
         assert "FAIL" not in out
 
     def test_corruption_hook_fails(self, monkeypatch, capsys):
-        monkeypatch.setenv("FACTORFIT_VALIDATE_CORRUPT", "lemma")
-        assert run_main(["validate"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        from factorfit import cli
+
+        monkeypatch.setitem(cli._VALIDATION_CHECKS, "broken", lambda: (False, "forced"))
+        assert run_main(["validate", "--only", "woodbury,broken"]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert "PASS" in out[0] and "FAIL" in out[1]
 
     def test_only_filter(self, capsys):
         assert run_main(["validate", "--only", "woodbury"]) == 0
@@ -299,17 +381,20 @@ class TestBackendFlag:
         )
         assert rc == 2
 
-    def test_sockets_without_env_usage_error(self, bundled, tmp_path):
-        rc = run_main(
+    def test_sockets_without_env_usage_error(self, bundled, tmp_path, capsys, monkeypatch):
+        for name in ("FACTORFIT_RANK", "FACTORFIT_SIZE", "FACTORFIT_COORD"):
+            monkeypatch.delenv(name, raising=False)
+        line = assert_usage_error(
             [
                 "fit-srm",
                 "--manifest", bundled,
                 "--k", 2,
                 "--backend", "sockets",
                 "--out", tmp_path / "x",
-            ]
+            ],
+            capsys,
         )
-        assert rc == 2
+        assert "FACTORFIT_RANK" in line and "--spawn-local" in line
 
     def test_sockets_spawn_local_matches_serial(self, bundled, tmp_path, cli_env):
         serial_out = tmp_path / "serial"

@@ -5,6 +5,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from factorfit.collectives import (
     ENV_COORD,
@@ -16,7 +17,7 @@ from factorfit.collectives import (
     gather_rows,
     rank_offsets,
 )
-from factorfit.errors import CollectiveContractError, TransportError
+from factorfit.errors import CollectiveContractError, ConfigError, TransportError
 
 
 def run_group(size, fn, timeout=30.0):
@@ -236,6 +237,12 @@ class TestContractAndTransport:
         assert (comm.rank, comm.size) == (0, 1)
         assert np.array_equal(gather_rows(comm, np.ones((1, 1)))[0], np.ones((1, 1)))
         comm.close()
+
+    def test_env_config_errors(self):
+        with pytest.raises(ConfigError, match=f"needs {ENV_SIZE}, {ENV_COORD} in the env"):
+            SocketCommunicator.from_env(env={ENV_RANK: "0"})
+        with pytest.raises(ConfigError, match="must be integers"):
+            SocketCommunicator.from_env(env={ENV_RANK: "0", ENV_SIZE: "two", ENV_COORD: "h:1"})
 
 
 class TestStatsAndOffsets:

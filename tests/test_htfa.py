@@ -14,7 +14,7 @@ from factorfit.data_io import SubjectData
 from factorfit.errors import (
     ConfigError, DefinitenessError, EvaluationError, InvalidInputError, ShapeError,
 )
-from factorfit.kernels import rbf_factor_matrix
+from factorfit.kernels import VoxelGrid, grid_sq_distances, rbf_factor_matrix
 
 
 def small_config(k=3, outer=3, local=3, seed=2):
@@ -93,15 +93,21 @@ class TestInitTemplate:
         assert t.prior_width_var == pytest.approx(float(t.width_var.mean()))
 
     def test_sq_distances_bits_of_the_broadcast(self):
-        """Axis by axis in x + y + z order gives the bits of the
-        (n, m, 3) broadcast's sum, so the seeding's candidate RBFs and the
-        width problem's distances do not move."""
+        """``kernels.grid_sq_distances``, which the seeding and the width
+        problem use, gives the bits of the (K, V, 3) broadcast's sum on a
+        grid and on a sampled view of it, also from a center on a voxel."""
         rng = np.random.default_rng(6)
-        a = rng.uniform(-30.0, 30.0, (300, 3))
-        b = rng.uniform(-30.0, 30.0, (7, 3))
-        for p, q in ((a, b), (b, a), (a, a[[5]])):
-            want = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1)
-            assert htfa._sq_distances(p, q).tobytes() == want.tobytes()
+        for _ in range(20):
+            axes = np.meshgrid(
+                *(np.sort(rng.uniform(-30.0, 30.0, n)) for n in rng.integers(2, 9, 3)),
+                indexing="ij",
+            )
+            grid = VoxelGrid.from_positions(np.column_stack([a.ravel() for a in axes]))
+            view = grid.take(rng.integers(0, grid.n_voxels, 40))
+            centers = np.vstack([rng.uniform(-30.0, 30.0, (4, 3)), grid.positions[[3]]])
+            for g in (grid, view):
+                want = ((g.positions[None] - centers[:, None]) ** 2).sum(axis=-1)
+                assert grid_sq_distances(centers, g).tobytes() == want.tobytes()
 
     def test_too_few_voxels(self):
         grid = cuboid_grid(2, 2, 1)
@@ -484,16 +490,6 @@ class TestLocalStep:
         )
         assert np.linalg.norm(out.centers[0] - centers[0]) <= 0.5
 
-    def test_zero_iterations_returns_input(self, blob_data):
-        subjects, _, _, _ = blob_data
-        config = small_config(local=0)
-        template = htfa.init_template(subjects[0], config)
-        local = htfa.LocalModel(
-            "s0", np.full((3, 3), 7.0), np.ones(3), np.zeros((subjects[0].X.shape[1], 3)), 1.0
-        )
-        out = htfa.local_step(subjects[0], template, local, config, small_plan())
-        assert out is local
-
     def test_deterministic(self, blob_data):
         subjects, _, _, _ = blob_data
         config = small_config(local=2)
@@ -873,6 +869,16 @@ class TestInputChecks:
         assert f"subject s1 {message}" in str(errors[1])
         assert comms[1].stats.gather_calls == comms[1].stats.bcast_calls == 0
         assert errors[0] is not None  # rank 0 learns of the abort
+
+    def test_zero_local_iterations_is_config_error(self):
+        # without a local step every weight column stays zero, every factor is
+        # re-seeded at one voxel and the template is pulled there
+        matrices, grid, _, _ = blob_subjects(k=3, seed=3)
+        subjects = [SubjectData(f"s{i}", X, grid) for i, X in enumerate(matrices[:2])]
+        comm = SerialCommunicator()
+        with pytest.raises(ConfigError, match="local_iterations must be at least 1"):
+            htfa.fit(subjects, small_config(local=0), self.PLAN, comm)
+        assert comm.stats.gather_calls == comm.stats.bcast_calls == 0
 
 
 class TestConnectivity:

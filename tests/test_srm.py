@@ -642,7 +642,13 @@ def tree_block(rows, lo, hi):
 
 
 def root_sum(blocks, n):
-    return srm._tree_sum(blocks, n, np.empty((n.bit_length() + 1, blocks[0].shape[1])))
+    """The root's side: its own nodes, ``blocks[0]``, already sit in its
+    stack, sized as ``srm.fit`` sizes it, and the block it gathers is empty."""
+    own = blocks[0]
+    nodes = np.empty((n.bit_length() + 1, own.shape[1]))
+    nodes[:len(own)] = own
+    covered = int(own[-1, 0] + 2 ** own[-1, 1])
+    return srm._tree_sum([own[:0], *blocks[1:]], n, nodes, len(own), covered)
 
 
 class TestSummationTree:
@@ -722,16 +728,23 @@ class TestSummationTree:
 
     @pytest.mark.parametrize("n_subjects", [1, 3, 6, 7, 64])
     def test_serial_fit_gathers_popcount_rows(self, monkeypatch, n_subjects):
+        """A serial fit's tree ends at popcount(N) rows, and the root keeps
+        them in its own stack: it gathers no tree rows at all."""
         k, n_trs, iterations = 2, 5, 3
-        shapes = []
-        gather_rows = srm.gather_rows
+        shapes, stacks = [], []
+        gather_rows, tree_sum = srm.gather_rows, srm._tree_sum
 
         def recording(comm, rows):
             rows = np.asarray(rows)
             shapes.append(rows.shape)
             return gather_rows(comm, rows)
 
+        def recording_sum(blocks, n, nodes, depth, covered):
+            stacks.append((depth, covered))
+            return tree_sum(blocks, n, nodes, depth, covered)
+
         monkeypatch.setattr(srm, "gather_rows", recording)
+        monkeypatch.setattr(srm, "_tree_sum", recording_sum)
         rng = np.random.default_rng(29)
         subjects = [
             SubjectData(f"s{i}", rng.standard_normal((6, n_trs)))
@@ -739,7 +752,8 @@ class TestSummationTree:
         ]
         srm.fit(subjects, srm.SrmConfig(k=k, iterations=iterations), SerialCommunicator())
         per_iteration = [shape for shape in shapes if shape[1] == 4 + k * n_trs]
-        assert per_iteration == [(bin(n_subjects).count("1"), 4 + k * n_trs)] * iterations
+        assert per_iteration == [(0, 4 + k * n_trs)] * iterations
+        assert stacks == [(bin(n_subjects).count("1"), n_subjects)] * iterations
 
 
 class TestCommunicationVolume:
@@ -761,10 +775,11 @@ class TestCommunicationVolume:
         large = gathered_bytes(400)
         assert small == large
         # every gather ships a 16-byte (rows, cols) header. Per iteration the
-        # 2 subjects fold into one tree node, [start, level, sum 1/rho2,
-        # sum rho2, K*T partial]; around the loop, rank_offsets sends one
-        # count and the final gather the 2 noise variances.
-        per_iter = 16 + (4 + k * n_trs) * 8
+        # 2 subjects fold into one tree node, which the serial root keeps in
+        # its own stack, so it gathers the header alone; around the loop,
+        # rank_offsets sends one count and the final gather the 2 noise
+        # variances.
+        per_iter = 16
         assert small[0] == (16 + 8) + iters * per_iter + (16 + 2 * 8)
 
 
