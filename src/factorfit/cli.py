@@ -137,14 +137,15 @@ def _run_workers(args, manifest, worker):
                 f"{workers} workers for {n_subjects} subjects; every worker needs one"
             )
         comms = create_thread_communicators(workers)
-        failures = [None] * workers
+        # a rank records its error before its abort reaches the others: the first is the cause
+        failures = []
 
         def run_rank(rank):
             lo, hi = _chunk(n_subjects, workers, rank)
             try:
                 worker(comms[rank], manifest.subjects[lo:hi])
             except BaseException as exc:  # noqa: BLE001 - reported below
-                failures[rank] = exc
+                failures.append(exc)
                 comms[rank].abort()
 
         threads = [
@@ -155,9 +156,8 @@ def _run_workers(args, manifest, worker):
             t.start()
         for t in threads:
             t.join()
-        for exc in failures:
-            if exc is not None:
-                raise exc
+        if failures:
+            raise failures[0]
         return 0
 
     # sockets

@@ -1,9 +1,10 @@
 """Message-passing collectives over pluggable backends.
 
 All inter-worker communication in the fitters goes through the three
-collectives defined here, ``broadcast``, ``gather`` and ``barrier``, and
-through :func:`gather_rows`, which gathers one float64 row block per rank
-on the root in rank order. Three backends implement the collectives:
+collectives defined here, ``broadcast``, ``gather`` and ``barrier``, through
+:func:`gather_rows`, which gathers one float64 row block per rank on the root
+in rank order, and through :class:`PairwiseSum`, which sums rows along one
+fixed pairwise tree. Three backends implement the collectives:
 
 * ``serial``  -- size 1, everything is a local no-op;
 * ``threads`` -- workers are threads of one process sharing a hub;
@@ -41,6 +42,7 @@ __all__ = [
     "SocketCommunicator",
     "create_thread_communicators",
     "gather_rows",
+    "PairwiseSum",
     "rank_offsets",
     "ENV_RANK",
     "ENV_SIZE",
@@ -184,11 +186,19 @@ class _ThreadHub:
         self.result = None
         self.error = None
         self.barrier = threading.Barrier(size)
+        self.aborted = []  # ranks in the order they aborted
+
+    def abort(self, rank):
+        self.aborted.append(rank)
+        self.barrier.abort()
 
     def _wait(self):
         try:
             self.barrier.wait(timeout=self.timeout)
         except threading.BrokenBarrierError:
+            if self.aborted:
+                raise TransportError("collective abandoned: a peer rank failed",
+                                     rank=self.aborted[0]) from None
             raise TransportError(
                 f"collective did not complete within {self.timeout} s "
                 "(a worker is missing or stuck)"
@@ -240,7 +250,7 @@ class ThreadCommunicator(Communicator):
         self._hub.run(self.rank, _OP_BARRIER, seq, None, lambda slots: None)
 
     def abort(self):
-        self._hub.barrier.abort()
+        self._hub.abort(self.rank)
 
 
 def create_thread_communicators(size, timeout=60.0):
@@ -450,3 +460,95 @@ def rank_offsets(comm, local_count):
         table = None
     table = comm.broadcast(table)
     return int(table[0, comm.rank]), int(table[1].sum())
+
+
+class PairwiseSum:
+    """Sum one float64 row per item over the items [0, n_total) of all ranks.
+
+    A rank owns the items [offset, offset + count), numbered as
+    :func:`rank_offsets` numbers them. Per round it fills the row that
+    :meth:`row` hands it and calls :meth:`push`, once per item in order,
+    then every rank calls :meth:`finish`. The rows are summed along one
+    fixed pairwise tree over [0, n_total), so the sums are bit-identical
+    for every split of the items over ranks and their error grows with
+    log n_total (Higham, SIAM J. Sci. Comput. 14(4), 1993). A rank ships
+    its stack ``nodes[:depth]`` of complete subtrees, at most about 2 log2
+    count rows, to the root; the root ships none, merges them into its own
+    stack of n_total.bit_length() rows and folds it right to left.
+    """
+
+    def __init__(self, comm, offset, count, n_total, width):
+        self.comm, self.offset, self.n_total = comm, offset, n_total
+        # a dry run on [start, level] rows sizes the stack; 2 bit_length + 1 rows suffice
+        first, n_merged = (0, n_total) if comm.rank == 0 else (offset, count)
+        self.nodes = np.empty((2 * n_merged.bit_length() + 1, 2))
+        self.depth, self.covered, rows = 0, first, 0
+        for _ in range(n_merged):
+            rows = max(rows, self.depth + 1)
+            self.push()
+        self.nodes = np.empty((rows, 2 + width))
+        self.depth, self.covered = 0, offset
+
+    def row(self):
+        """The row to fill with the next item's term, a view into the stack."""
+        return self.nodes[self.depth, 2:]
+
+    def push(self, level=0):
+        """Merge the filled row into the stack as the sum over the next item,
+        or over the next 2**level items when the root merges a received node.
+
+        A node is a row [start, level, sums...] over [start, start + 2**level),
+        start a multiple of 2**level. While the stack's top is its left sibling,
+        the two merge in place, left + right, like a binary counter's carry, so
+        every node holds the same bits wherever it was formed."""
+        nodes, depth = self.nodes, self.depth
+        nodes[depth, :2] = self.covered, level
+        self.covered += 2 ** level
+        while depth:
+            top, node = nodes[depth - 1], nodes[depth]
+            size = 2.0 ** node[1]
+            if top[1] != node[1] or top[0] + size != node[0] or top[0] % (2 * size):
+                break
+            top[2:] += node[2:]
+            top[1] += 1
+            depth -= 1
+        self.depth = depth + 1
+
+    def finish(self):
+        """End the round: the sums on the root (a view into its stack, valid until
+        the next :meth:`push`), else None. Nodes that do not tile [0, n_total)
+        exactly raise :class:`CollectiveContractError` on the root."""
+        blocks = gather_rows(self.comm, self.nodes[:0 if self.comm.rank == 0 else self.depth])
+        if blocks is None:
+            self.depth, self.covered = 0, self.offset
+            return None
+        for rank, block in enumerate(blocks):
+            for node in block:
+                start, level, covered = int(node[0]), int(node[1]), self.covered
+                end = start + 2 ** level
+                if start > covered:
+                    problem = f"subjects [{covered}, {start}) are missing"
+                elif start < covered:
+                    problem = f"subjects [{start}, {min(end, covered)}) are summed twice"
+                elif level < 0 or start % 2 ** level:
+                    problem = "that range is not a node of the pairwise tree"
+                elif end > self.n_total:
+                    problem = f"there are only {self.n_total} subjects"
+                else:
+                    self.row()[:] = node[2:]
+                    self.push(level)
+                    continue
+                raise CollectiveContractError(
+                    f"rank {rank} sent the E-step sum over subjects "
+                    f"[{start}, {end}) after [0, {covered}): {problem}; "
+                    "every subject must be covered exactly once"
+                )
+        if self.covered != self.n_total:
+            raise CollectiveContractError(
+                f"E-step sums cover subjects [0, {self.covered}) of {self.n_total}; "
+                "every subject must be covered exactly once"
+            )
+        for d in range(self.depth - 2, -1, -1):
+            self.nodes[d, 2:] += self.nodes[d + 1, 2:]
+        self.depth, self.covered = 0, self.offset
+        return self.nodes[0, 2:]

@@ -37,23 +37,14 @@ number of voxels that vary, checked against k before any collective.
 
 Beyond the data, a worker holds only what the next step reads: each
 subject's current W_i (an initial mapping is dropped at its first
-M-step), mu_i and two scalars, one tree stack of (4 + K T)-wide rows,
-and the broadcast S. The root keeps its own nodes in that stack and
-finishes the tree there, and drops its own S once it is packed for the
-broadcast. The M-step adds A_i, the QR's work copy of it and the new
-W_i, all V_i x K (under 8 K voxels, the SVD's copy, U and W_i).
-
-Per iteration the E-step terms are summed along one fixed pairwise tree
-over the global subject indices [0, N). Each worker sums its own
-subjects' terms, [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i], into the
-complete aligned subtrees of that tree, ships those few rows (at most
-about 2 log2 of its subject count) to the root, which sends none and
-finishes the same tree. Every addition combines the same two subtrees
-whatever the partition, so results are bit-identical no matter how subjects are
-grouped onto workers, and the summation error grows with log N, not N
-(Higham, SIAM J. Sci. Comput. 14(4), 1993). The root then updates
-Sigma_s and broadcasts the posterior mean and the trace of the new
-Sigma_s back in one (K+1) x T matrix.
+M-step), mu_i and two scalars, the broadcast S, and the stack of
+(4 + K T)-wide rows of the :class:`~factorfit.collectives.PairwiseSum`
+that sums the E-step terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i]
+over the subjects [0, N), bit-identically however they are grouped onto
+workers (the root's stack, N.bit_length() rows, finishes the sum). The
+root drops its own S once it is packed for the broadcast of S and
+tr(Sigma_s_new). The M-step adds A_i, the QR's work copy of it and the
+new W_i, all V_i x K (under 8 K voxels, the SVD's copy, U and W_i).
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .collectives import gather_rows, rank_offsets
+from .collectives import PairwiseSum, gather_rows, rank_offsets
 from .errors import CollectiveContractError, ConfigError, RankError, ShapeError
 from .kernels import add_diag, center_stats, check_centered, polar_orthogonal
 from .kernels import spd_inverse, trace_ata
@@ -230,107 +221,24 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     return W_new, max(rho2, RHO_FLOOR)
 
 
-def _push_node(nodes, depth):
-    """Add the node in ``nodes[depth]`` to a pairwise-tree stack; return its depth.
-
-    ``nodes[:depth]`` is the stack. A node is a row [start, level, sums...]
-    holding the sums over subjects [start, start + 2**level), with start
-    a multiple of 2**level. While the top of the stack is the left sibling
-    of the new node, the two merge in place into their parent, left +
-    right, like the carry of a binary counter. Every node therefore holds
-    the same bits wherever it was formed.
-    """
-    while depth:
-        top, node = nodes[depth - 1], nodes[depth]
-        size = 2.0 ** node[1]
-        if top[1] != node[1] or top[0] + size != node[0] or top[0] % (2 * size):
-            break
-        top[2:] += node[2:]
-        top[1] += 1
-        depth -= 1
-    return depth + 1
-
-
-def _stack_rows(offset, count):
-    """Rows the tree stack of subjects [offset, offset + count) ever holds."""
-    # left subtrees cut off by offset, plus a binary counter: both grow
-    # with log2(count), so 2 * count.bit_length() + 1 rows always suffice
-    nodes = np.empty((2 * count.bit_length() + 1, 2))
-    depth = rows = 0
-    for i in range(offset, offset + count):
-        nodes[depth] = i, 0
-        rows = max(rows, depth + 1)
-        depth = _push_node(nodes, depth)
-    return rows
-
-
-def _tree_sum(blocks, n_subjects, nodes, depth, covered):
-    """Root side: finish the pairwise tree over subjects [0, n_subjects).
-
-    ``nodes[:depth]`` is the root's own stack over subjects [0, covered),
-    and ``blocks`` are the ranks' node rows in rank order (the root's is
-    empty). Together they must tile [0, n_subjects) exactly; the first
-    gap, overlap or overrun raises :class:`CollectiveContractError`. The
-    nodes go through the same merge as on the workers, in ``nodes``, a
-    buffer of at least n_subjects.bit_length() + 1 rows (the root's stack
-    is a binary counter over [0, n_subjects)) that no block is a view of. What
-    remains, one complete subtree per set bit of n_subjects, is folded
-    right to left. Returns the sums, a view into ``nodes``.
-    """
-    for rank, block in enumerate(blocks):
-        for node in block:
-            start, level = int(node[0]), int(node[1])
-            end = start + 2 ** level
-            if start > covered:
-                problem = f"subjects [{covered}, {start}) are missing"
-            elif start < covered:
-                problem = f"subjects [{start}, {min(end, covered)}) are summed twice"
-            elif level < 0 or start % 2 ** level:
-                problem = "that range is not a node of the pairwise tree"
-            elif end > n_subjects:
-                problem = f"there are only {n_subjects} subjects"
-            else:
-                problem = None
-            if problem:
-                raise CollectiveContractError(
-                    f"rank {rank} sent the E-step sum over subjects "
-                    f"[{start}, {end}) after [0, {covered}): {problem}; "
-                    "every subject must be covered exactly once"
-                )
-            covered = end
-            nodes[depth] = node
-            depth = _push_node(nodes, depth)
-    if covered != n_subjects:
-        raise CollectiveContractError(
-            f"E-step sums cover subjects [0, {covered}) of {n_subjects}; "
-            "every subject must be covered exactly once"
-        )
-    for d in range(depth - 2, -1, -1):
-        nodes[d, 2:] += nodes[d + 1, 2:]
-    return nodes[0, 2:]
-
-
 def fit(subjects, config, comm):
     """Run the distributed EM; ``subjects`` are this worker's share.
 
     Every worker calls this with the same config. The subjects' arrays
-    are only read, never copied or modified (the module notes say how
-    Xhat_i is avoided). Besides them the fit holds each subject's current
-    mapping and means, one tree stack, which the root also finishes the
-    tree in, and S. Per iteration: each worker streams its subjects'
-    [rho_i^{-2}, rho_i^2, K x T partial] terms through the pairwise
-    summation tree and gathers the resulting [start, level, sums] node
-    rows (none from the root) -> the root checks that they tile [0, N),
-    finishes the tree, subtracts the K x T sum's row means, computes the posterior
-    (whose covariance the Sigma_s update reuses), subtracts S's row means
-    and updates Sigma_s -> one broadcast of S stacked on a row holding
+    are only read, never copied or modified; the module notes say how
+    Xhat_i is avoided and what else the fit holds. Per iteration: the
+    subjects' [rho_i^{-2}, rho_i^2, K x T partial] terms go into one
+    :class:`~factorfit.collectives.PairwiseSum` -> the root subtracts the
+    row means of the summed K x T term, computes the posterior (whose
+    covariance the Sigma_s update reuses), subtracts S's row means and
+    updates Sigma_s -> one broadcast of S stacked on a row holding
     tr(Sigma_s_new) -> local M-steps. With ``tolerance`` set, every
     worker runs the stopping test on its identical copy of S, so no stop
     flag travels. A last gather collects the noise variances on the root
     and a broadcast hands every worker the final rho0. The root's
-    ``objective_trace`` takes the tree's sum of rho_i^2 from each
-    iteration after the first, then the mean of the final noise
-    variances, so it covers every subject whatever the partition.
+    ``objective_trace`` takes the summed rho_i^2 from each iteration after
+    the first, then the mean of the final noise variances, so it covers
+    every subject whatever the partition.
 
     Bad subjects fail by name before any collective: a subject with fewer
     than k voxels (:class:`ShapeError`), one with a NaN or infinite entry
@@ -386,26 +294,16 @@ def fit(subjects, config, comm):
     S = None
     S_prev = None
     objective_trace = []
-    # the root (offset 0) keeps its nodes and finishes the tree in its own
-    # stack: gather_rows hands it packed copies of the other ranks' nodes,
-    # never views of this buffer
-    if comm.rank == 0:
-        n_rows = n_subjects.bit_length() + 1
-    else:
-        n_rows = _stack_rows(offset, len(subjects))
-    nodes = np.empty((n_rows, 4 + k * n_trs))
+    pairwise = PairwiseSum(comm, offset, len(subjects), n_subjects, 2 + k * n_trs)
 
     for iteration in range(config.iterations):
-        depth = 0
         for j in range(len(subjects)):
-            nodes[depth, :4] = offset + j, 0, 1.0 / rho2s[j], rho2s[j]
-            row = nodes[depth, 4:].reshape(k, n_trs)
-            e_step_local(Ws[j], rho2s[j], Xs[j], out=row)
-            depth = _push_node(nodes, depth)
-        blocks = gather_rows(comm, nodes[:0 if comm.rank == 0 else depth])
+            row = pairwise.row()
+            row[:2] = 1.0 / rho2s[j], rho2s[j]
+            e_step_local(Ws[j], rho2s[j], Xs[j], out=row[2:].reshape(k, n_trs))
+            pairwise.push()
+        sums = pairwise.finish()
         if comm.rank == 0:
-            sums = _tree_sum(blocks, n_subjects, nodes, depth, len(subjects))
-            del blocks
             rho0 = float(sums[0])
             if iteration > 0:
                 objective_trace.append(float(sums[1]) / n_subjects)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from datagen import make_bundled_dataset
+from datagen import make_bundled_dataset, write_dataset
 from factorfit.cli import main, srm_flop_estimate, srm_flops_per_subject_iteration
 from factorfit.data_io import load_matrix
 
@@ -381,6 +381,25 @@ class TestBackendFlag:
         )
         assert rc == 2
 
+    def test_threads_failure_names_the_subject(self, tmp_path, capsys):
+        """A rank's own error is reported, not the peer's abandoned collective."""
+        rng = np.random.default_rng(30)
+        matrices = [rng.standard_normal((30, 20)) for _ in range(4)]
+        # constant over time, on rank 1 of 2
+        matrices[3] = np.repeat(rng.standard_normal((30, 1)), 20, axis=1)
+        manifest = write_dataset(tmp_path / "data", matrices)
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        rc = run_main(
+            ["fit-srm", "--manifest", manifest, "--k", 2, "--iters", 2,
+             "--backend", "threads", "--workers", 2, "--out", tmp_path / "out"]
+        )
+        assert rc == 1
+        assert time.perf_counter() - t0 < 30.0  # the transport timeout is 60 s
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert "subject sub-03 is constant over time" in error["message"]
+
     def test_sockets_without_env_usage_error(self, bundled, tmp_path, capsys, monkeypatch):
         for name in ("FACTORFIT_RANK", "FACTORFIT_SIZE", "FACTORFIT_COORD"):
             monkeypatch.delenv(name, raising=False)
@@ -467,7 +486,7 @@ class TestSpawnLocal:
         return rc, time.perf_counter() - t0
 
     def test_non_finite_subject_on_rank1_fails_fast(self, spawned, tmp_path):
-        from datagen import make_bundled_dataset
+        from datagen import make_bundled_dataset, write_dataset
         from factorfit.data_io import HEADER_SIZE, load_manifest
 
         procs, _ = spawned

@@ -11,8 +11,11 @@ from factorfit.collectives import (
     ENV_COORD,
     ENV_RANK,
     ENV_SIZE,
+    Communicator,
+    PairwiseSum,
     SerialCommunicator,
     SocketCommunicator,
+    _unpack_array,
     create_thread_communicators,
     gather_rows,
     rank_offsets,
@@ -213,6 +216,21 @@ class TestContractAndTransport:
 
         _, errors = run_group(2, fn, timeout=0.2)
         assert isinstance(errors[0], TransportError)
+        assert "did not complete within 0.2 s" in str(errors[0])
+
+    def test_peer_abort_is_not_a_timeout(self):
+        def fn(c):
+            if c.rank == 1:
+                raise ValueError("rank 1 fails before the barrier")
+            c.barrier()
+
+        t0 = time.perf_counter()
+        _, errors = run_group(2, fn, timeout=30.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(errors[0], TransportError)
+        assert errors[0].rank == 1
+        assert str(errors[0]) == "collective abandoned: a peer rank failed (rank 1)"
+        assert isinstance(errors[1], ValueError)
 
     def test_socket_peer_disconnect_names_rank(self):
         def fn(c):
@@ -268,9 +286,163 @@ class TestStatsAndOffsets:
         assert results == [(0, 6), (2, 6), (5, 6)]
 
 
+class Replay(Communicator):
+    """Rank ``rank`` of a group whose peers are replayed: ``gather`` keeps
+    what this rank sends in ``sent`` and hands the root ``received``, the
+    other ranks' packed blocks in rank order."""
+
+    backend = "replay"
+
+    def __init__(self, rank, size, received=()):
+        super().__init__(rank, size)
+        self.received = list(received)
+        self.sent = None
+
+    def _gather(self, local, seq):
+        self.sent = local
+        return [local, *self.received] if self.rank == 0 else None
+
+
+def pairwise_reference(rows):
+    """The summation tree written recursively: one complete subtree per
+    set bit of N, largest first, each summed as left half + right half,
+    then folded right to left."""
+
+    def subtree(lo, size):
+        if size == 1:
+            return rows[lo]
+        half = size // 2
+        return subtree(lo, half) + subtree(lo + half, half)
+
+    sums, lo = [], 0
+    for bit in reversed(range(len(rows).bit_length())):
+        if len(rows) >> bit & 1:
+            sums.append(subtree(lo, 1 << bit))
+            lo += 1 << bit
+    total = sums[-1]
+    for part in reversed(sums[:-1]):
+        total = part + total
+    return total
+
+
+def push_rows(pairwise, rows):
+    for row in rows:
+        pairwise.row()[:] = row
+        pairwise.push()
+
+
+def tree_block(rows, lo, hi):
+    """The packed node rows a rank owning items [lo, hi) ships."""
+    comm = Replay(1, 2)
+    pairwise = PairwiseSum(comm, lo, hi - lo, hi, rows.shape[1])
+    push_rows(pairwise, rows[lo:hi])
+    assert pairwise.finish() is None
+    return comm.sent
+
+
+def root_of(rows, n):
+    """The root of n items; its stack has exactly n.bit_length() rows."""
+    pairwise = PairwiseSum(Replay(0, 1), 0, 1, n, rows.shape[1])
+    assert len(pairwise.nodes) == n.bit_length()
+    return pairwise
+
+
+def root_sum(pairwise, rows, own, blocks):
+    """The root's side of one round: it owns items [0, own), and ``blocks``
+    are the other ranks' shipments."""
+    pairwise.comm = Replay(0, 1 + len(blocks), blocks)
+    push_rows(pairwise, rows[:own])
+    sums = pairwise.finish()
+    # the root gathers a (rows, cols) header and no node rows
+    assert len(pairwise.comm.sent) == 16
+    return sums
+
+
+class TestPairwiseSum:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # magnitudes spread over 1e-9..1e9, so the order of additions shows
+        rng = np.random.default_rng(27)
+        return rng.standard_normal((40, 5)) * 10.0 ** rng.uniform(-9, 9, (40, 1))
+
+    def test_every_split_matches_pairwise_reference(self, rows):
+        """N = 1..40, every contiguous split over 1-4 ranks, same bytes."""
+        from itertools import combinations
+
+        blocks = {
+            (lo, hi): tree_block(rows, lo, hi)
+            for lo in range(1, 40) for hi in range(lo + 1, 41)
+        }
+        differs_from_sequential = 0
+        for n in range(1, 41):
+            expected = pairwise_reference(rows[:n]).tobytes()
+            differs_from_sequential += expected != np.add.accumulate(rows[:n])[-1].tobytes()
+            root = root_of(rows, n)
+            for n_cuts in range(4):
+                for cuts in combinations(range(1, n), n_cuts):
+                    bounds = (*cuts, n)
+                    parts = [blocks[lo, hi] for lo, hi in zip(bounds, bounds[1:])]
+                    got = root_sum(root, rows, bounds[0], parts)
+                    assert got.tobytes() == expected, (n, cuts)
+        assert differs_from_sequential > 20
+
+    def test_rank_ships_logarithmic_rows(self, rows):
+        for lo in range(40):
+            for hi in range(lo + 1, 41):
+                shipped = _unpack_array(tree_block(rows, lo, hi))
+                assert len(shipped) <= 2 * (hi - lo).bit_length()
+        for lo in range(260):
+            for n in (1, 2, 3, 7, 64, 100, 255):
+                stack = PairwiseSum(Replay(1, 2), lo, n, lo + n, 0).nodes
+                assert len(stack) <= 2 * n.bit_length() + 1
+
+    @pytest.mark.parametrize("spans, n, message", [
+        ([(0, 2), (3, 5)], 5, r"rank 1 .* subjects \[2, 3\) are missing"),
+        ([(0, 3), (2, 5)], 5, r"rank 1 .* subjects \[2, 3\) are summed twice"),
+        ([(0, 4), (0, 4)], 8, r"rank 1 .* subjects \[0, 4\) are summed twice"),
+        ([(0, 2), (2, 4)], 5, r"cover subjects \[0, 4\) of 5"),
+        ([(0, 4), (4, 8)], 6, r"rank 1 .* \[4, 8\) .* only 6 subjects"),
+    ])
+    def test_bad_tiling_is_contract_error(self, rows, spans, n, message):
+        (_, own), *others = spans
+        parts = [tree_block(rows, lo, hi) for lo, hi in others]
+        with pytest.raises(CollectiveContractError, match=message):
+            root_sum(root_of(rows, n), rows, own, parts)
+
+    def test_unaligned_node_is_contract_error(self, rows):
+        # [1, 3) has the size of a level-1 node but not its alignment
+        comm = Replay(1, 2)
+        gather_rows(comm, np.concatenate(([1, 1], rows[1] + rows[2]))[None])
+        with pytest.raises(CollectiveContractError, match="not a node"):
+            root_sum(root_of(rows, 3), rows, 1, [comm.sent])
+
+
+def run_two_processes(script, cli_env):
+    """Run ``script`` as socket ranks 0 and 1 of 2 OS processes; returns
+    rank 0's standard output after both exit cleanly."""
+    port = free_port()
+    procs = []
+    for rank in range(2):
+        env = dict(cli_env)
+        env[ENV_RANK] = str(rank)
+        env[ENV_SIZE] = "2"
+        env[ENV_COORD] = f"127.0.0.1:{port}"
+        procs.append(
+            subprocess.Popen(
+                [sys.executable, str(script)],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        )
+    outs = [p.communicate(timeout=60) for p in procs]
+    assert all(p.returncode == 0 for p in procs), outs
+    return outs[0][0]
+
+
 class TestSubprocessSockets:
     def test_two_os_processes(self, tmp_path, cli_env):
-        port = free_port()
         script = tmp_path / "worker.py"
         script.write_text(
             "import numpy as np\n"
@@ -283,21 +455,31 @@ class TestSubprocessSockets:
             "comm.barrier()\n"
             "comm.close()\n"
         )
-        procs = []
-        for rank in range(2):
-            env = dict(cli_env)
-            env[ENV_RANK] = str(rank)
-            env[ENV_SIZE] = "2"
-            env[ENV_COORD] = f"127.0.0.1:{port}"
-            procs.append(
-                subprocess.Popen(
-                    [sys.executable, str(script)],
-                    env=env,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
-            )
-        outs = [p.communicate(timeout=60) for p in procs]
-        assert all(p.returncode == 0 for p in procs), outs
-        assert "GATHER-OK" in outs[0][0]
+        assert "GATHER-OK" in run_two_processes(script, cli_env)
+
+    def test_pairwise_sum_matches_serial(self, tmp_path, cli_env):
+        # rank 0 owns items [0, 3) of 7; rank 1 ships nodes [3, 4), [4, 6), [6, 7)
+        script = tmp_path / "worker.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from factorfit.collectives import PairwiseSum, SerialCommunicator, SocketCommunicator\n"
+            "rng = np.random.default_rng(31)\n"
+            "rows = rng.standard_normal((7, 9)) * 10.0 ** rng.uniform(-9, 9, (7, 1))\n"
+            "def pairwise_sum(comm, lo, hi):\n"
+            "    pairwise = PairwiseSum(comm, lo, hi - lo, 7, 9)\n"
+            "    for row in rows[lo:hi]:\n"
+            "        pairwise.row()[:] = row\n"
+            "        pairwise.push()\n"
+            "    return pairwise.finish()\n"
+            "comm = SocketCommunicator.from_env()\n"
+            "sums = pairwise_sum(comm, *[(0, 3), (3, 7)][comm.rank])\n"
+            "if comm.rank == 0:\n"
+            "    assert sums.tobytes() == pairwise_sum(SerialCommunicator(), 0, 7).tobytes()\n"
+            "    assert comm.stats.gather_bytes == 16\n"
+            "    print('TREE-OK')\n"
+            "else:\n"
+            "    assert sums is None\n"
+            "    assert comm.stats.gather_bytes == 16 + 3 * (2 + 9) * 8\n"
+            "comm.close()\n"
+        )
+        assert "TREE-OK" in run_two_processes(script, cli_env)

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from datagen import srm_subjects, traced_peak
 from factorfit import reference, srm
-from factorfit.collectives import SerialCommunicator, create_thread_communicators
+from factorfit.collectives import (
+    PairwiseSum,
+    SerialCommunicator,
+    create_thread_communicators,
+)
 from factorfit.data_io import SubjectData
 from factorfit.errors import (
     CollectiveContractError,
@@ -608,100 +612,9 @@ def test_property_partition_independent(counts, tolerance):
     assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in serial.W]
 
 
-def pairwise_reference(rows):
-    """The summation tree written recursively: one complete subtree per
-    set bit of N, largest first, each summed as left half + right half,
-    then folded right to left."""
-
-    def subtree(lo, size):
-        if size == 1:
-            return rows[lo]
-        half = size // 2
-        return subtree(lo, half) + subtree(lo + half, half)
-
-    sums, lo = [], 0
-    for bit in reversed(range(len(rows).bit_length())):
-        if len(rows) >> bit & 1:
-            sums.append(subtree(lo, 1 << bit))
-            lo += 1 << bit
-    total = sums[-1]
-    for part in reversed(sums[:-1]):
-        total = part + total
-    return total
-
-
-def tree_block(rows, lo, hi):
-    """What a rank owning subjects [lo, hi) ships: its stack of tree nodes,
-    built in a buffer of the size ``srm.fit`` allocates."""
-    nodes = np.empty((srm._stack_rows(lo, hi - lo), 2 + rows.shape[1]))
-    depth = 0
-    for i in range(lo, hi):
-        nodes[depth] = (i, 0, *rows[i])
-        depth = srm._push_node(nodes, depth)
-    return nodes[:depth]
-
-
-def root_sum(blocks, n):
-    """The root's side: its own nodes, ``blocks[0]``, already sit in its
-    stack, sized as ``srm.fit`` sizes it, and the block it gathers is empty."""
-    own = blocks[0]
-    nodes = np.empty((n.bit_length() + 1, own.shape[1]))
-    nodes[:len(own)] = own
-    covered = int(own[-1, 0] + 2 ** own[-1, 1])
-    return srm._tree_sum([own[:0], *blocks[1:]], n, nodes, len(own), covered)
-
-
 class TestSummationTree:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        # magnitudes spread over 1e-9..1e9, so the order of additions shows
-        rng = np.random.default_rng(27)
-        return rng.standard_normal((40, 5)) * 10.0 ** rng.uniform(-9, 9, (40, 1))
-
-    def test_every_split_matches_pairwise_reference(self, rows):
-        """N = 1..40, every contiguous split over 1-4 ranks, same bytes."""
-        from itertools import combinations
-
-        blocks = {
-            (lo, hi): tree_block(rows, lo, hi)
-            for lo in range(40) for hi in range(lo + 1, 41)
-        }
-        differs_from_sequential = 0
-        for n in range(1, 41):
-            expected = pairwise_reference(rows[:n]).tobytes()
-            differs_from_sequential += expected != np.add.accumulate(rows[:n])[-1].tobytes()
-            for n_cuts in range(4):
-                for cuts in combinations(range(1, n), n_cuts):
-                    bounds = (0, *cuts, n)
-                    parts = [blocks[lo, hi] for lo, hi in zip(bounds, bounds[1:])]
-                    assert root_sum(parts, n).tobytes() == expected, (n, cuts)
-        assert differs_from_sequential > 20
-
-    def test_rank_ships_logarithmic_rows(self, rows):
-        for lo in range(40):
-            for hi in range(lo + 1, 41):
-                assert len(tree_block(rows, lo, hi)) <= 2 * (hi - lo).bit_length()
-        for lo in range(260):
-            for n in (1, 2, 3, 7, 64, 100, 255):
-                assert srm._stack_rows(lo, n) <= 2 * n.bit_length() + 1
-
-    @pytest.mark.parametrize("spans, n, message", [
-        ([(0, 2), (3, 5)], 5, r"rank 1 .* subjects \[2, 3\) are missing"),
-        ([(0, 3), (2, 5)], 5, r"rank 1 .* subjects \[2, 3\) are summed twice"),
-        ([(0, 4), (0, 4)], 8, r"rank 1 .* subjects \[0, 4\) are summed twice"),
-        ([(0, 2), (2, 4)], 5, r"cover subjects \[0, 4\) of 5"),
-        ([(0, 4), (4, 8)], 6, r"rank 1 .* \[4, 8\) .* only 6 subjects"),
-    ])
-    def test_bad_tiling_is_contract_error(self, rows, spans, n, message):
-        parts = [tree_block(rows, lo, hi) for lo, hi in spans]
-        with pytest.raises(CollectiveContractError, match=message):
-            root_sum(parts, n)
-
-    def test_unaligned_node_is_contract_error(self, rows):
-        # [1, 3) has the size of a level-1 node but not its alignment
-        bad = np.concatenate(([1, 1], rows[1] + rows[2]))[None]
-        with pytest.raises(CollectiveContractError, match="not a node"):
-            root_sum([tree_block(rows, 0, 1), bad], 3)
+    """The fit's side of the E-step sum; the tree itself is tested with
+    :class:`~factorfit.collectives.PairwiseSum` in test_collectives.py."""
 
     def test_overlapping_ranks_fail_the_fit(self, monkeypatch):
         # both ranks believe they own subjects [0, 2)
@@ -729,31 +642,30 @@ class TestSummationTree:
     @pytest.mark.parametrize("n_subjects", [1, 3, 6, 7, 64])
     def test_serial_fit_gathers_popcount_rows(self, monkeypatch, n_subjects):
         """A serial fit's tree ends at popcount(N) rows, and the root keeps
-        them in its own stack: it gathers no tree rows at all."""
+        them in its own stack of N.bit_length() rows: it gathers no tree
+        rows at all."""
         k, n_trs, iterations = 2, 5, 3
-        shapes, stacks = [], []
-        gather_rows, tree_sum = srm.gather_rows, srm._tree_sum
+        stacks = []
 
-        def recording(comm, rows):
-            rows = np.asarray(rows)
-            shapes.append(rows.shape)
-            return gather_rows(comm, rows)
+        class Recording(PairwiseSum):
+            def finish(self):
+                stacks.append((len(self.nodes), self.depth))
+                return super().finish()
 
-        def recording_sum(blocks, n, nodes, depth, covered):
-            stacks.append((depth, covered))
-            return tree_sum(blocks, n, nodes, depth, covered)
-
-        monkeypatch.setattr(srm, "gather_rows", recording)
-        monkeypatch.setattr(srm, "_tree_sum", recording_sum)
+        monkeypatch.setattr(srm, "PairwiseSum", Recording)
         rng = np.random.default_rng(29)
         subjects = [
             SubjectData(f"s{i}", rng.standard_normal((6, n_trs)))
             for i in range(n_subjects)
         ]
-        srm.fit(subjects, srm.SrmConfig(k=k, iterations=iterations), SerialCommunicator())
-        per_iteration = [shape for shape in shapes if shape[1] == 4 + k * n_trs]
-        assert per_iteration == [(0, 4 + k * n_trs)] * iterations
-        assert stacks == [(bin(n_subjects).count("1"), n_subjects)] * iterations
+        comm = SerialCommunicator()
+        srm.fit(subjects, srm.SrmConfig(k=k, iterations=iterations), comm)
+        # each gather ships a 16-byte (rows, cols) header: rank_offsets adds one
+        # count, every iteration's tree gather nothing, the last gather N
+        # noise variances
+        assert comm.stats.gather_calls == iterations + 2
+        assert comm.stats.gather_bytes == (16 + 8) + iterations * 16 + (16 + 8 * n_subjects)
+        assert stacks == [(n_subjects.bit_length(), bin(n_subjects).count("1"))] * iterations
 
 
 class TestCommunicationVolume:
@@ -864,8 +776,8 @@ class TestMemoryContract:
         assert peak < n_voxels * n_trs * 8
 
     def test_fit_holds_only_live_arrays(self):
-        """Above its inputs the fit holds the mappings, one tree stack on the
-        root, S twice (packed for the broadcast and received) and the M-step's
+        """Above its inputs the fit holds the mappings, the root's tree stack
+        of N.bit_length() rows, S twice (packed for the broadcast and received) and the M-step's
         V x K arrays (A, the SVD's copy, U and the new mapping); the voxel means
         and 64 KiB cover the rest. Retaining the initial mappings breaks it."""
         n_subjects, n_voxels, n_trs, k = 6, 600, 120, 10
@@ -879,7 +791,7 @@ class TestMemoryContract:
         peak = traced_peak(srm.fit, subjects, cfg, SerialCommunicator())
         doubles = (
             n_subjects * n_voxels * k
-            + (n_subjects.bit_length() + 1) * (4 + k * n_trs)
+            + n_subjects.bit_length() * (4 + k * n_trs)
             + 2 * k * n_trs
             + 4 * n_voxels * k
             + n_subjects * n_voxels
