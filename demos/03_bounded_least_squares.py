@@ -2,10 +2,11 @@
 """The bound-constrained least-squares solver on its own.
 
 The topographic fitter leans on this solver for its center and width
-blocks, but it is a general tool. Three small studies: the classic
+blocks, but it is a general tool. Four small studies: the classic
 Rosenbrock valley, a problem whose optimum sits outside the feasible box
-(the solver must land exactly on the bound), and the finite-difference
-Jacobian checker that guards hand-derived derivatives.
+(the solver must land exactly on the bound), the finite-difference
+Jacobian checker that guards hand-derived derivatives, and a problem
+that hands the solver J^T J and J^T r instead of its Jacobian.
 """
 
 import numpy as np
@@ -55,14 +56,20 @@ broken = LeastSquaresProblem(
 print(f"corrupted Jacobian deviation: {check_jacobian(broken, np.zeros(3)):.2e}")
 
 # ----------------------------------------------------------------------
-# 4. No analytic Jacobian at all: forward differences kick in.
+# 4. Normal equations instead of a Jacobian. A structured problem (like
+#    the topographic fitter's blocks) can supply J^T J and J^T r through
+#    normal_fn and never form J. Here J = A is tall, and J^T J is formed
+#    once; the solver needs either jacobian_fn or normal_fn.
 # ----------------------------------------------------------------------
+A = np.random.default_rng(3).standard_normal((200, 2))
+b = A @ np.array([1.0, -0.5]) + 0.01
+gram = A.T @ A
 implicit = LeastSquaresProblem(
     n_vars=2,
-    n_residuals=3,
-    residual_fn=lambda x: np.array(
-        [x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - 1.0, 0.1 * x[1]]
-    ),
+    n_residuals=200,
+    residual_fn=lambda x: A @ x - b,
+    normal_fn=lambda x, r: (gram, A.T @ r),
+    lower=np.array([-np.inf, 0.0]),
 )
 result = solve(implicit, np.array([3.0, 3.0]), TrfConfig(max_iterations=40))
-print(f"finite-difference fallback: x = {np.round(result.x, 6)}")
+print(f"normal equations only: x = {np.round(result.x, 6)} (second entry held at its bound 0)")

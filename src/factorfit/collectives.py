@@ -150,12 +150,6 @@ class Communicator:
         """Unblock peers waiting on this rank (used on worker failure)."""
         self.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 class SerialCommunicator(Communicator):
     """Single-worker backend; all collectives are local."""
@@ -329,7 +323,7 @@ class SocketCommunicator(Communicator):
             self._send(0, _OP_HELLO, 0, _LEN.pack(rank))
 
     @classmethod
-    def from_env(cls, env=None, timeout=60.0):
+    def from_env(cls, env=None):
         """Build from FACTORFIT_RANK / _SIZE / _COORD; a missing one, or a
         non-integer rank or size, raises :class:`ConfigError`."""
         env = os.environ if env is None else env
@@ -340,7 +334,7 @@ class SocketCommunicator(Communicator):
             rank, size = int(env[ENV_RANK]), int(env[ENV_SIZE])
         except ValueError:
             raise ConfigError(f"{ENV_RANK} and {ENV_SIZE} must be integers") from None
-        return cls(rank, size, env[ENV_COORD], timeout=timeout)
+        return cls(rank, size, env[ENV_COORD])
 
     def _send(self, peer, opcode, seq, body):
         # One buffer and one sendall per frame: a frame split over several

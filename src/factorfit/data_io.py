@@ -39,6 +39,7 @@ and subject ``i`` never changes when more subjects are requested.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,7 +172,8 @@ def read_header(path):
 
 
 def _read_header(fh, path):
-    """Read and validate the header at the start of open file ``fh``."""
+    """Read and validate the header at the start of open file ``fh``, and
+    check the file's size against it before anything is sized from it."""
     raw = fh.read(HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"{path}: truncated header", offset=len(raw), field="header")
@@ -182,28 +184,29 @@ def _read_header(fh, path):
         raise FormatError(f"{path}: unsupported version {version}", offset=4, field="version")
     if dtype != DTYPE_F64_LE:
         raise FormatError(f"{path}: unsupported dtype code {dtype}", offset=8, field="dtype")
+    expected = 8 * rows * cols
+    got = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+    if got < expected:
+        raise FormatError(
+            f"{path}: payload has {got} bytes, header promises {expected}",
+            offset=HEADER_SIZE,
+            field="payload",
+        )
+    if got > expected:
+        raise FormatError(
+            f"{path}: trailing bytes after payload",
+            offset=HEADER_SIZE + expected,
+            field="payload",
+        )
     return int(rows), int(cols)
 
 
 def load_matrix(path):
     """Read a matrix back, validating header fields, payload length and finiteness."""
     with open(path, "rb") as fh:
-        rows, cols = _read_header(fh, path)
-        expected = rows * cols * 8
-        X = np.empty((rows, cols), dtype="<f8")
-        got = fh.readinto(X)
-        if got != expected:
-            raise FormatError(
-                f"{path}: payload has {got} bytes, header promises {expected}",
-                offset=HEADER_SIZE,
-                field="payload",
-            )
-        if fh.read(1):
-            raise FormatError(
-                f"{path}: trailing bytes after payload",
-                offset=HEADER_SIZE + expected,
-                field="payload",
-            )
+        X = np.empty(_read_header(fh, path), dtype="<f8")
+        if fh.readinto(X) != X.nbytes:  # the file shrank after the header check
+            raise FormatError(f"{path}: payload shrank", offset=HEADER_SIZE, field="payload")
     if not _all_finite(X):
         raise InvalidInputError(f"{path}: payload holds non-finite entries")
     return X
@@ -360,15 +363,9 @@ def _load_seed_subjects(manifest):
 def _partition_voxels(grid, dims):
     """Group voxel indices into spatial blocks, block-lexicographic order."""
     block_of = grid.voxel_axis_index // np.asarray(dims, dtype=np.intp)
-    order = np.lexsort((block_of[:, 2], block_of[:, 1], block_of[:, 0]))
-    blocks = []
-    start = 0
-    sorted_ids = block_of[order]
-    for i in range(1, order.size + 1):
-        if i == order.size or not np.array_equal(sorted_ids[i], sorted_ids[start]):
-            blocks.append(np.sort(order[start:i]))
-            start = i
-    return blocks
+    _, block, counts = np.unique(block_of, axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(block.ravel(), kind="stable")
+    return np.split(order, np.cumsum(counts)[:-1])
 
 
 def generate_synthetic(spec, out_dir):
@@ -380,11 +377,7 @@ def generate_synthetic(spec, out_dir):
     all voxels of the partition.
     """
     spec.validate()
-    manifest_in = (
-        spec.seed_manifest
-        if isinstance(spec.seed_manifest, Manifest)
-        else load_manifest(spec.seed_manifest)
-    )
+    manifest_in = load_manifest(spec.seed_manifest)
     seeds = _load_seed_subjects(manifest_in)
     grid = seeds[0].grid
     n_trs = seeds[0].n_trs

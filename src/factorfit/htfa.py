@@ -90,7 +90,6 @@ class LocalModel:
     widths: np.ndarray    # K
     weights: np.ndarray   # T_i x K
     noise_weight: float   # the 1/(2 sigma_i^2) data-term coefficient
-    ridge_alpha2: float = 1.0
 
 
 @dataclass
@@ -123,7 +122,6 @@ class HtfaConfig:
     k: int = 60
     outer_iterations: int = 10
     local_iterations: int = 10
-    local_tolerance: float = 1e-3
     width_lower_frac: float = 0.04
     width_upper_frac: float = 1.80
     nlls: trf.TrfConfig = field(default_factory=trf.TrfConfig)
@@ -136,8 +134,6 @@ class HtfaConfig:
             raise ConfigError("outer_iterations must be at least 1")
         if self.local_iterations < 1:
             raise ConfigError("local_iterations must be at least 1")
-        if self.local_tolerance <= 0:
-            raise ConfigError("local_tolerance must be positive")
         if not (0.0 < self.width_lower_frac < self.width_upper_frac):
             raise ConfigError("need 0 < width_lower_frac < width_upper_frac")
         self.nlls.validate()
@@ -146,6 +142,12 @@ class HtfaConfig:
 #: Candidate widths per pick of :func:`init_template`, and voxels per block
 #: it scores them over.
 _SEED_WIDTHS, _SEED_BLOCK = 12, 1024
+
+#: A local step stops once its relative parameter change falls below this.
+_LOCAL_TOLERANCE = 1e-3
+
+#: The ridge penalty of every weight update.
+_RIDGE_ALPHA2 = 1.0
 
 
 def width_bounds(grid, config):
@@ -448,7 +450,7 @@ def local_step(subject, template, local, config, plan, rng=None):
     Starts by adopting the broadcast template as the local prior, then
     loops subsample -> ridge weights -> center block solve -> width
     block solve until the relative parameter change drops below
-    ``config.local_tolerance`` or ``config.local_iterations`` runs out.
+    ``_LOCAL_TOLERANCE`` or ``config.local_iterations`` runs out.
     """
     if subject.grid is None:
         raise ShapeError(f"subject {subject.subject_id} has no voxel coordinates")
@@ -470,7 +472,7 @@ def local_step(subject, template, local, config, plan, rng=None):
             # center solve starts from the weights' F and the width solve
             # from the center solve's last F when that is its solution
             factors = _factor_memo(view)
-            w_rows = update_weights(Xst, factors(centers, widths), local.ridge_alpha2)
+            w_rows = update_weights(Xst, factors(centers, widths), _RIDGE_ALPHA2)
             weights[trs] = w_rows
 
             previous = np.concatenate([centers.ravel(), widths])
@@ -486,7 +488,7 @@ def local_step(subject, template, local, config, plan, rng=None):
             widths = trf.solve(problem, widths, config.nlls).x
             current = np.concatenate([centers.ravel(), widths])
             denom = max(float(np.linalg.norm(previous)), 1e-300)
-            if float(np.linalg.norm(current - previous)) / denom < config.local_tolerance:
+            if float(np.linalg.norm(current - previous)) / denom < _LOCAL_TOLERANCE:
                 break
     except Exception as exc:
         try:
@@ -501,7 +503,6 @@ def local_step(subject, template, local, config, plan, rng=None):
         widths=widths,
         weights=weights,
         noise_weight=noise_weight,
-        ridge_alpha2=local.ridge_alpha2,
     )
 
 
@@ -661,9 +662,7 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     # final full-weight refresh against each subject's complete data
     for j, subject in enumerate(subjects):
         F = rbf_factor_matrix(locals_[j].centers, locals_[j].widths, subject.grid)
-        locals_[j].weights = update_weights(
-            subject.X.T, F, locals_[j].ridge_alpha2
-        )
+        locals_[j].weights = update_weights(subject.X.T, F, _RIDGE_ALPHA2)
     return template, locals_
 
 

@@ -107,7 +107,6 @@ class SrmModel:
     """
 
     subject_ids: list
-    subject_indices: list
     W: list
     rho2: list
     mu: list
@@ -357,7 +356,6 @@ def fit(subjects, config, comm):
 
     return SrmModel(
         subject_ids=[s.subject_id for s in subjects],
-        subject_indices=list(range(offset, offset + len(subjects))),
         W=Ws,
         rho2=list(rho2s),
         mu=mus,

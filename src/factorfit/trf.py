@@ -7,9 +7,9 @@ active bounds. After termination, components resting against a bound
 are snapped onto it exactly when that does not increase the cost.
 
 The solver only sees the normal-equation pieces H = J^T J and
-g = J^T r: a problem may supply them directly through ``normal_fn``
-(so a structured problem never forms its Jacobian), otherwise they are
-formed from the analytic or finite-difference Jacobian. One
+g = J^T r: a problem supplies them directly through ``normal_fn`` (so a
+structured problem never forms its Jacobian) or through its analytic
+Jacobian ``jacobian_fn``; a problem with neither is refused. One
 eigendecomposition of the scaled model Hessian per iteration is its
 only factorization: every trial radius takes the exact trust-region
 step in that eigenbasis, with Levenberg damping added when the
@@ -35,6 +35,7 @@ __all__ = [
 _LEVENBERG_RATIO = 1e-12  # damp when mu_min <= ratio * mu_max
 _SECULAR_ITERATIONS = 50  # cap on Newton steps for the boundary multiplier
 _SECULAR_RTOL = 1e-10  # accept ||p|| within this fraction above the radius
+_CHECK_STEP = 1e-6  # relative central-difference step of check_jacobian
 
 
 @dataclass
@@ -44,7 +45,6 @@ class TrfConfig:
     step_tolerance: float = 1e-8
     cost_tolerance: float = 1e-8
     initial_trust_radius: float = 1.0
-    finite_difference_step: float = 1e-7
 
     def validate(self):
         for name in (
@@ -52,7 +52,6 @@ class TrfConfig:
             "step_tolerance",
             "cost_tolerance",
             "initial_trust_radius",
-            "finite_difference_step",
         ):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -66,9 +65,9 @@ class LeastSquaresProblem:
 
     ``normal_fn(x, r)``, when given, returns (J^T J, J^T r) at ``x`` with
     ``r`` the residual there, and the solver never asks for a Jacobian.
-    Otherwise ``jacobian_fn`` is used, or one-sided finite differences
-    when it is None too. Bounds may contain +-inf; they must satisfy
-    ``lower < upper`` elementwise.
+    Otherwise the solver forms them from ``jacobian_fn``; :func:`solve`
+    refuses a problem that has neither. Bounds may contain +-inf; they
+    must satisfy ``lower < upper`` elementwise.
     """
 
     n_vars: int
@@ -105,7 +104,7 @@ class SolveResult:
     iterations: int
     termination_reason: str
     accepted_costs: list = field(default_factory=list)
-    nfev: int = 0  # residual evaluations, finite-difference ones excluded
+    nfev: int = 0  # residual evaluations
     njev: int = 0  # (J^T J, J^T r) evaluations, one per accepted point
 
 
@@ -120,19 +119,6 @@ def _eval_residual(problem, x):
     return r
 
 
-def _fd_jacobian(problem, x, r0, rel_step, lb, ub):
-    J = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = rel_step * max(1.0, abs(x[j]))
-        up, down = ub[j] - x[j], x[j] - lb[j]
-        if h > up:  # a forward step would leave the box: step into it
-            h = -min(h, down) if down >= up else up
-        xj = x.copy()
-        xj[j] += h
-        J[:, j] = (_eval_residual(problem, xj) - r0) / h
-    return J
-
-
 def _checked(value, shape, name, x):
     value = np.asarray(value, dtype=np.float64)
     if value.shape != shape:
@@ -142,16 +128,13 @@ def _checked(value, shape, name, x):
     return value
 
 
-def _eval_normal(problem, x, r, cfg, lb, ub):
-    """(H, g) = (J^T J, J^T r) at x, from ``normal_fn`` or a dense Jacobian."""
+def _eval_normal(problem, x, r):
+    """(H, g) = (J^T J, J^T r) at x, from ``normal_fn`` or ``jacobian_fn``."""
     n = problem.n_vars
     if problem.normal_fn is not None:
         H, g = problem.normal_fn(x, r)
         return _checked(H, (n, n), "normal_fn", x), _checked(g, (n,), "normal_fn", x)
-    if problem.jacobian_fn is None:
-        J = _fd_jacobian(problem, x, r, cfg.finite_difference_step, lb, ub)
-    else:
-        J = _checked(problem.jacobian_fn(x), (problem.n_residuals, n), "jacobian_fn", x)
+    J = _checked(problem.jacobian_fn(x), (problem.n_residuals, n), "jacobian_fn", x)
     return J.T @ J, J.T @ r
 
 
@@ -378,10 +361,14 @@ def solve(problem, x0, config=None):
     ``x0`` is clamped strictly inside the bounds if it touches them.
     Returns a :class:`SolveResult`; the returned point always satisfies
     the bounds inclusively and the accepted-step cost sequence is
-    non-increasing.
+    non-increasing. A problem with neither ``normal_fn`` nor
+    ``jacobian_fn`` raises :class:`InvalidInputError` before any residual
+    is evaluated.
     """
     cfg = config if config is not None else TrfConfig()
     cfg.validate()
+    if problem.normal_fn is None and problem.jacobian_fn is None:
+        raise InvalidInputError("problem has neither normal_fn nor jacobian_fn to solve with")
     lb, ub = problem.bounds()
     x = np.asarray(x0, dtype=np.float64).ravel().copy()
     if x.size != problem.n_vars:
@@ -395,7 +382,7 @@ def solve(problem, x0, config=None):
         return _eval_residual(problem, x)
 
     r = residual(x)
-    H, g = _eval_normal(problem, x, r, cfg, lb, ub)
+    H, g = _eval_normal(problem, x, r)
     cost = 0.5 * float(r @ r)
     del r  # H, g and the cost are all the iterations read of it
 
@@ -471,7 +458,7 @@ def solve(problem, x0, config=None):
                 reason = "step"
             x, cost = x_new, cost_new
             accepted_costs.append(cost)
-            H, g = _eval_normal(problem, x, r_new, cfg, lb, ub)
+            H, g = _eval_normal(problem, x, r_new)
             best = r_new = None  # so a trial holds only the best residual and its own
             break
         else:
@@ -483,7 +470,7 @@ def solve(problem, x0, config=None):
     x, cost, r = _snap_to_bounds(residual, x, cost, g, lb, ub, cfg)
     if r is not None:
         accepted_costs.append(cost)
-        _, g = _eval_normal(problem, x, r, cfg, lb, ub)
+        _, g = _eval_normal(problem, x, r)
     v, _ = _cl_scaling(x, g, lb, ub)
     v[(x <= lb) | (x >= ub)] = 0.0  # frozen exactly on an active bound
     return SolveResult(
@@ -498,7 +485,7 @@ def solve(problem, x0, config=None):
     )
 
 
-def check_jacobian(problem, x, rel_step=1e-6):
+def check_jacobian(problem, x):
     """Worst relative deviation of the analytic derivatives vs central differences.
 
     Columns of ``jacobian_fn`` are compared one at a time; each column's
@@ -521,7 +508,7 @@ def check_jacobian(problem, x, rel_step=1e-6):
         raise ShapeError(f"jacobian_fn returned shape {J.shape}")
     J_fd = np.empty_like(J)
     for j in range(x.size):
-        h = rel_step * max(1.0, abs(x[j]))
+        h = _CHECK_STEP * max(1.0, abs(x[j]))
         if np.isfinite(ub[j]):
             h = min(h, 0.45 * (ub[j] - x[j]))
         if np.isfinite(lb[j]):

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from datagen import make_bundled_dataset, write_dataset
+from factorfit import cli
 from factorfit.cli import main, srm_flop_estimate, srm_flops_per_subject_iteration
 from factorfit.data_io import load_matrix
 
@@ -148,6 +150,20 @@ class TestFitSrmCommand:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert err["type"] == error
         assert str(manifest) in err["message"]
+
+    def test_corrupt_header_fails_by_name_at_manifest_time(self, tmp_path, capsys, monkeypatch):
+        manifest = make_bundled_dataset(tmp_path / "data")
+        path = tmp_path / "data" / "sub-01.sfab"
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<Q", 2**40)  # claims 2**40 x 20 values
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr(cli, "load_subject", lambda *a, **k: pytest.fail("loaded data"))
+        rc = run_main(["fit-srm", "--manifest", manifest, "--k", 3, "--out", tmp_path / "x"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "FormatError"
+        assert str(path) in err["message"] and "field=payload" in err["message"]
+        assert not (tmp_path / "x").exists()
 
 
 class TestFitHtfaCommand:

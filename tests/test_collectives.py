@@ -350,8 +350,13 @@ def root_of(rows, n):
 def root_sum(pairwise, rows, own, blocks):
     """The root's side of one round: it owns items [0, own), and ``blocks``
     are the other ranks' shipments."""
-    pairwise.comm = Replay(0, 1 + len(blocks), blocks)
     push_rows(pairwise, rows[:own])
+    return root_finish(pairwise, blocks)
+
+
+def root_finish(pairwise, blocks):
+    """The root's round after it pushed its own items."""
+    pairwise.comm = Replay(0, 1 + len(blocks), blocks)
     sums = pairwise.finish()
     # the root gathers a (rows, cols) header and no node rows
     assert len(pairwise.comm.sent) == 16
@@ -378,12 +383,19 @@ class TestPairwiseSum:
             expected = pairwise_reference(rows[:n]).tobytes()
             differs_from_sequential += expected != np.add.accumulate(rows[:n])[-1].tobytes()
             root = root_of(rows, n)
-            for n_cuts in range(4):
-                for cuts in combinations(range(1, n), n_cuts):
-                    bounds = (*cuts, n)
-                    parts = [blocks[lo, hi] for lo, hi in zip(bounds, bounds[1:])]
-                    got = root_sum(root, rows, bounds[0], parts)
-                    assert got.tobytes() == expected, (n, cuts)
+            # the root owns [0, own) and pushes it once; each split of
+            # [own, n) over up to 3 more ranks restarts from that stack
+            for own in range(1, n + 1):
+                push_rows(root, rows[:own])
+                depth, covered = root.depth, root.covered
+                pushed = root.nodes[:depth].copy()
+                for n_cuts in range(3 if own < n else 1):
+                    for cuts in combinations(range(own + 1, n), n_cuts):
+                        bounds = (own, *cuts, n)  # (n, n) when the root owns all
+                        parts = [blocks[b] for b in zip(bounds, bounds[1:]) if b[0] < b[1]]
+                        root.nodes[:depth], root.depth, root.covered = pushed, depth, covered
+                        got = root_finish(root, parts)
+                        assert got.tobytes() == expected, (n, bounds[:-1])
         assert differs_from_sequential > 20
 
     def test_rank_ships_logarithmic_rows(self, rows):

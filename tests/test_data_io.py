@@ -22,6 +22,7 @@ from factorfit.data_io import (
     write_manifest,
 )
 from factorfit.errors import DatasetConsistencyError, FormatError, InvalidInputError
+from factorfit.kernels import VoxelGrid
 from factorfit.rng import PortableRng
 
 
@@ -85,8 +86,25 @@ class TestContainer:
         path = tmp_path / "m.sfab"
         save_matrix(path, np.ones((2, 2)))
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(FormatError):
-            load_matrix(path)
+        for read in (read_header, load_matrix):
+            with pytest.raises(FormatError, match="m.sfab: trailing bytes") as excinfo:
+                read(path)
+            assert excinfo.value.offset == HEADER_SIZE + 32
+
+    @pytest.mark.parametrize("rows", [2**40, 2**62])
+    def test_corrupt_row_count_refused_before_allocation(self, tmp_path, rows):
+        # the header claims rows x 20, the file holds 4 x 20; sizing a
+        # buffer from the header would ask for 160 TiB or more
+        path = tmp_path / "m.sfab"
+        save_matrix(path, np.ones((4, 20)))
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<Q", rows)
+        path.write_bytes(bytes(raw))
+        for read in (read_header, load_matrix):
+            with pytest.raises(FormatError, match="m.sfab: payload has 640 bytes") as excinfo:
+                read(path)
+            assert excinfo.value.field == "payload"
+            assert excinfo.value.offset == HEADER_SIZE
 
     def test_views_and_byte_orders_write_little_endian_rows(self, tmp_path):
         """The payload is the C-order little-endian bytes of X, whatever
@@ -306,6 +324,21 @@ class TestGenerateSynthetic:
         out = generate_synthetic(spec, tmp_path / "out")
         X = load_matrix(out.subjects[0].data_path)
         assert X.shape == (grid.n_voxels, 12)
+
+    def test_partition_matches_per_voxel_grouping(self):
+        """Blocks in lexicographic block order, each voxel list ascending, as
+        grouping the voxels one at a time gives them."""
+        rng = np.random.default_rng(8)
+        positions = cuboid_grid(9, 7, 5).positions
+        keep = rng.permutation(len(positions))[: len(positions) * 2 // 3]
+        grid = VoxelGrid.from_positions(positions[keep])
+        for dims in [(4, 4, 2), (1, 1, 1), (3, 2, 5), (16, 16, 8)]:
+            groups = {}
+            for v, index in enumerate(grid.voxel_axis_index):
+                groups.setdefault(tuple(index // np.asarray(dims)), []).append(v)
+            blocks = data_io._partition_voxels(grid, dims)
+            assert [b.tolist() for b in blocks] == [groups[key] for key in sorted(groups)]
+            assert all(b.dtype == np.intp for b in blocks)
 
     def test_grid_mismatch_rejected(self, tmp_path):
         grid_a = cuboid_grid(3, 3, 2)

@@ -1,18 +1,22 @@
-"""Every function the benchmark's tracer wraps still exists.
+"""Every function and field the benchmark's tracer touches still exists.
 
 ``perfbench/spans.py`` wraps each ``(module, attribute)`` pair of its
-``LAYER_FUNCTIONS``, plus ``trf.solve``, by ``getattr``; a refactor that
-drops or renames one breaks ``perfbench/run.py --trace 1`` with an
-``AttributeError``. The file is parsed, not imported, so nothing is written
-under ``perfbench/``.
+``LAYER_FUNCTIONS``, plus ``trf.solve``, by ``getattr``, and rebuilds each
+solved problem with ``dataclasses.replace``; a refactor that drops or
+renames one breaks ``perfbench/run.py --trace 1`` with an
+``AttributeError`` or a ``TypeError``. The file is parsed, not imported,
+so nothing is written under ``perfbench/``.
 
 Delete this test together with ``LAYER_FUNCTIONS`` once the library records
 its own phases (ROADMAP item 1) and the tracer stops patching attributes.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+
+from factorfit import trf
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +42,19 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"factorfit.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_every_replaced_field_exists():
+    """The keywords ``spans.py`` passes to ``dataclasses.replace`` are all
+    fields of ``trf.LeastSquaresProblem``, the only dataclass it rebuilds."""
+    keywords = [
+        keyword.arg
+        for node in ast.walk(ast.parse(SPANS.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "replace"
+        and getattr(node.func.value, "id", None) == "dataclasses"
+        for keyword in node.keywords
+    ]
+    fields = {f.name for f in dataclasses.fields(trf.LeastSquaresProblem)}
+    assert keywords and set(keywords) <= fields, set(keywords) - fields

@@ -153,10 +153,17 @@ class TestSolve:
         def residual(x):
             return np.array([np.inf if x[0] > 1 else x[0]])
 
-        problem = LeastSquaresProblem(1, 1, residual, None)
+        problem = LeastSquaresProblem(1, 1, residual, lambda x: np.ones((1, 1)))
         with pytest.raises(EvaluationError) as excinfo:
             solve(problem, np.array([3.0]))
         assert excinfo.value.x is not None
+
+    def test_problem_without_derivatives_refused_before_any_residual(self):
+        calls = []
+        problem = LeastSquaresProblem(1, 1, lambda x: calls.append(x) or x - 1.0)
+        with pytest.raises(InvalidInputError, match="neither normal_fn nor jacobian_fn"):
+            solve(problem, np.array([3.0]))
+        assert calls == []
 
     def test_invalid_bounds_rejected(self):
         problem = linear_problem(
@@ -168,27 +175,6 @@ class TestSolve:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             solve(rosenbrock_problem(), np.zeros(2), TrfConfig(max_iterations=0))
-
-    def test_finite_difference_fallback(self):
-        problem = LeastSquaresProblem(
-            2, 2, lambda x: np.array([x[0] ** 2 - 1.0, x[1] - 2.0])
-        )
-        result = solve(problem, np.array([3.0, 0.0]))
-        assert abs(abs(result.x[0]) - 1.0) <= 1e-6
-        assert abs(result.x[1] - 2.0) <= 1e-6
-
-    def test_finite_difference_stays_inside_active_bound(self):
-        # the residual is undefined above the bound; once the solution is
-        # snapped onto it, the difference step must point into the box
-        problem = LeastSquaresProblem(
-            1,
-            1,
-            lambda x: np.array([x[0] - 5 + 0 * np.sqrt(2 - x[0])]),
-            None,
-            upper=np.array([2.0]),
-        )
-        result = solve(problem, np.array([0.0]))
-        assert result.x[0] == 2.0
 
     def test_rank_deficient_takes_levenberg_branch(self, monkeypatch):
         # duplicate columns make J^T J singular in the unbounded pair
@@ -401,8 +387,8 @@ _coefs = st.floats(-3.0, 3.0, allow_nan=False)
 @st.composite
 def _boxed_problems(draw):
     """A random box (some sides open), start point and linear or
-    separable-quadratic residual, with an analytic or finite-difference
-    Jacobian."""
+    separable-quadratic residual, with an analytic Jacobian or only the
+    normal-equation pieces it gives."""
     n = draw(st.integers(1, 4))
     vec = lambda elems: np.array(draw(st.lists(elems, min_size=n, max_size=n)))
     lo = vec(_coords)
@@ -422,7 +408,8 @@ def _boxed_problems(draw):
         residual = lambda x: scale * (x - target) ** 2 + shift
         jacobian = lambda x: np.diag(2.0 * scale * (x - target))
     if draw(st.booleans()):
-        jacobian = None
+        normal = lambda x, r: (jacobian(x).T @ jacobian(x), jacobian(x).T @ r)
+        return LeastSquaresProblem(n, m, residual, None, lo, hi, normal), x0
     return LeastSquaresProblem(n, m, residual, jacobian, lo, hi), x0
 
 
