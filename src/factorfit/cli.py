@@ -38,7 +38,6 @@ from .collectives import (
     ENV_COORD,
     ENV_RANK,
     ENV_SIZE,
-    SerialCommunicator,
     SocketCommunicator,
     create_thread_communicators,
 )
@@ -116,67 +115,56 @@ def _write_report(out_dir, report):
 
 
 def _run_workers(args, manifest, worker):
-    """Drive ``worker(comm, entries)`` on the selected backend.
+    """Drive ``worker(comm, entries)`` on every rank this process runs.
 
-    ``entries`` is this rank's contiguous slice of the manifest's
-    subjects; artifacts are written by whichever rank owns a subject.
+    ``entries`` is a rank's contiguous slice of the manifest's subjects;
+    artifacts are written by whichever rank owns a subject. This process
+    runs one socket rank, or every rank of a thread group (the serial
+    backend is a group of one): rank 0 on the calling thread, the others
+    on threads of their own. A failing rank aborts the group; every
+    communicator is closed and the first error is raised.
     """
     n_subjects = len(manifest.subjects)
-    if args.backend == "serial":
-        comm = SerialCommunicator()
+    comms = []
+    if args.backend == "sockets" and not args.spawn_local:
         try:
-            worker(comm, manifest.subjects)
-        finally:
+            comms = [SocketCommunicator.from_env()]
+        except ConfigError as exc:
+            raise UsageError(f"{exc} (or use --spawn-local N)") from None
+        size = comms[0].size
+    else:
+        size = 1 if args.backend == "serial" else args.workers
+    if size > n_subjects:
+        for comm in comms:
             comm.close()
-        return 0
-
-    if args.backend == "threads":
-        workers = args.workers
-        if workers > n_subjects:
-            raise UsageError(
-                f"{workers} workers for {n_subjects} subjects; every worker needs one"
-            )
-        comms = create_thread_communicators(workers)
-        # a rank records its error before its abort reaches the others: the first is the cause
-        failures = []
-
-        def run_rank(rank):
-            lo, hi = _chunk(n_subjects, workers, rank)
-            try:
-                worker(comms[rank], manifest.subjects[lo:hi])
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                failures.append(exc)
-                comms[rank].abort()
-
-        threads = [
-            threading.Thread(target=run_rank, args=(r,), name=f"factorfit-rank{r}")
-            for r in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            raise failures[0]
-        return 0
-
-    # sockets
-    if args.spawn_local:
+        raise UsageError(f"{size} ranks for {n_subjects} subjects; every rank needs one")
+    if args.backend == "sockets" and args.spawn_local:
         return _spawn_local(args)
-    try:
-        comm = SocketCommunicator.from_env()
-    except ConfigError as exc:
-        raise UsageError(f"{exc} (or use --spawn-local N)") from None
-    if comm.size > n_subjects:
+    comms = comms or create_thread_communicators(size)
+    # a rank records its error before its abort reaches the others: the first is the cause
+    failures = []
+
+    def run_rank(comm):
+        lo, hi = _chunk(n_subjects, size, comm.rank)
+        try:
+            worker(comm, manifest.subjects[lo:hi])
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+            comm.abort()
+
+    threads = [
+        threading.Thread(target=run_rank, args=(comm,), name=f"factorfit-rank{comm.rank}")
+        for comm in comms[1:]
+    ]
+    for t in threads:
+        t.start()
+    run_rank(comms[0])
+    for t in threads:
+        t.join()
+    for comm in comms:
         comm.close()
-        raise UsageError(
-            f"{comm.size} ranks for {n_subjects} subjects; every rank needs one"
-        )
-    try:
-        lo, hi = _chunk(n_subjects, comm.size, comm.rank)
-        worker(comm, manifest.subjects[lo:hi])
-    finally:
-        comm.close()
+    if failures:
+        raise failures[0]
     return 0
 
 

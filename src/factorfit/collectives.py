@@ -4,13 +4,14 @@ All inter-worker communication in the fitters goes through the three
 collectives defined here, ``broadcast``, ``gather`` and ``barrier``, through
 :func:`gather_rows`, which gathers one float64 row block per rank on the root
 in rank order, and through :class:`PairwiseSum`, which sums rows along one
-fixed pairwise tree. Three backends implement the collectives:
+fixed pairwise tree. Two implementations carry the collectives:
 
-* ``serial``  -- size 1, everything is a local no-op;
-* ``threads`` -- workers are threads of one process sharing a hub;
-* ``sockets`` -- workers are OS processes; rank 0 listens on a TCP
-  address and the others connect (star topology). Ranks learn their
-  identity from the ``FACTORFIT_RANK``, ``FACTORFIT_SIZE`` and
+* :class:`ThreadCommunicator` -- the ranks of one process share a hub and
+  meet at a barrier. The ``serial`` backend is a one-rank group of it,
+  :class:`SerialCommunicator`, whose collectives return at once.
+* :class:`SocketCommunicator` -- the ranks are OS processes; rank 0 listens
+  on a TCP address and the others connect (star topology). Ranks learn
+  their identity from the ``FACTORFIT_RANK``, ``FACTORFIT_SIZE`` and
   ``FACTORFIT_COORD`` environment variables or explicit arguments.
 
 Gathered blocks arrive in ascending-rank order, never in arrival order,
@@ -95,8 +96,6 @@ class Communicator:
     executing workers. ``rank`` 0 is the root by convention.
     """
 
-    backend = "abstract"
-
     def __init__(self, rank, size):
         if size < 1 or not (0 <= rank < size):
             raise ConfigError(f"invalid rank/size ({rank}/{size})")
@@ -151,24 +150,6 @@ class Communicator:
         self.close()
 
 
-class SerialCommunicator(Communicator):
-    """Single-worker backend; all collectives are local."""
-
-    backend = "serial"
-
-    def __init__(self):
-        super().__init__(0, 1)
-
-    def _broadcast(self, buf, seq):
-        return buf.copy()
-
-    def _gather(self, local, seq):
-        return [local]
-
-    def _barrier(self, seq):
-        pass
-
-
 class _ThreadHub:
     """Shared state for one group of thread communicators."""
 
@@ -177,7 +158,7 @@ class _ThreadHub:
         self.timeout = timeout
         self.slots = [None] * size
         self.meta = [None] * size
-        self.result = None
+        self.outputs = [None] * size
         self.error = None
         self.barrier = threading.Barrier(size)
         self.aborted = []  # ranks in the order they aborted
@@ -199,13 +180,17 @@ class _ThreadHub:
             ) from None
 
     def run(self, rank, opcode, seq, payload, compute):
-        """Execute one collective; ``compute`` runs on rank 0 only."""
+        """Execute one collective and return this rank's output.
+
+        ``compute(slots)`` runs on rank 0 only and returns one output per
+        rank. Each rank then takes its own output and clears its own slot,
+        so once every rank has returned the hub holds no payload or result.
+        """
         self.slots[rank] = payload
         self.meta[rank] = (opcode, seq)
         self._wait()
         if rank == 0:
             self.error = None
-            self.result = None
             try:
                 expected = self.meta[0]
                 for r, got in enumerate(self.meta):
@@ -213,38 +198,44 @@ class _ThreadHub:
                         raise CollectiveContractError(
                             f"rank {r} called {got}, rank 0 called {expected}"
                         )
-                self.result = compute(self.slots)
+                self.outputs[:] = compute(self.slots)
             except Exception as exc:  # re-raised on every rank below
                 self.error = exc
         self._wait()
-        error, result = self.error, self.result
-        if error is not None:
-            raise error
-        return result
+        out, self.outputs[rank], self.slots[rank] = self.outputs[rank], None, None
+        if self.error is not None:
+            raise self.error
+        return out
 
 
 class ThreadCommunicator(Communicator):
     """One rank of an in-process thread group."""
-
-    backend = "threads"
 
     def __init__(self, rank, hub):
         super().__init__(rank, hub.size)
         self._hub = hub
 
     def _broadcast(self, buf, seq):
-        out = self._hub.run(self.rank, _OP_BCAST, seq, buf, lambda slots: slots[0])
+        out = self._hub.run(self.rank, _OP_BCAST, seq, buf,
+                            lambda slots: [slots[0]] * len(slots))
         return out.copy()
 
     def _gather(self, local, seq):
-        out = self._hub.run(self.rank, _OP_GATHER, seq, local, list)
-        return out if self.rank == 0 else None
+        return self._hub.run(self.rank, _OP_GATHER, seq, local,
+                             lambda slots: [list(slots)] + [None] * (len(slots) - 1))
 
     def _barrier(self, seq):
-        self._hub.run(self.rank, _OP_BARRIER, seq, None, lambda slots: None)
+        self._hub.run(self.rank, _OP_BARRIER, seq, None, lambda slots: [None] * len(slots))
 
     def abort(self):
         self._hub.abort(self.rank)
+
+
+class SerialCommunicator(ThreadCommunicator):
+    """The serial backend: the only rank of a one-rank thread group."""
+
+    def __init__(self):
+        super().__init__(0, _ThreadHub(1, None))
 
 
 def create_thread_communicators(size, timeout=60.0):
@@ -267,8 +258,6 @@ def _unpack_array(body):
 
 class SocketCommunicator(Communicator):
     """TCP star topology: rank 0 accepts one connection per peer rank."""
-
-    backend = "sockets"
 
     def __init__(self, rank, size, coord, timeout=60.0):
         super().__init__(rank, size)
@@ -466,55 +455,58 @@ class PairwiseSum:
     fixed pairwise tree over [0, n_total), so the sums are bit-identical
     for every split of the items over ranks and their error grows with
     log n_total (Higham, SIAM J. Sci. Comput. 14(4), 1993). A rank ships
-    its stack ``nodes[:depth]`` of complete subtrees, at most about 2 log2
-    count rows, to the root; the root ships none, merges them into its own
-    stack of n_total.bit_length() rows and folds it right to left.
+    its stack of complete subtrees, at most about 2 log2 count rows of
+    [start, level, sums...], to the root; the root ships none, merges them
+    into its own stack of n_total.bit_length() rows and folds it right to
+    left.
     """
 
     def __init__(self, comm, offset, count, n_total, width):
         self.comm, self.offset, self.n_total = comm, offset, n_total
-        # a dry run on [start, level] rows sizes the stack; 2 bit_length + 1 rows suffice
+        # a dry run on a width-0 stack sizes it; 2 bit_length + 1 rows suffice
         first, n_merged = (0, n_total) if comm.rank == 0 else (offset, count)
         self.nodes = np.empty((2 * n_merged.bit_length() + 1, 2))
-        self.depth, self.covered, rows = 0, first, 0
+        self.spans, self.covered, rows = [], first, 0
         for _ in range(n_merged):
-            rows = max(rows, self.depth + 1)
+            rows = max(rows, len(self.spans) + 1)
             self.push()
         self.nodes = np.empty((rows, 2 + width))
-        self.depth, self.covered = 0, offset
+        self.spans, self.covered = [], offset
 
     def row(self):
         """The row to fill with the next item's term, a view into the stack."""
-        return self.nodes[self.depth, 2:]
+        return self.nodes[len(self.spans), 2:]
 
     def push(self, level=0):
         """Merge the filled row into the stack as the sum over the next item,
         or over the next 2**level items when the root merges a received node.
 
-        A node is a row [start, level, sums...] over [start, start + 2**level),
-        start a multiple of 2**level. While the stack's top is its left sibling,
-        the two merge in place, left + right, like a binary counter's carry, so
-        every node holds the same bits wherever it was formed."""
-        nodes, depth = self.nodes, self.depth
-        nodes[depth, :2] = self.covered, level
-        self.covered += 2 ** level
-        while depth:
-            top, node = nodes[depth - 1], nodes[depth]
-            size = 2.0 ** node[1]
-            if top[1] != node[1] or top[0] + size != node[0] or top[0] % (2 * size):
-                break
-            top[2:] += node[2:]
-            top[1] += 1
-            depth -= 1
-        self.depth = depth + 1
+        A node sums the items [start, start + 2**level), start a multiple of
+        2**level; ``spans`` holds each stack row's (start, level). While the
+        stack's top is its left sibling, the two merge in place, left + right,
+        like a binary counter's carry, so every node holds the same bits
+        wherever it was formed."""
+        nodes, spans = self.nodes, self.spans
+        start, size = self.covered, 1 << level
+        self.covered += size
+        while spans and spans[-1] == (start - size, level) and start % (2 * size) == size:
+            spans.pop()
+            nodes[len(spans), 2:] += nodes[len(spans) + 1, 2:]
+            start -= size
+            level += 1
+            size *= 2
+        spans.append((start, level))
 
     def finish(self):
         """End the round: the sums on the root (a view into its stack, valid until
         the next :meth:`push`), else None. Nodes that do not tile [0, n_total)
         exactly raise :class:`CollectiveContractError` on the root."""
-        blocks = gather_rows(self.comm, self.nodes[:0 if self.comm.rank == 0 else self.depth])
+        shipped = 0 if self.comm.rank == 0 else len(self.spans)
+        if shipped:
+            self.nodes[:shipped, :2] = self.spans
+        blocks = gather_rows(self.comm, self.nodes[:shipped])
         if blocks is None:
-            self.depth, self.covered = 0, self.offset
+            self.spans, self.covered = [], self.offset
             return None
         for rank, block in enumerate(blocks):
             for node in block:
@@ -542,7 +534,7 @@ class PairwiseSum:
                 f"E-step sums cover subjects [0, {self.covered}) of {self.n_total}; "
                 "every subject must be covered exactly once"
             )
-        for d in range(self.depth - 2, -1, -1):
+        for d in range(len(self.spans) - 2, -1, -1):
             self.nodes[d, 2:] += self.nodes[d + 1, 2:]
-        self.depth, self.covered = 0, self.offset
+        self.spans, self.covered = [], self.offset
         return self.nodes[0, 2:]

@@ -215,6 +215,7 @@ def load_matrix(path):
 def load_subject(data_path, coords_path=None, subject_id=None):
     """Load a subject matrix and, when given, its voxel coordinates."""
     data_path = Path(data_path)
+    subject_id = subject_id or data_path.stem
     X = load_matrix(data_path)
     grid = None
     if coords_path is not None:
@@ -222,10 +223,15 @@ def load_subject(data_path, coords_path=None, subject_id=None):
         if coords.shape != (X.shape[0], 3):
             raise DatasetConsistencyError(
                 f"coordinates {coords.shape} do not match {X.shape[0]} voxels",
-                offenders=[subject_id or data_path.stem],
+                offenders=[subject_id],
             )
-        grid = VoxelGrid.from_positions(coords)
-    return SubjectData(subject_id or data_path.stem, X, grid)
+        try:
+            grid = VoxelGrid.from_positions(coords)
+        except InvalidInputError as exc:
+            raise InvalidInputError(
+                f"subject {subject_id}, coordinates {coords_path}: {exc}"
+            ) from None
+    return SubjectData(subject_id, X, grid)
 
 
 def load_manifest(path, model=None):

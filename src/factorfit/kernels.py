@@ -87,8 +87,7 @@ class VoxelGrid:
         Raises
         ------
         InvalidInputError
-            If the positions contain duplicates (the axis product
-            ``n_x * n_y * n_z`` must cover the voxel count).
+            If two voxels share a position, which the error counts.
         """
         pos = _as_matrix(positions, "positions")
         if pos.shape[1] != 3:
@@ -99,11 +98,12 @@ class VoxelGrid:
             vals, inv = np.unique(pos[:, d], return_inverse=True)
             axis_values.append(vals)
             index[:, d] = inv
-        n_cells = int(np.prod([v.size for v in axis_values]))
-        if n_cells < pos.shape[0]:
+        cells = np.ravel_multi_index(index.T, [v.size for v in axis_values])
+        distinct = np.unique(cells).size
+        if distinct < pos.shape[0]:
             raise InvalidInputError(
-                "positions are not axis-decomposable: "
-                f"{n_cells} lattice cells < {pos.shape[0]} voxels (duplicates?)"
+                f"positions hold {distinct} distinct points for {pos.shape[0]} "
+                "voxels: every voxel needs its own position"
             )
         return cls(pos, tuple(axis_values), index)
 

@@ -101,9 +101,8 @@ class SrmModel:
     ``sigma_s``, the full noise vector ``rho2_all`` and
     ``objective_trace``, the mean noise variance over all subjects after
     each M-step, live on the root only (the trace is empty elsewhere).
-    ``rho0`` is the global sum of inverse noise variances. ``mu`` holds
-    each subject's voxel means; the model keeps no copy of the data,
-    demeaned or not.
+    ``mu`` holds each subject's voxel means; the model keeps no copy of
+    the data, demeaned or not.
     """
 
     subject_ids: list
@@ -111,8 +110,6 @@ class SrmModel:
     rho2: list
     mu: list
     S: np.ndarray
-    rho0: float
-    n_subjects: int
     sigma_s: Optional[np.ndarray] = None
     rho2_all: Optional[np.ndarray] = None
     objective_trace: list = field(default_factory=list)
@@ -233,11 +230,10 @@ def fit(subjects, config, comm):
     updates Sigma_s -> one broadcast of S stacked on a row holding
     tr(Sigma_s_new) -> local M-steps. With ``tolerance`` set, every
     worker runs the stopping test on its identical copy of S, so no stop
-    flag travels. A last gather collects the noise variances on the root
-    and a broadcast hands every worker the final rho0. The root's
-    ``objective_trace`` takes the summed rho_i^2 from each iteration after
-    the first, then the mean of the final noise variances, so it covers
-    every subject whatever the partition.
+    flag travels. A last gather collects the noise variances on the root.
+    The root's ``objective_trace`` takes the summed rho_i^2 from each
+    iteration after the first, then the mean of the final noise variances,
+    so it covers every subject whatever the partition.
 
     Bad subjects fail by name before any collective: a subject with fewer
     than k voxels (:class:`ShapeError`), one with a NaN or infinite entry
@@ -341,18 +337,11 @@ def fit(subjects, config, comm):
                     break
             S_prev = S
 
-    # refresh rho0 so it matches the post-M-step noise variances
     blocks = gather_rows(comm, np.array(rho2s)[:, None])
     rho2_all = None
     if comm.rank == 0:
         rho2_all = np.concatenate(blocks).ravel()
-        rho0_final = float(np.add.reduce(1.0 / rho2_all))
         objective_trace.append(float(np.mean(rho2_all)))
-    else:
-        rho0_final = None
-    rho0 = float(comm.broadcast(
-        np.array([[rho0_final]]) if comm.rank == 0 else None
-    )[0, 0])
 
     return SrmModel(
         subject_ids=[s.subject_id for s in subjects],
@@ -360,8 +349,6 @@ def fit(subjects, config, comm):
         rho2=list(rho2s),
         mu=mus,
         S=S,
-        rho0=rho0,
-        n_subjects=n_subjects,
         sigma_s=sigma_s if comm.rank == 0 else None,
         rho2_all=rho2_all,
         objective_trace=objective_trace,

@@ -113,9 +113,10 @@ class TestFitSrmCommand:
         assert rc == 0
         stats = json.loads((out / "report.json").read_text())["collectives"]
         # rank_offsets, one gather per iteration, the final noise gather;
-        # the broadcasts pair with them; a barrier on each side of the fit
+        # a broadcast for rank_offsets and one per iteration; a barrier on
+        # each side of the fit
         assert stats["gather_calls"] == 4 + 2
-        assert stats["bcast_calls"] == 4 + 2
+        assert stats["bcast_calls"] == 4 + 1
         assert stats["barrier_calls"] == 2
         assert stats["gather_bytes"] > 0 and stats["seconds"] >= 0.0
 
@@ -396,6 +397,18 @@ class TestBackendFlag:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("backend", [["threads"], ["sockets", "--spawn-local"]])
+    def test_more_ranks_than_subjects_usage_error(self, backend, bundled, tmp_path,
+                                                  capsys, monkeypatch):
+        """One size check for every backend, before any rank process starts."""
+        monkeypatch.setattr(cli.subprocess, "Popen", None)
+        line = assert_usage_error(
+            ["fit-srm", "--manifest", bundled, "--k", 2, "--backend", *backend,
+             "--workers", 5, "--out", tmp_path / "x"],
+            capsys,
+        )
+        assert line == "usage error: 5 ranks for 4 subjects; every rank needs one"
 
     def test_threads_failure_names_the_subject(self, tmp_path, capsys):
         """A rank's own error is reported, not the peer's abandoned collective."""

@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from factorfit import srm
 from factorfit.collectives import (
     ENV_COORD,
     ENV_RANK,
@@ -20,6 +22,7 @@ from factorfit.collectives import (
     gather_rows,
     rank_offsets,
 )
+from factorfit.data_io import SubjectData
 from factorfit.errors import CollectiveContractError, ConfigError, TransportError
 
 
@@ -275,6 +278,30 @@ class TestStatsAndOffsets:
         assert comm.stats.gather_calls == 2
         assert comm.stats.bcast_calls == 1
 
+    def test_ledger_identical_across_backends(self):
+        """One program leaves the same counts and bytes on every rank of
+        every backend: the ledger is logical, not what the wire moved."""
+
+        def program(comm):
+            gather_rows(comm, np.ones((3, 4)))
+            comm.broadcast(np.zeros((2, 2)) if comm.rank == 0 else None)
+            comm.gather(b"12345")
+            comm.barrier()
+            ledger = dataclasses.asdict(comm.stats)
+            del ledger["seconds"]
+            return ledger
+
+        serial = program(SerialCommunicator())
+        assert serial == {
+            "bcast_calls": 1, "bcast_bytes": 2 * 2 * 8,
+            "gather_calls": 2, "gather_bytes": (16 + 3 * 4 * 8) + 5,
+            "barrier_calls": 1,
+        }
+        for runner in (run_group, run_socket_group):
+            results, errors = runner(2, program)
+            assert errors == [None, None]
+            assert results == [serial, serial], runner.__name__
+
     def test_rank_offsets(self):
         counts = [2, 3, 1]
 
@@ -286,12 +313,101 @@ class TestStatsAndOffsets:
         assert results == [(0, 6), (2, 6), (5, 6)]
 
 
+class TestThreadHub:
+    """Once every rank has returned from a collective, the hub holds no
+    payload and no result of it."""
+
+    def test_nothing_held_after_each_collective(self):
+        comms = create_thread_communicators(2, timeout=10.0)
+        hub = comms[0]._hub
+        payload = np.ones((3, 4))
+        collectives = [
+            lambda c: c.broadcast(payload if c.rank == 0 else None),
+            lambda c: c.gather(b"x" * 8),
+            lambda c: gather_rows(c, payload),
+            lambda c: c.barrier(),
+        ]
+        for collective in collectives:
+            errors = []
+
+            def run(comm):
+                try:
+                    collective(comm)
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+                    comm.abort()
+
+            threads = [threading.Thread(target=run, args=(c,)) for c in comms]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert hub.slots == [None, None]
+            assert hub.outputs == [None, None]
+
+    def test_nothing_held_during_the_m_step(self, monkeypatch):
+        """A rank's M-step runs while the broadcast of S is over: its own
+        slot and output are already cleared."""
+        comms = create_thread_communicators(2, timeout=30.0)
+        hub = comms[0]._hub
+        seen = []
+        m_step = srm.m_step_subject
+
+        def checking(*args, **kwargs):
+            rank = int(threading.current_thread().name.removeprefix("rank"))
+            seen.append((rank, hub.slots[rank], hub.outputs[rank]))
+            return m_step(*args, **kwargs)
+
+        monkeypatch.setattr(srm, "m_step_subject", checking)
+        rng = np.random.default_rng(40)
+        subjects = [SubjectData(f"s{i}", rng.standard_normal((12, 9))) for i in range(4)]
+        cfg = srm.SrmConfig(k=2, iterations=3)
+        results = [None, None]
+
+        def run(rank):
+            results[rank] = srm.fit(subjects[2 * rank:2 * rank + 2], cfg, comms[rank])
+
+        threads = [threading.Thread(target=run, args=(r,), name=f"rank{r}") for r in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert all(model is not None for model in results)
+        assert hub.slots == [None, None] and hub.outputs == [None, None]
+        assert sorted(rank for rank, _, _ in seen) == [0] * 6 + [1] * 6
+        assert all(slot is None and output is None for _, slot, output in seen)
+
+    def test_every_rank_gets_its_own_output_under_switching(self):
+        """More ranks than cores and a short switch interval: each round's
+        broadcast and gather reach every rank intact, and nothing is left."""
+        size, rounds = 6, 150
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def fn(c):
+                for i in range(rounds):
+                    got = c.broadcast(np.full((1, 2), float(i)) if c.rank == 0 else None)
+                    assert got.tolist() == [[float(i), float(i)]]
+                    blobs = c.gather(bytes([c.rank, i]))
+                    assert blobs == ([bytes([r, i]) for r in range(size)] if c.rank == 0
+                                     else None)
+                return c._hub
+
+            results, errors = run_group(size, fn, timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [None] * size
+        hub = results[0]
+        assert hub.slots == [None] * size and hub.outputs == [None] * size
+
+
 class Replay(Communicator):
     """Rank ``rank`` of a group whose peers are replayed: ``gather`` keeps
     what this rank sends in ``sent`` and hands the root ``received``, the
     other ranks' packed blocks in rank order."""
-
-    backend = "replay"
 
     def __init__(self, rank, size, received=()):
         super().__init__(rank, size)
@@ -387,13 +503,14 @@ class TestPairwiseSum:
             # [own, n) over up to 3 more ranks restarts from that stack
             for own in range(1, n + 1):
                 push_rows(root, rows[:own])
-                depth, covered = root.depth, root.covered
-                pushed = root.nodes[:depth].copy()
+                spans, covered = list(root.spans), root.covered
+                pushed = root.nodes[:len(spans)].copy()
                 for n_cuts in range(3 if own < n else 1):
                     for cuts in combinations(range(own + 1, n), n_cuts):
                         bounds = (own, *cuts, n)  # (n, n) when the root owns all
                         parts = [blocks[b] for b in zip(bounds, bounds[1:]) if b[0] < b[1]]
-                        root.nodes[:depth], root.depth, root.covered = pushed, depth, covered
+                        root.nodes[:len(spans)], root.spans = pushed, list(spans)
+                        root.covered = covered
                         got = root_finish(root, parts)
                         assert got.tobytes() == expected, (n, bounds[:-1])
         assert differs_from_sequential > 20

@@ -232,6 +232,19 @@ class TestManifest:
         assert subject.grid is not None
         assert subject.X.shape[0] == subject.grid.n_voxels
 
+    def test_duplicate_coordinates_name_the_file(self, tmp_path):
+        path = _write_set(tmp_path, [10])
+        entry = load_manifest(path, model="htfa").subjects[0]
+        coords = load_matrix(entry.coords_path)
+        coords[3] = coords[7]
+        save_matrix(entry.coords_path, coords)
+        with pytest.raises(InvalidInputError) as info:
+            load_subject(entry.data_path, entry.coords_path, entry.subject_id)
+        message = str(info.value)
+        assert f"subject {entry.subject_id}" in message
+        assert str(entry.coords_path) in message
+        assert "17 distinct points for 18 voxels" in message
+
 
 class TestPortableRng:
     def test_pinned_first_outputs(self):

@@ -285,6 +285,12 @@ class TestRbfFactorMatrix:
         pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(InvalidInputError):
             VoxelGrid.from_positions(pos)
+        # a 2 x 2 x 2 lattice has 8 cells, more than the 5 voxels, and
+        # [1, 0, 0] still appears twice
+        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="4 distinct points for 5 voxels"):
+            VoxelGrid.from_positions(pos)
 
     def test_grid_reconstructs_positions_exactly(self):
         rng = np.random.default_rng(13)

@@ -342,7 +342,6 @@ class TestFit:
         for i in range(2):
             assert np.array_equal(results[0].W[i], serial.W[i])
             assert np.array_equal(results[1].W[i], serial.W[i + 2])
-        assert results[0].rho0 == serial.rho0
 
     def test_orthogonality_every_iteration(self):
         rng = np.random.default_rng(13)
@@ -356,7 +355,6 @@ class TestFit:
             for W in model.W:
                 assert np.max(np.abs(W.T @ W - np.eye(3))) <= 1e-8
             assert all(r > 0 for r in model.rho2)
-            assert abs(model.rho0 - float(np.sum(1.0 / model.rho2_all))) <= 1e-12
             assert np.array_equal(model.sigma_s, model.sigma_s.T)
             assert np.all(np.linalg.eigvalsh(model.sigma_s) > 0)
 
@@ -400,7 +398,7 @@ class TestFit:
 
     @pytest.mark.parametrize("tolerance, iterations_run", [(None, 6), (1e-8, 11)])
     def test_one_broadcast_per_iteration(self, tolerance, iterations_run):
-        """rank_offsets, one per iteration (S and the trace), the final rho0."""
+        """rank_offsets, then one per iteration (S and the trace)."""
         matrices, _ = srm_subjects(n_subjects=2, n_voxels=20, n_trs=10, k=2, seed=3)
         subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
         iterations = 6 if tolerance is None else 50
@@ -408,7 +406,7 @@ class TestFit:
         comm = SerialCommunicator()
         model = srm.fit(subjects, cfg, comm)
         assert len(model.objective_trace) == iterations_run
-        assert comm.stats.bcast_calls == iterations_run + 2
+        assert comm.stats.bcast_calls == iterations_run + 1
 
     @pytest.mark.parametrize("level", [3.0, 7.7, 1e5 + 0.1])
     def test_constant_subject_named(self, level):
@@ -607,7 +605,6 @@ def test_property_partition_independent(counts, tolerance):
             == np.array(serial.objective_trace).tobytes())
     for model in models:
         assert model.S.tobytes() == serial.S.tobytes()
-        assert model.rho0 == serial.rho0
     assert all(model.objective_trace == [] for model in models[1:])
     assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in serial.W]
 
@@ -649,7 +646,7 @@ class TestSummationTree:
 
         class Recording(PairwiseSum):
             def finish(self):
-                stacks.append((len(self.nodes), self.depth))
+                stacks.append((len(self.nodes), len(self.spans)))
                 return super().finish()
 
         monkeypatch.setattr(srm, "PairwiseSum", Recording)

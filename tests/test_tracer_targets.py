@@ -4,8 +4,10 @@
 ``LAYER_FUNCTIONS``, plus ``trf.solve``, by ``getattr``, and rebuilds each
 solved problem with ``dataclasses.replace``; a refactor that drops or
 renames one breaks ``perfbench/run.py --trace 1`` with an
-``AttributeError`` or a ``TypeError``. The file is parsed, not imported,
-so nothing is written under ``perfbench/``.
+``AttributeError`` or a ``TypeError``. The benchmark also builds its
+communicators itself, so every ``collectives.<name>(...)`` call in
+``perfbench/*.py`` must still bind to the library's signature. The files
+are parsed, not imported, so nothing is written under ``perfbench/``.
 
 Delete this test together with ``LAYER_FUNCTIONS`` once the library records
 its own phases (ROADMAP item 1) and the tracer stops patching attributes.
@@ -14,11 +16,13 @@ its own phases (ROADMAP item 1) and the tracer stops patching attributes.
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
-from factorfit import trf
+from factorfit import collectives, trf
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def traced_pairs():
@@ -58,3 +62,26 @@ def test_every_replaced_field_exists():
     ]
     fields = {f.name for f in dataclasses.fields(trf.LeastSquaresProblem)}
     assert keywords and set(keywords) <= fields, set(keywords) - fields
+
+
+def test_every_collectives_call_binds():
+    """``collectives.<name>(...)`` calls in ``perfbench/*.py`` bind to the
+    library's signatures (``SerialCommunicator()`` with no argument,
+    ``SocketCommunicator(rank, size, coord, timeout=...)``)."""
+    calls = [
+        (path.name, node)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "collectives"
+    ]
+    assert {node.func.attr for _, node in calls} >= {"SerialCommunicator", "SocketCommunicator"}
+    unbound = []
+    for name, node in calls:
+        signature = inspect.signature(getattr(collectives, node.func.attr))
+        try:
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{name}:{node.lineno} collectives.{node.func.attr}: {exc}")
+    assert unbound == []
