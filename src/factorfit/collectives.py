@@ -4,15 +4,19 @@ All inter-worker communication in the fitters goes through the three
 collectives defined here, ``broadcast``, ``gather`` and ``barrier``, through
 :func:`gather_rows`, which gathers one float64 row block per rank on the root
 in rank order, and through :class:`PairwiseSum`, which sums rows along one
-fixed pairwise tree. Two implementations carry the collectives:
+fixed pairwise tree. Each collective is one star algorithm around rank 0,
+written once in :class:`Communicator`. A transport only moves one frame from
+one rank to another, and two carry the frames:
 
-* :class:`ThreadCommunicator` -- the ranks of one process share a hub and
-  meet at a barrier. The ``serial`` backend is a one-rank group of it,
-  :class:`SerialCommunicator`, whose collectives return at once.
+* :class:`ThreadCommunicator` -- the ranks are threads of one process; a
+  frame waits in the receiver's mailbox for its sender until taken.
 * :class:`SocketCommunicator` -- the ranks are OS processes; rank 0 listens
   on a TCP address and the others connect (star topology). Ranks learn
   their identity from the ``FACTORFIT_RANK``, ``FACTORFIT_SIZE`` and
   ``FACTORFIT_COORD`` environment variables or explicit arguments.
+
+The ``serial`` backend, :class:`SerialCommunicator`, is a group of one with
+no transport: a star without peers never sends or receives.
 
 Gathered blocks arrive in ascending-rank order, never in arrival order,
 so a caller that sums them in that order produces bit-identical results
@@ -22,7 +26,9 @@ programming error reported as :class:`CollectiveContractError`.
 
 Wire format (sockets): each frame is an 8-byte little-endian unsigned
 payload length followed by the payload; the payload starts with a
-1-byte opcode and an 8-byte little-endian sequence number.
+1-byte opcode and an 8-byte little-endian sequence number. Every
+collective opens with a frame from each non-root rank to the root, which
+checks its opcode and sequence number; broadcast's opening frame is empty.
 """
 
 import os
@@ -30,6 +36,7 @@ import socket
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,10 +61,8 @@ ENV_RANK = "FACTORFIT_RANK"
 ENV_SIZE = "FACTORFIT_SIZE"
 ENV_COORD = "FACTORFIT_COORD"
 
-_OP_HELLO = 0
-_OP_BCAST = 2
-_OP_GATHER = 3
-_OP_BARRIER = 4
+_OP_NAMES = {0: "hello", 2: "broadcast", 3: "gather", 4: "barrier"}
+_OP_HELLO, _OP_BCAST, _OP_GATHER, _OP_BARRIER = _OP_NAMES
 
 _LEN = struct.Struct("<Q")
 _HEAD = struct.Struct("<BQ")
@@ -93,7 +98,11 @@ class Communicator:
     """Rank/size handle exposing the collectives.
 
     One communicator per worker; not shareable between concurrently
-    executing workers. ``rank`` 0 is the root by convention.
+    executing workers. ``rank`` 0 is the root by convention. Every
+    collective is a star around the root, written once here; a transport
+    subclass only moves one frame between two ranks, with
+    ``_send(peer, opcode, seq, body)`` and ``_recv(peer) -> (opcode, seq,
+    body)``. A rank with no peers never calls either.
     """
 
     def __init__(self, rank, size):
@@ -149,63 +158,66 @@ class Communicator:
         """Unblock peers waiting on this rank (used on worker failure)."""
         self.close()
 
+    def _recv_expect(self, peer, opcode, seq):
+        op, got_seq, body = self._recv(peer)
+        if op != opcode or got_seq != seq:
+            raise CollectiveContractError(
+                f"rank {peer} sent {_OP_NAMES.get(op, op)} #{got_seq}, "
+                f"expected {_OP_NAMES[opcode]} #{seq}"
+            )
+        return body
+
+    def _broadcast(self, buf, seq):
+        if self.rank != 0:
+            self._send(0, _OP_BCAST, seq, b"")
+            return _unpack_array(self._recv_expect(0, _OP_BCAST, seq)).copy()
+        peers = range(1, self.size)
+        for peer in peers:
+            self._recv_expect(peer, _OP_BCAST, seq)
+        if peers:
+            body = _pack_array(buf)
+            for peer in peers:
+                self._send(peer, _OP_BCAST, seq, body)
+        return buf.copy()
+
+    def _gather(self, local, seq):
+        if self.rank != 0:
+            self._send(0, _OP_GATHER, seq, local)
+            return None
+        out = [local]
+        for peer in range(1, self.size):
+            out.append(self._recv_expect(peer, _OP_GATHER, seq))
+        return out
+
+    def _barrier(self, seq):
+        if self.rank != 0:
+            self._send(0, _OP_BARRIER, seq, b"")
+            self._recv_expect(0, _OP_BARRIER, seq)
+            return
+        for peer in range(1, self.size):
+            self._recv_expect(peer, _OP_BARRIER, seq)
+        for peer in range(1, self.size):
+            self._send(peer, _OP_BARRIER, seq, b"")
+
+
+class SerialCommunicator(Communicator):
+    """The serial backend: the only rank of a group of one, so it has no
+    transport and its collectives never send or receive."""
+
+    def __init__(self):
+        super().__init__(0, 1)
+
 
 class _ThreadHub:
-    """Shared state for one group of thread communicators."""
+    """Mailboxes of one group of thread communicators: ``boxes[a][b]``
+    holds the frames rank a sent rank b that b has not taken yet."""
 
     def __init__(self, size, timeout):
         self.size = size
         self.timeout = timeout
-        self.slots = [None] * size
-        self.meta = [None] * size
-        self.outputs = [None] * size
-        self.error = None
-        self.barrier = threading.Barrier(size)
+        self.boxes = [[deque() for _ in range(size)] for _ in range(size)]
+        self.changed = threading.Condition()
         self.aborted = []  # ranks in the order they aborted
-
-    def abort(self, rank):
-        self.aborted.append(rank)
-        self.barrier.abort()
-
-    def _wait(self):
-        try:
-            self.barrier.wait(timeout=self.timeout)
-        except threading.BrokenBarrierError:
-            if self.aborted:
-                raise TransportError("collective abandoned: a peer rank failed",
-                                     rank=self.aborted[0]) from None
-            raise TransportError(
-                f"collective did not complete within {self.timeout} s "
-                "(a worker is missing or stuck)"
-            ) from None
-
-    def run(self, rank, opcode, seq, payload, compute):
-        """Execute one collective and return this rank's output.
-
-        ``compute(slots)`` runs on rank 0 only and returns one output per
-        rank. Each rank then takes its own output and clears its own slot,
-        so once every rank has returned the hub holds no payload or result.
-        """
-        self.slots[rank] = payload
-        self.meta[rank] = (opcode, seq)
-        self._wait()
-        if rank == 0:
-            self.error = None
-            try:
-                expected = self.meta[0]
-                for r, got in enumerate(self.meta):
-                    if got != expected:
-                        raise CollectiveContractError(
-                            f"rank {r} called {got}, rank 0 called {expected}"
-                        )
-                self.outputs[:] = compute(self.slots)
-            except Exception as exc:  # re-raised on every rank below
-                self.error = exc
-        self._wait()
-        out, self.outputs[rank], self.slots[rank] = self.outputs[rank], None, None
-        if self.error is not None:
-            raise self.error
-        return out
 
 
 class ThreadCommunicator(Communicator):
@@ -215,27 +227,30 @@ class ThreadCommunicator(Communicator):
         super().__init__(rank, hub.size)
         self._hub = hub
 
-    def _broadcast(self, buf, seq):
-        out = self._hub.run(self.rank, _OP_BCAST, seq, buf,
-                            lambda slots: [slots[0]] * len(slots))
-        return out.copy()
+    def _send(self, peer, opcode, seq, body):
+        hub = self._hub
+        with hub.changed:
+            hub.boxes[self.rank][peer].append((opcode, seq, body))
+            hub.changed.notify_all()
 
-    def _gather(self, local, seq):
-        return self._hub.run(self.rank, _OP_GATHER, seq, local,
-                             lambda slots: [list(slots)] + [None] * (len(slots) - 1))
-
-    def _barrier(self, seq):
-        self._hub.run(self.rank, _OP_BARRIER, seq, None, lambda slots: [None] * len(slots))
+    def _recv(self, peer):
+        hub, box = self._hub, self._hub.boxes[peer][self.rank]
+        with hub.changed:
+            if not hub.changed.wait_for(lambda: box or hub.aborted, hub.timeout):
+                raise TransportError(
+                    f"collective did not complete within {hub.timeout} s "
+                    "(a worker is missing or stuck)", rank=peer
+                )
+            if not box:
+                raise TransportError("collective abandoned: a peer rank failed",
+                                     rank=hub.aborted[0])
+            return box.popleft()
 
     def abort(self):
-        self._hub.abort(self.rank)
-
-
-class SerialCommunicator(ThreadCommunicator):
-    """The serial backend: the only rank of a one-rank thread group."""
-
-    def __init__(self):
-        super().__init__(0, _ThreadHub(1, None))
+        hub = self._hub
+        with hub.changed:
+            hub.aborted.append(self.rank)
+            hub.changed.notify_all()
 
 
 def create_thread_communicators(size, timeout=60.0):
@@ -279,6 +294,7 @@ class SocketCommunicator(Communicator):
                 for _ in range(size - 1):
                     conn, _addr = server.accept()
                     conn.settimeout(timeout)
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     op, seq, body = self._recv_raw(conn, rank_hint=None)
                     if op != _OP_HELLO:
                         raise CollectiveContractError("expected hello frame")
@@ -308,6 +324,7 @@ class SocketCommunicator(Communicator):
                         ) from None
                     time.sleep(0.05)
             conn.settimeout(timeout)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._peers[0] = conn
             self._send(0, _OP_HELLO, 0, _LEN.pack(rank))
 
@@ -326,13 +343,16 @@ class SocketCommunicator(Communicator):
         return cls(rank, size, env[ENV_COORD])
 
     def _send(self, peer, opcode, seq, body):
-        # One buffer and one sendall per frame: a frame split over several
-        # sends can stall on Nagle's algorithm against delayed ACKs.
+        # One buffer and one sendall per frame, and TCP_NODELAY: under Nagle's algorithm
+        # a small frame right behind a large one waits for the receiver's delayed ACK.
         frame = b"".join((_LEN.pack(_HEAD.size + len(body)), _HEAD.pack(opcode, seq), body))
         try:
             self._peers[peer].sendall(frame)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}", rank=peer) from None
+
+    def _recv(self, peer):
+        return self._recv_raw(self._peers[peer], peer)
 
     def _recv_raw(self, conn, rank_hint):
         def read(n):
@@ -357,42 +377,6 @@ class SocketCommunicator(Communicator):
             raise TransportError(f"malformed {length}-byte frame", rank=rank_hint)
         op, seq = _HEAD.unpack(read(_HEAD.size))
         return op, seq, read(length - _HEAD.size)
-
-    def _recv_expect(self, peer, opcode, seq):
-        op, got_seq, body = self._recv_raw(self._peers[peer], peer)
-        if op != opcode or got_seq != seq:
-            raise CollectiveContractError(
-                f"rank {peer} sent collective (op={op}, seq={got_seq}), "
-                f"expected (op={opcode}, seq={seq})"
-            )
-        return body
-
-    def _broadcast(self, buf, seq):
-        if self.rank == 0:
-            body = _pack_array(buf)
-            for peer in range(1, self.size):
-                self._send(peer, _OP_BCAST, seq, body)
-            return buf.copy()
-        return _unpack_array(self._recv_expect(0, _OP_BCAST, seq)).copy()
-
-    def _gather(self, local, seq):
-        if self.rank != 0:
-            self._send(0, _OP_GATHER, seq, local)
-            return None
-        out = [local]
-        for peer in range(1, self.size):
-            out.append(self._recv_expect(peer, _OP_GATHER, seq))
-        return out
-
-    def _barrier(self, seq):
-        if self.rank != 0:
-            self._send(0, _OP_BARRIER, seq, b"")
-            self._recv_expect(0, _OP_BARRIER, seq)
-            return
-        for peer in range(1, self.size):
-            self._recv_expect(peer, _OP_BARRIER, seq)
-        for peer in range(1, self.size):
-            self._send(peer, _OP_BARRIER, seq, b"")
 
     def close(self):
         for conn in self._peers.values():
@@ -513,26 +497,26 @@ class PairwiseSum:
                 start, level, covered = int(node[0]), int(node[1]), self.covered
                 end = start + 2 ** level
                 if start > covered:
-                    problem = f"subjects [{covered}, {start}) are missing"
+                    problem = f"items [{covered}, {start}) are missing"
                 elif start < covered:
-                    problem = f"subjects [{start}, {min(end, covered)}) are summed twice"
+                    problem = f"items [{start}, {min(end, covered)}) are summed twice"
                 elif level < 0 or start % 2 ** level:
                     problem = "that range is not a node of the pairwise tree"
                 elif end > self.n_total:
-                    problem = f"there are only {self.n_total} subjects"
+                    problem = f"there are only {self.n_total} items"
                 else:
                     self.row()[:] = node[2:]
                     self.push(level)
                     continue
                 raise CollectiveContractError(
-                    f"rank {rank} sent the E-step sum over subjects "
-                    f"[{start}, {end}) after [0, {covered}): {problem}; "
-                    "every subject must be covered exactly once"
+                    f"rank {rank} sent the sum over items [{start}, {end}) "
+                    f"after [0, {covered}): {problem}; "
+                    "every item must be covered exactly once"
                 )
         if self.covered != self.n_total:
             raise CollectiveContractError(
-                f"E-step sums cover subjects [0, {self.covered}) of {self.n_total}; "
-                "every subject must be covered exactly once"
+                f"sums cover items [0, {self.covered}) of {self.n_total}; "
+                "every item must be covered exactly once"
             )
         for d in range(len(self.spans) - 2, -1, -1):
             self.nodes[d, 2:] += self.nodes[d + 1, 2:]

@@ -241,9 +241,10 @@ def load_manifest(path, model=None):
     ``model="srm"`` additionally requires an equal TR count across
     subjects; with ``model="htfa"`` requires coordinates for every
     subject. A manifest that is not a JSON object with a "subjects" list
-    (and a "grid_dims" list, if given) raises :class:`FormatError`, and a
-    subject entry without string "id" and "data_path" values raises
-    :class:`DatasetConsistencyError`; both name the manifest.
+    (and a "grid_dims" list, if given) raises :class:`FormatError`. An
+    empty subject list, a repeated subject id, or a subject entry without
+    string "id" and "data_path" values raises
+    :class:`DatasetConsistencyError`. Every one of these names the manifest.
     """
     path = Path(path)
     with open(path) as fh:
@@ -251,7 +252,7 @@ def load_manifest(path, model=None):
             doc = json.load(fh)
         except ValueError as exc:
             raise FormatError(f"manifest {path} is not valid JSON: {exc}") from None
-    subjects = doc.get("subjects", []) if isinstance(doc, dict) else None
+    subjects = doc.get("subjects") if isinstance(doc, dict) else None
     if not isinstance(subjects, list):
         raise FormatError(f'manifest {path} must be a JSON object with a "subjects" list')
     if not isinstance(doc.get("grid_dims") or [], list):
@@ -272,7 +273,7 @@ def load_manifest(path, model=None):
             )
         sid = item["id"]
         if sid in seen:
-            raise DatasetConsistencyError("duplicate subject id", offenders=[sid])
+            raise DatasetConsistencyError(f"manifest {path}: duplicate subject id", offenders=[sid])
         seen.add(sid)
         coords = item.get("coords_path")
         entries.append(
@@ -283,7 +284,7 @@ def load_manifest(path, model=None):
             )
         )
     if not entries:
-        raise DatasetConsistencyError("manifest lists no subjects")
+        raise DatasetConsistencyError(f"manifest {path} lists no subjects")
     dims = {}
     for entry in entries:
         dims[entry.subject_id] = read_header(entry.data_path)

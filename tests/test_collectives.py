@@ -210,6 +210,12 @@ class TestContractAndTransport:
 
         _, errors = run_group(2, fn, timeout=5.0)
         assert any(isinstance(e, CollectiveContractError) for e in errors)
+        # every collective opens with a frame to the root, which checks it at once
+        t0 = time.perf_counter()
+        _, errors = run_socket_group(2, fn, timeout=3.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(errors[0], CollectiveContractError)
+        assert "rank 1 sent broadcast #1, expected gather #1" in str(errors[0])
 
     def test_missing_rank_times_out(self):
         def fn(c):
@@ -220,6 +226,7 @@ class TestContractAndTransport:
         _, errors = run_group(2, fn, timeout=0.2)
         assert isinstance(errors[0], TransportError)
         assert "did not complete within 0.2 s" in str(errors[0])
+        assert errors[0].rank == 1
 
     def test_peer_abort_is_not_a_timeout(self):
         def fn(c):
@@ -313,9 +320,15 @@ class TestStatsAndOffsets:
         assert results == [(0, 6), (2, 6), (5, 6)]
 
 
+def waiting_for(hub, rank):
+    """The frames other ranks sent ``rank`` that it has not taken yet."""
+    with hub.changed:  # other ranks may be sending meanwhile
+        return [frame for row in hub.boxes for frame in row[rank]]
+
+
 class TestThreadHub:
-    """Once every rank has returned from a collective, the hub holds no
-    payload and no result of it."""
+    """Once every rank has returned from a collective, no frame of it is
+    left in any mailbox."""
 
     def test_nothing_held_after_each_collective(self):
         comms = create_thread_communicators(2, timeout=10.0)
@@ -344,12 +357,14 @@ class TestThreadHub:
                 t.join(timeout=30.0)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert hub.slots == [None, None]
-            assert hub.outputs == [None, None]
+            assert waiting_for(hub, 0) == [] and waiting_for(hub, 1) == []
 
     def test_nothing_held_during_the_m_step(self, monkeypatch):
-        """A rank's M-step runs while the broadcast of S is over: its own
-        slot and output are already cleared."""
+        """A rank's M-step runs once the broadcast of S is over: no frame
+        of it, or of any earlier collective, waits for that rank. The root
+        only answers a rank that has entered the collective, so nothing
+        waits for rank 1 at all; rank 1 may already have sent the root its
+        frames for the next round."""
         comms = create_thread_communicators(2, timeout=30.0)
         hub = comms[0]._hub
         seen = []
@@ -357,7 +372,7 @@ class TestThreadHub:
 
         def checking(*args, **kwargs):
             rank = int(threading.current_thread().name.removeprefix("rank"))
-            seen.append((rank, hub.slots[rank], hub.outputs[rank]))
+            seen.append((rank, comms[rank]._seq, waiting_for(hub, rank)))
             return m_step(*args, **kwargs)
 
         monkeypatch.setattr(srm, "m_step_subject", checking)
@@ -376,9 +391,11 @@ class TestThreadHub:
             t.join(timeout=60.0)
         assert not any(t.is_alive() for t in threads)
         assert all(model is not None for model in results)
-        assert hub.slots == [None, None] and hub.outputs == [None, None]
+        assert waiting_for(hub, 0) == [] and waiting_for(hub, 1) == []
         assert sorted(rank for rank, _, _ in seen) == [0] * 6 + [1] * 6
-        assert all(slot is None and output is None for _, slot, output in seen)
+        for rank, done, frames in seen:
+            assert all(seq > done for _, seq, _ in frames)
+            assert rank == 0 or frames == []
 
     def test_every_rank_gets_its_own_output_under_switching(self):
         """More ranks than cores and a short switch interval: each round's
@@ -401,7 +418,7 @@ class TestThreadHub:
             sys.setswitchinterval(interval)
         assert errors == [None] * size
         hub = results[0]
-        assert hub.slots == [None] * size and hub.outputs == [None] * size
+        assert all(waiting_for(hub, rank) == [] for rank in range(size))
 
 
 class Replay(Communicator):
@@ -526,11 +543,11 @@ class TestPairwiseSum:
                 assert len(stack) <= 2 * n.bit_length() + 1
 
     @pytest.mark.parametrize("spans, n, message", [
-        ([(0, 2), (3, 5)], 5, r"rank 1 .* subjects \[2, 3\) are missing"),
-        ([(0, 3), (2, 5)], 5, r"rank 1 .* subjects \[2, 3\) are summed twice"),
-        ([(0, 4), (0, 4)], 8, r"rank 1 .* subjects \[0, 4\) are summed twice"),
-        ([(0, 2), (2, 4)], 5, r"cover subjects \[0, 4\) of 5"),
-        ([(0, 4), (4, 8)], 6, r"rank 1 .* \[4, 8\) .* only 6 subjects"),
+        ([(0, 2), (3, 5)], 5, r"rank 1 .* items \[2, 3\) are missing"),
+        ([(0, 3), (2, 5)], 5, r"rank 1 .* items \[2, 3\) are summed twice"),
+        ([(0, 4), (0, 4)], 8, r"rank 1 .* items \[0, 4\) are summed twice"),
+        ([(0, 2), (2, 4)], 5, r"cover items \[0, 4\) of 5"),
+        ([(0, 4), (4, 8)], 6, r"rank 1 .* \[4, 8\) .* only 6 items"),
     ])
     def test_bad_tiling_is_contract_error(self, rows, spans, n, message):
         (_, own), *others = spans

@@ -224,6 +224,20 @@ class TestManifest:
         with pytest.raises(DatasetConsistencyError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("doc, error, text", [
+        ({}, FormatError, 'must be a JSON object with a "subjects" list'),
+        ({"subjects": []}, DatasetConsistencyError, "lists no subjects"),
+        ({"subjects": [{"id": "s", "data_path": "a.sfab"}, {"id": "s", "data_path": "b.sfab"}]},
+         DatasetConsistencyError, "duplicate subject id: s"),
+    ], ids=["no-subjects-key", "empty-subjects", "repeated-id"])
+    def test_subject_list_errors_name_the_manifest(self, tmp_path, doc, error, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as info:
+            load_manifest(path)
+        assert f"manifest {path}" in str(info.value)
+        assert text in str(info.value)
+
     def test_load_subject_with_coords(self, tmp_path):
         path = _write_set(tmp_path, [10, 10])
         manifest = load_manifest(path, model="htfa")
