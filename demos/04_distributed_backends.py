@@ -59,6 +59,8 @@ for t in threads:
     t.start()
 for t in threads:
     t.join()
+for comm in comms:
+    comm.close()  # each rank's ends of its socket pairs
 print("2-worker fit done")
 
 # ----------------------------------------------------------------------

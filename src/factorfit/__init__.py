@@ -19,7 +19,6 @@ from .collectives import (
     Communicator,
     SerialCommunicator,
     SocketCommunicator,
-    ThreadCommunicator,
     create_thread_communicators,
 )
 from .data_io import (
@@ -50,7 +49,6 @@ __all__ = [
     "Communicator",
     "SerialCommunicator",
     "SocketCommunicator",
-    "ThreadCommunicator",
     "create_thread_communicators",
     "Manifest",
     "SubjectData",

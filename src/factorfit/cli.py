@@ -27,8 +27,8 @@ import os
 import socket
 import subprocess
 import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -152,15 +152,11 @@ def _run_workers(args, manifest, worker):
             failures.append(exc)
             comm.abort()
 
-    threads = [
-        threading.Thread(target=run_rank, args=(comm,), name=f"factorfit-rank{comm.rank}")
-        for comm in comms[1:]
-    ]
-    for t in threads:
-        t.start()
-    run_rank(comms[0])
-    for t in threads:
-        t.join()
+    with ThreadPoolExecutor(size, thread_name_prefix="factorfit-worker") as pool:
+        others = [pool.submit(run_rank, comm) for comm in comms[1:]]
+        run_rank(comms[0])
+    for other in others:
+        other.result()
     for comm in comms:
         comm.close()
     if failures:

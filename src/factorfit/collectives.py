@@ -5,11 +5,12 @@ collectives defined here, ``broadcast``, ``gather`` and ``barrier``, through
 :func:`gather_rows`, which gathers one float64 row block per rank on the root
 in rank order, and through :class:`PairwiseSum`, which sums rows along one
 fixed pairwise tree. Each collective is one star algorithm around rank 0,
-written once in :class:`Communicator`. A transport only moves one frame from
-one rank to another, and two carry the frames:
+written once in :class:`Communicator`. One transport,
+:class:`StreamCommunicator`, moves each frame from one rank to another over
+a connected stream socket:
 
-* :class:`ThreadCommunicator` -- the ranks are threads of one process; a
-  frame waits in the receiver's mailbox for its sender until taken.
+* :func:`create_thread_communicators` -- the ranks are threads of one
+  process; rank 0 shares one socket pair with each other rank.
 * :class:`SocketCommunicator` -- the ranks are OS processes; rank 0 listens
   on a TCP address and the others connect (star topology). Ranks learn
   their identity from the ``FACTORFIT_RANK``, ``FACTORFIT_SIZE`` and
@@ -24,19 +25,18 @@ on every backend. Collective calls are matched by a per-
 communicator sequence number; mixing collectives across ranks is a
 programming error reported as :class:`CollectiveContractError`.
 
-Wire format (sockets): each frame is an 8-byte little-endian unsigned
-payload length followed by the payload; the payload starts with a
-1-byte opcode and an 8-byte little-endian sequence number. Every
-collective opens with a frame from each non-root rank to the root, which
-checks its opcode and sequence number; broadcast's opening frame is empty.
+Wire format (socket pairs and TCP alike): each frame is an 8-byte
+little-endian unsigned payload length followed by the payload; the
+payload starts with a 1-byte opcode and an 8-byte little-endian sequence
+number. Every collective opens with a frame from each non-root rank to
+the root, which checks its opcode and sequence number; broadcast's
+opening frame is empty.
 """
 
 import os
 import socket
 import struct
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +46,7 @@ from .errors import CollectiveContractError, ConfigError, TransportError
 __all__ = [
     "Communicator",
     "SerialCommunicator",
-    "ThreadCommunicator",
+    "StreamCommunicator",
     "SocketCommunicator",
     "create_thread_communicators",
     "gather_rows",
@@ -99,10 +99,11 @@ class Communicator:
 
     One communicator per worker; not shareable between concurrently
     executing workers. ``rank`` 0 is the root by convention. Every
-    collective is a star around the root, written once here; a transport
-    subclass only moves one frame between two ranks, with
-    ``_send(peer, opcode, seq, body)`` and ``_recv(peer) -> (opcode, seq,
-    body)``. A rank with no peers never calls either.
+    collective is a star around the root, written once here; the one
+    transport, :class:`StreamCommunicator` over socket pairs or TCP, only
+    moves one frame between two ranks, with ``_send(peer, opcode, seq,
+    body)`` and ``_recv(peer) -> (opcode, seq, body)``. A rank with no
+    peers never calls either.
     """
 
     def __init__(self, rank, size):
@@ -208,55 +209,72 @@ class SerialCommunicator(Communicator):
         super().__init__(0, 1)
 
 
-class _ThreadHub:
-    """Mailboxes of one group of thread communicators: ``boxes[a][b]``
-    holds the frames rank a sent rank b that b has not taken yet."""
+class StreamCommunicator(Communicator):
+    """One rank whose links to its peers are connected stream sockets,
+    ``peers[rank]``: socket pairs between threads of one process, or TCP
+    between processes. A frame is written with one ``sendall`` and read
+    into a fresh buffer; a peer that has closed its end is reported at the
+    next receive that waits on it."""
 
-    def __init__(self, size, timeout):
-        self.size = size
+    def __init__(self, rank, size, peers, timeout):
+        super().__init__(rank, size)
         self.timeout = timeout
-        self.boxes = [[deque() for _ in range(size)] for _ in range(size)]
-        self.changed = threading.Condition()
-        self.aborted = []  # ranks in the order they aborted
-
-
-class ThreadCommunicator(Communicator):
-    """One rank of an in-process thread group."""
-
-    def __init__(self, rank, hub):
-        super().__init__(rank, hub.size)
-        self._hub = hub
+        self._peers = peers
 
     def _send(self, peer, opcode, seq, body):
-        hub = self._hub
-        with hub.changed:
-            hub.boxes[self.rank][peer].append((opcode, seq, body))
-            hub.changed.notify_all()
+        # One buffer and one sendall per frame, and TCP_NODELAY on TCP links: under Nagle's
+        # algorithm a small frame right behind a large one waits for the receiver's delayed ACK.
+        frame = b"".join((_LEN.pack(_HEAD.size + len(body)), _HEAD.pack(opcode, seq), body))
+        try:
+            self._peers[peer].sendall(frame)
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}", rank=peer) from None
 
     def _recv(self, peer):
-        hub, box = self._hub, self._hub.boxes[peer][self.rank]
-        with hub.changed:
-            if not hub.changed.wait_for(lambda: box or hub.aborted, hub.timeout):
-                raise TransportError(
-                    f"collective did not complete within {hub.timeout} s "
-                    "(a worker is missing or stuck)", rank=peer
-                )
-            if not box:
-                raise TransportError("collective abandoned: a peer rank failed",
-                                     rank=hub.aborted[0])
-            return box.popleft()
+        return self._recv_raw(self._peers[peer], peer)
 
-    def abort(self):
-        hub = self._hub
-        with hub.changed:
-            hub.aborted.append(self.rank)
-            hub.changed.notify_all()
+    def _recv_raw(self, conn, rank_hint):
+        def read(n):
+            buf = bytearray(n)
+            view = memoryview(buf)
+            while view:
+                try:
+                    got = conn.recv_into(view)
+                except socket.timeout:
+                    raise TransportError(
+                        f"no frame within {self.timeout} s", rank=rank_hint
+                    ) from None
+                except OSError as exc:
+                    raise TransportError(f"recv failed: {exc}", rank=rank_hint) from None
+                if not got:
+                    raise TransportError("peer disconnected", rank=rank_hint)
+                view = view[got:]
+            return buf
+
+        (length,) = _LEN.unpack(read(_LEN.size))
+        if length < _HEAD.size:
+            raise TransportError(f"malformed {length}-byte frame", rank=rank_hint)
+        op, seq = _HEAD.unpack(read(_HEAD.size))
+        return op, seq, read(length - _HEAD.size)
+
+    def close(self):
+        for conn in self._peers.values():
+            try:
+                conn.close()
+            except OSError:
+                pass
+        self._peers.clear()
 
 
 def create_thread_communicators(size, timeout=60.0):
-    """Build one communicator per worker thread of an in-process group."""
-    hub = _ThreadHub(size, timeout)
-    return [ThreadCommunicator(r, hub) for r in range(size)]
+    """Build one communicator per worker thread of an in-process group:
+    rank 0 and each other rank share one socket pair (a star, as over TCP)."""
+    links = [{} for _ in range(size)]
+    for peer in range(1, size):
+        links[0][peer], links[peer][0] = socket.socketpair()
+        links[0][peer].settimeout(timeout)
+        links[peer][0].settimeout(timeout)
+    return [StreamCommunicator(rank, size, links[rank], timeout) for rank in range(size)]
 
 
 def _pack_array(a):
@@ -271,17 +289,15 @@ def _unpack_array(body):
     return data.reshape(rows, cols)
 
 
-class SocketCommunicator(Communicator):
+class SocketCommunicator(StreamCommunicator):
     """TCP star topology: rank 0 accepts one connection per peer rank."""
 
     def __init__(self, rank, size, coord, timeout=60.0):
-        super().__init__(rank, size)
-        self.timeout = timeout
+        super().__init__(rank, size, {}, timeout)
         host, _, port = str(coord).rpartition(":")
         if not host or not port.isdigit():
             raise ConfigError(f"coordinator address must be host:port, got {coord!r}")
         port = int(port)
-        self._peers = {}
         if size == 1:
             return
         if rank == 0:
@@ -341,50 +357,6 @@ class SocketCommunicator(Communicator):
         except ValueError:
             raise ConfigError(f"{ENV_RANK} and {ENV_SIZE} must be integers") from None
         return cls(rank, size, env[ENV_COORD])
-
-    def _send(self, peer, opcode, seq, body):
-        # One buffer and one sendall per frame, and TCP_NODELAY: under Nagle's algorithm
-        # a small frame right behind a large one waits for the receiver's delayed ACK.
-        frame = b"".join((_LEN.pack(_HEAD.size + len(body)), _HEAD.pack(opcode, seq), body))
-        try:
-            self._peers[peer].sendall(frame)
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}", rank=peer) from None
-
-    def _recv(self, peer):
-        return self._recv_raw(self._peers[peer], peer)
-
-    def _recv_raw(self, conn, rank_hint):
-        def read(n):
-            buf = bytearray(n)
-            view = memoryview(buf)
-            while view:
-                try:
-                    got = conn.recv_into(view)
-                except socket.timeout:
-                    raise TransportError(
-                        f"no frame within {self.timeout} s", rank=rank_hint
-                    ) from None
-                except OSError as exc:
-                    raise TransportError(f"recv failed: {exc}", rank=rank_hint) from None
-                if not got:
-                    raise TransportError("peer disconnected", rank=rank_hint)
-                view = view[got:]
-            return buf
-
-        (length,) = _LEN.unpack(read(_LEN.size))
-        if length < _HEAD.size:
-            raise TransportError(f"malformed {length}-byte frame", rank=rank_hint)
-        op, seq = _HEAD.unpack(read(_HEAD.size))
-        return op, seq, read(length - _HEAD.size)
-
-    def close(self):
-        for conn in self._peers.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._peers.clear()
 
 
 def gather_rows(comm, rows):

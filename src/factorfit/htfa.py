@@ -168,11 +168,13 @@ def init_template(subject, config):
     squared distances, are scored ``_SEED_BLOCK`` voxels at a time.
     """
     if subject.grid is None:
-        raise ShapeError("template initialization needs voxel coordinates")
+        raise ShapeError(f"subject {subject.subject_id} has no voxel coordinates")
     grid = subject.grid
     k = config.k
     if grid.n_voxels < k:
-        raise ShapeError(f"{grid.n_voxels} voxels cannot seed {k} factors")
+        raise ShapeError(
+            f"subject {subject.subject_id}: {grid.n_voxels} voxels cannot seed {k} factors"
+        )
     X = np.asarray(subject.X, dtype=np.float64)
     n_vox, n_trs = X.shape
     negated = -np.geomspace(*width_bounds(grid, config), _SEED_WIDTHS)[:, None]
@@ -608,8 +610,9 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     does not depend on the partition; other ranks leave it empty.
 
     Bad subjects fail by name before any collective: one without voxel
-    coordinates, and one that is not finite or is constant over time
-    (:func:`~factorfit.kernels.check_centered`, as in SRM).
+    coordinates, one that is not finite or is constant over time
+    (:func:`~factorfit.kernels.check_centered`, as in SRM), and a root
+    whose first subject has too few voxels to seed the template.
     """
     config.validate()
     plan.validate()
@@ -619,10 +622,9 @@ def fit(subjects, config, plan, comm, iteration_log=None):
         if s.grid is None:
             raise ShapeError(f"subject {s.subject_id} has no voxel coordinates")
         check_centered(s.subject_id, s.X.shape[1], *center_stats(s.X))
+    template = init_template(subjects[0], config) if comm.rank == 0 else None
     offset, n_total = rank_offsets(comm, len(subjects))
     k = config.k
-
-    template = init_template(subjects[0], config) if comm.rank == 0 else None
     locals_ = [
         LocalModel(
             subject_id=s.subject_id,

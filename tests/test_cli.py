@@ -1,8 +1,11 @@
+import gc
 import json
+import os
 import struct
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from datagen import make_bundled_dataset, write_dataset
 from factorfit import cli
 from factorfit.cli import main, srm_flop_estimate, srm_flops_per_subject_iteration
+from factorfit.collectives import create_thread_communicators
 from factorfit.data_io import load_matrix
 
 
@@ -384,6 +388,28 @@ class TestBackendFlag:
             assert (tmp_path / "s" / name).read_bytes() == (
                 tmp_path / "t" / name
             ).read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_thread_ranks_leave_no_descriptor_open(self, bundled, tmp_path):
+        """Every socket pair a thread group opens is closed again: by the
+        CLI after its ranks return (not left to the garbage collector), and
+        by ``close()``."""
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run_main(["fit-srm", "--manifest", bundled, "--k", 2, "--iters", 2,
+                             "--backend", "threads", "--workers", 4, "--out", tmp_path]) == 0
+            gc.collect()
+        assert open_fds() == before
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        comms = create_thread_communicators(4)
+        assert open_fds() == before + 2 * 3
+        for comm in comms:
+            comm.close()
+        assert open_fds() == before
 
     def test_too_many_workers_usage_error(self, bundled, tmp_path):
         rc = run_main(

@@ -1,5 +1,7 @@
 import dataclasses
+import select
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -26,11 +28,11 @@ from factorfit.data_io import SubjectData
 from factorfit.errors import CollectiveContractError, ConfigError, TransportError
 
 
-def run_group(size, fn, timeout=30.0):
-    """Run fn(comm) on `size` worker threads; returns results by rank."""
-    comms = create_thread_communicators(size, timeout=timeout)
-    results = [None] * size
-    errors = [None] * size
+def run_threads(comms, fn):
+    """Run fn(comm) on one thread per communicator; returns results and
+    errors by rank. A failing rank aborts, which closes its links."""
+    results = [None] * len(comms)
+    errors = [None] * len(comms)
 
     def target(rank):
         try:
@@ -39,12 +41,22 @@ def run_group(size, fn, timeout=30.0):
             errors[rank] = exc
             comms[rank].abort()
 
-    threads = [threading.Thread(target=target, args=(r,)) for r in range(size)]
+    threads = [threading.Thread(target=target, args=(r,)) for r in range(len(comms))]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     return results, errors
+
+
+def run_group(size, fn, timeout=30.0):
+    """Run fn(comm) on `size` worker threads; returns results by rank."""
+    comms = create_thread_communicators(size, timeout=timeout)
+    try:
+        return run_threads(comms, fn)
+    finally:
+        for comm in comms:
+            comm.close()
 
 
 def free_port():
@@ -218,15 +230,22 @@ class TestContractAndTransport:
         assert "rank 1 sent broadcast #1, expected gather #1" in str(errors[0])
 
     def test_missing_rank_times_out(self):
-        def fn(c):
-            if c.rank == 1:
-                return None  # never joins the barrier
-            c.barrier()
+        for runner in (run_group, run_socket_group):
+            root_done = threading.Event()
 
-        _, errors = run_group(2, fn, timeout=0.2)
-        assert isinstance(errors[0], TransportError)
-        assert "did not complete within 0.2 s" in str(errors[0])
-        assert errors[0].rank == 1
+            def fn(c):
+                if c.rank == 1:
+                    root_done.wait(10.0)  # never joins the barrier, keeps its link open
+                    return None
+                try:
+                    c.barrier()
+                finally:
+                    root_done.set()
+
+            _, errors = runner(2, fn, timeout=0.2)
+            assert isinstance(errors[0], TransportError), runner.__name__
+            assert "no frame within 0.2 s" in str(errors[0])
+            assert errors[0].rank == 1
 
     def test_peer_abort_is_not_a_timeout(self):
         def fn(c):
@@ -234,13 +253,14 @@ class TestContractAndTransport:
                 raise ValueError("rank 1 fails before the barrier")
             c.barrier()
 
-        t0 = time.perf_counter()
-        _, errors = run_group(2, fn, timeout=30.0)
-        assert time.perf_counter() - t0 < 1.0
-        assert isinstance(errors[0], TransportError)
-        assert errors[0].rank == 1
-        assert str(errors[0]) == "collective abandoned: a peer rank failed (rank 1)"
-        assert isinstance(errors[1], ValueError)
+        for runner in (run_group, run_socket_group):
+            t0 = time.perf_counter()
+            _, errors = runner(2, fn, timeout=30.0)
+            assert time.perf_counter() - t0 < 1.0
+            assert isinstance(errors[0], TransportError), runner.__name__
+            assert errors[0].rank == 1
+            assert str(errors[0]) == "peer disconnected (rank 1)"
+            assert isinstance(errors[1], ValueError)
 
     def test_socket_peer_disconnect_names_rank(self):
         def fn(c):
@@ -320,19 +340,28 @@ class TestStatsAndOffsets:
         assert results == [(0, 6), (2, 6), (5, 6)]
 
 
-def waiting_for(hub, rank):
-    """The frames other ranks sent ``rank`` that it has not taken yet."""
-    with hub.changed:  # other ranks may be sending meanwhile
-        return [frame for row in hub.boxes for frame in row[rank]]
+def waiting_for(comm):
+    """The frames other ranks sent ``comm``'s rank that it has not read yet,
+    as (opcode, seq, body), peeked from its sockets without taking them."""
+    links = list(comm._peers.values())
+    readable, _, _ = select.select(links, [], [], 0)
+    frames = []
+    for link in readable:
+        data = link.recv(1 << 20, socket.MSG_PEEK)  # b"" once the peer has closed
+        while data:
+            (length,) = struct.unpack_from("<Q", data)
+            opcode, seq = struct.unpack_from("<BQ", data, 8)
+            frames.append((opcode, seq, bytes(data[17:8 + length])))
+            data = data[8 + length:]
+    return frames
 
 
 class TestThreadHub:
     """Once every rank has returned from a collective, no frame of it is
-    left in any mailbox."""
+    left unread on any rank's socket pairs."""
 
     def test_nothing_held_after_each_collective(self):
         comms = create_thread_communicators(2, timeout=10.0)
-        hub = comms[0]._hub
         payload = np.ones((3, 4))
         collectives = [
             lambda c: c.broadcast(payload if c.rank == 0 else None),
@@ -357,7 +386,9 @@ class TestThreadHub:
                 t.join(timeout=30.0)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert waiting_for(hub, 0) == [] and waiting_for(hub, 1) == []
+            assert waiting_for(comms[0]) == [] and waiting_for(comms[1]) == []
+        for comm in comms:
+            comm.close()
 
     def test_nothing_held_during_the_m_step(self, monkeypatch):
         """A rank's M-step runs once the broadcast of S is over: no frame
@@ -366,13 +397,12 @@ class TestThreadHub:
         waits for rank 1 at all; rank 1 may already have sent the root its
         frames for the next round."""
         comms = create_thread_communicators(2, timeout=30.0)
-        hub = comms[0]._hub
         seen = []
         m_step = srm.m_step_subject
 
         def checking(*args, **kwargs):
             rank = int(threading.current_thread().name.removeprefix("rank"))
-            seen.append((rank, comms[rank]._seq, waiting_for(hub, rank)))
+            seen.append((rank, comms[rank]._seq, waiting_for(comms[rank])))
             return m_step(*args, **kwargs)
 
         monkeypatch.setattr(srm, "m_step_subject", checking)
@@ -391,7 +421,9 @@ class TestThreadHub:
             t.join(timeout=60.0)
         assert not any(t.is_alive() for t in threads)
         assert all(model is not None for model in results)
-        assert waiting_for(hub, 0) == [] and waiting_for(hub, 1) == []
+        assert waiting_for(comms[0]) == [] and waiting_for(comms[1]) == []
+        for comm in comms:
+            comm.close()
         assert sorted(rank for rank, _, _ in seen) == [0] * 6 + [1] * 6
         for rank, done, frames in seen:
             assert all(seq > done for _, seq, _ in frames)
@@ -401,6 +433,7 @@ class TestThreadHub:
         """More ranks than cores and a short switch interval: each round's
         broadcast and gather reach every rank intact, and nothing is left."""
         size, rounds = 6, 150
+        comms = create_thread_communicators(size, timeout=30.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -411,14 +444,14 @@ class TestThreadHub:
                     blobs = c.gather(bytes([c.rank, i]))
                     assert blobs == ([bytes([r, i]) for r in range(size)] if c.rank == 0
                                      else None)
-                return c._hub
 
-            results, errors = run_group(size, fn, timeout=30.0)
+            _, errors = run_threads(comms, fn)
         finally:
             sys.setswitchinterval(interval)
         assert errors == [None] * size
-        hub = results[0]
-        assert all(waiting_for(hub, rank) == [] for rank in range(size))
+        assert all(waiting_for(comm) == [] for comm in comms)
+        for comm in comms:
+            comm.close()
 
 
 class Replay(Communicator):

@@ -490,6 +490,32 @@ class TestLocalStep:
         )
         assert np.linalg.norm(out.centers[0] - centers[0]) <= 0.5
 
+    def test_converged_step_stops_early(self, monkeypatch):
+        """Noiseless data from one blob, the template at the truth and
+        nearly every voxel sampled: successive refinements soon change the
+        parameters by less than the local tolerance, and the loop stops
+        before ``local_iterations`` runs out."""
+        grid = VoxelGrid.from_positions(0.5 * cuboid_grid(16, 16, 16).positions)
+        centers, widths = np.full((1, 3), 3.75), np.array([4.0])
+        weights = np.random.default_rng(0).standard_normal((40, 1)) + 2.0
+        subject = SubjectData("one", (weights @ rbf_factor_matrix(centers, widths, grid)).T, grid)
+        config = small_config(k=1, local=10)
+        seeded = htfa.init_template(subject, config)
+        template = htfa.GlobalTemplate(
+            centers=centers, center_cov=seeded.center_cov, widths=widths,
+            width_var=seeded.width_var, prior_center_cov=seeded.prior_center_cov,
+            prior_width_var=seeded.prior_width_var,
+        )
+        plan = htfa.SubsamplePlan(
+            voxel_fraction=1.0, tr_fraction=1.0, max_voxels=grid.n_voxels, max_trs=40
+        )
+        draws, original = [], htfa.subsample
+        monkeypatch.setattr(htfa, "subsample", lambda *a: draws.append(1) or original(*a))
+        local = htfa.LocalModel("one", np.zeros((1, 3)), np.ones(1), np.zeros((40, 1)), 1.0)
+        out = htfa.local_step(subject, template, local, config, plan, np.random.default_rng(1))
+        assert len(draws) < config.local_iterations
+        assert np.max(np.abs(out.centers - centers)) <= 0.01
+
     def test_deterministic(self, blob_data):
         subjects, _, _, _ = blob_data
         config = small_config(local=2)
@@ -717,6 +743,8 @@ class TestFit:
             t.start()
         for t in threads:
             t.join()
+        for comm in comms:
+            comm.close()
         assert errors == [None, None]
         for rank in (0, 1):
             tmpl = results[rank][0]
@@ -755,6 +783,8 @@ class TestFit:
         for t in threads:
             t.join(timeout=120.0)
             assert not t.is_alive()
+        for comm in comms:
+            comm.close()
         assert len(serial_log) == config.outer_iterations
         assert np.array(logs[0]).tobytes() == np.array(serial_log).tobytes()
         assert logs[1] == []
@@ -789,6 +819,8 @@ class TestFit:
         for t in threads:
             t.join(timeout=60.0)
             assert not t.is_alive()
+        for comm in comms:
+            comm.close()
         for got in results:
             for name in ("centers", "center_cov", "widths", "width_var", "prior_center_cov"):
                 want = getattr(root, name)
@@ -865,10 +897,20 @@ class TestInputChecks:
         for t in threads:
             t.join(timeout=30.0)
             assert not t.is_alive()
+        for comm in comms:
+            comm.close()
         assert isinstance(errors[1], InvalidInputError), errors
         assert f"subject s1 {message}" in str(errors[1])
         assert comms[1].stats.gather_calls == comms[1].stats.bcast_calls == 0
         assert errors[0] is not None  # rank 0 learns of the abort
+
+    def test_root_seeding_fails_by_name_before_any_collective(self):
+        grid = cuboid_grid(3, 2, 1)
+        X = np.random.default_rng(7).standard_normal((grid.n_voxels, 10))
+        comm = SerialCommunicator()
+        with pytest.raises(ShapeError, match="subject sub-07: 6 voxels cannot seed 8 factors"):
+            htfa.fit([SubjectData("sub-07", X, grid)], small_config(k=8), self.PLAN, comm)
+        assert comm.stats.gather_calls == comm.stats.bcast_calls == 0
 
     def test_zero_local_iterations_is_config_error(self):
         # without a local step every weight column stays zero, every factor is

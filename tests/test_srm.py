@@ -43,6 +43,8 @@ def fit_on_threads(chunks, cfg):
     for t in threads:
         t.join(timeout=60.0)
     assert not any(t.is_alive() for t in threads)
+    for comm in comms:
+        comm.close()
     assert errors == [None] * len(chunks)
     return results
 
@@ -336,6 +338,8 @@ class TestFit:
             t.start()
         for t in threads:
             t.join()
+        for comm in comms:
+            comm.close()
         assert errors == [None, None]
         assert np.array_equal(results[0].S, serial.S)
         assert np.array_equal(results[1].S, serial.S)
@@ -580,6 +584,8 @@ class TestFit:
             t.start()
         for t in threads:
             t.join()
+        for comm in comms:
+            comm.close()
         assert any(isinstance(e, CollectiveContractError) for e in errors)
 
 
@@ -633,6 +639,8 @@ class TestSummationTree:
             t.start()
         for t in threads:
             t.join()
+        for comm in comms:
+            comm.close()
         assert isinstance(errors[0], CollectiveContractError)
         assert "summed twice" in str(errors[0])
 

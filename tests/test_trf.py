@@ -142,6 +142,20 @@ class TestSolve:
         assert result.termination_reason == "max_iterations"
         assert result.iterations == 2
 
+    @pytest.mark.parametrize("x0", [5.0, 0.0])
+    def test_wrong_sign_jacobian_stops_on_step(self, x0):
+        """A Jacobian of the wrong sign makes every trial raise the cost, so
+        the radius shrinks until a "step" stop ends the solve at x0: from 5
+        the trial step falls below the step tolerance first; at 0, where
+        that tolerance is 1e-16, the radius falls below 1e-14 first."""
+        problem = LeastSquaresProblem(
+            1, 1, lambda x: 1.0 + x, lambda x: np.array([[-1.0]])
+        )
+        result = solve(problem, np.array([x0]))
+        assert result.termination_reason == "step"
+        assert result.x.tolist() == [x0]
+        assert result.accepted_costs == [0.5 * (1.0 + x0) ** 2]
+
     def test_x0_on_bound_clamped_inward(self):
         problem = linear_problem(
             np.array([5.0]), lower=np.array([0.0]), upper=np.array([2.0])
