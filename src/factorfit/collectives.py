@@ -212,8 +212,9 @@ class SerialCommunicator(Communicator):
 class StreamCommunicator(Communicator):
     """One rank whose links to its peers are connected stream sockets,
     ``peers[rank]``: socket pairs between threads of one process, or TCP
-    between processes. A frame is written with one ``sendall`` and read
-    into a fresh buffer; a peer that has closed its end is reported at the
+    between processes. A frame is written from its header and body
+    buffers with ``sendmsg``, the body uncopied, and read into a fresh
+    buffer; a peer that has closed its end is reported at the
     next receive that waits on it."""
 
     def __init__(self, rank, size, peers, timeout):
@@ -222,11 +223,18 @@ class StreamCommunicator(Communicator):
         self._peers = peers
 
     def _send(self, peer, opcode, seq, body):
-        # One buffer and one sendall per frame, and TCP_NODELAY on TCP links: under Nagle's
-        # algorithm a small frame right behind a large one waits for the receiver's delayed ACK.
-        frame = b"".join((_LEN.pack(_HEAD.size + len(body)), _HEAD.pack(opcode, seq), body))
+        # The header and the body leave together, without copying the body into a frame, and
+        # TCP links set TCP_NODELAY: under Nagle's algorithm a small frame right behind a large
+        # one waits for the receiver's delayed ACK. sendmsg may send part of the buffers.
+        body = memoryview(body)
+        buffers = [_LEN.pack(_HEAD.size + body.nbytes) + _HEAD.pack(opcode, seq), body]
         try:
-            self._peers[peer].sendall(frame)
+            while buffers:
+                sent = self._peers[peer].sendmsg(buffers)
+                while buffers and sent >= len(buffers[0]):
+                    sent -= len(buffers.pop(0))
+                if buffers:
+                    buffers[0] = memoryview(buffers[0])[sent:]
         except OSError as exc:
             raise TransportError(f"send failed: {exc}", rank=peer) from None
 

@@ -4,7 +4,16 @@ Everything here operates on 64-bit float arrays and is a pure function:
 safe to call concurrently from multiple workers. Reductions and the
 radial-basis lookup sum axis contributions in a fixed order so results
 do not depend on the execution backend.
+
+:func:`_split_matmul` runs one wide product in column parts whose number
+depends on the output's shape only: the parts after the first run on one
+process-wide thread pool, sized to the CPUs the process may use, so the
+bits never depend on the CPU count, the backend or the rank split.
 """
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy.linalg import lapack
@@ -39,6 +48,12 @@ RANK_TOLERANCE = 1e-12
 
 #: Rows per block of :func:`row_blocks`.
 ROW_BLOCK = 64
+
+#: Fewest output columns of one part of :func:`_split_matmul`.
+SPLIT_COLUMNS = 1024
+
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def _as_matrix(a, name="matrix"):
@@ -225,6 +240,53 @@ def polar_orthogonal(A, atol=0.0):
     if info < 0:
         raise InvalidInputError(f"illegal value in argument {-info} of dgemqrt")
     return W
+
+
+def _split_pool():
+    """The process-wide pool of :func:`_split_matmul`, created at first use.
+
+    Thread ranks may race to create it, hence the lock.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="factorfit-matmul")
+        return _pool
+
+
+def _split_matmul(a, b, out):
+    """``out = a @ b`` in p column parts, p the largest power of two with
+    n >= SPLIT_COLUMNS * p for n output columns.
+
+    Part i is one ``np.matmul`` into columns [n i // p, n (i + 1) // p) of
+    ``out``, so nothing is allocated and p, hence the bits, depends on the
+    shape only. The calling thread computes part 0 and the pool the rest;
+    under 2 SPLIT_COLUMNS columns this is one ``np.matmul``.
+    """
+    n = out.shape[1]
+    parts = 1
+    while n >= SPLIT_COLUMNS * 2 * parts:
+        parts *= 2
+    if parts == 1:
+        return np.matmul(a, b, out=out)
+
+    def part(i):
+        cols = slice(n * i // parts, n * (i + 1) // parts)
+        np.matmul(a, b[:, cols], out=out[:, cols])
+
+    futures = [_split_pool().submit(part, i) for i in range(1, parts)]
+    try:
+        part(0)
+    finally:
+        # no part may still write into ``out`` once this returns or raises
+        wait(futures)
+    for future in futures:
+        future.result()
+    return out
 
 
 def _check_rbf_args(centers, widths):

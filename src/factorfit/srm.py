@@ -23,6 +23,11 @@ product, and ||Xhat_i||^2, which does not change between iterations and
 is computed once per subject. So a subject-iteration does two V x T x K
 products (the E-step term and A_i), a QR of A_i and one product with its
 Q, the voxel-scale work ``cli.srm_flops_per_subject_iteration`` counts.
+The two products use every CPU the process may use: each is cut into
+column parts (over T for the E-step term, over V for A_i) whose number
+depends on the shape only, so the bits do not depend on the CPU count,
+the backend or the rank split, only on the BLAS build and its thread
+count.
 
 The fit holds one copy of each subject's data, the caller's X_i, and
 never writes to it. Xhat_i = X_i - mu_i 1^T is never formed: each Xhat_i
@@ -54,8 +59,8 @@ import numpy as np
 
 from .collectives import PairwiseSum, gather_rows, rank_offsets
 from .errors import CollectiveContractError, ConfigError, RankError, ShapeError
-from .kernels import add_diag, center_stats, check_centered, polar_orthogonal
-from .kernels import spd_inverse, trace_ata
+from .kernels import _split_matmul, add_diag, center_stats, check_centered
+from .kernels import polar_orthogonal, spd_inverse, trace_ata
 
 __all__ = [
     "SrmConfig",
@@ -142,10 +147,14 @@ def e_step_local(W_i, rho2_i, X_i, out=None):
 
     ``X_i`` may still carry its voxel means; :func:`fit` takes their share
     out of the summed terms once, at the root. The K x T term is written
-    into ``out`` when given.
+    into ``out`` when given. From 2,048 TRs on, the product runs in
+    column parts over T on the process's CPUs; the parts depend on T
+    only (:func:`~factorfit.kernels._split_matmul`).
     """
+    if out is None:
+        out = np.empty((W_i.shape[1], X_i.shape[1]))
     # scaling the V x K mapping, not the K x T product, saves a K x T pass
-    return np.matmul((W_i / rho2_i).T, X_i, out=out)
+    return _split_matmul((W_i / rho2_i).T, X_i, out)
 
 
 def e_step_global(reduced, sigma_s, rho0):
@@ -181,6 +190,9 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     W_new is the polar factor of A = 1/2 Xhat_i S^T, and the noise
     update's cross term uses <W_new^T Xhat_i, S> = 2 <W_new, A>, so the
     voxel-scale work is one V x T x K product and A's polar factor by QR.
+    From 2,048 voxels on, the product runs in column parts over V on the
+    process's CPUs; the parts depend on V only
+    (:func:`~factorfit.kernels._split_matmul`).
     ``xhat_sq`` is ||Xhat_i||^2, which :func:`fit` computes once per
     subject. Without ``mu``, ``X_i`` is Xhat_i and ``xhat_sq`` is computed
     here when not given. With ``mu``, X_i = Xhat_i + mu 1^T, ``xhat_sq`` is
@@ -199,7 +211,7 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     """
     n_trs = S.shape[1]
     # the K x V product is the faster layout for the same numbers
-    A = S @ X_i.T
+    A = _split_matmul(S, X_i.T, np.empty((S.shape[0], X_i.shape[0])))
     floor = 0.0
     if mu is not None:
         if xhat_sq is None:

@@ -19,6 +19,7 @@ from factorfit.collectives import (
     PairwiseSum,
     SerialCommunicator,
     SocketCommunicator,
+    StreamCommunicator,
     _unpack_array,
     create_thread_communicators,
     gather_rows,
@@ -273,6 +274,42 @@ class TestContractAndTransport:
         err = errors[0]
         assert isinstance(err, TransportError)
         assert err.rank == 1
+
+    def test_frame_larger_than_the_send_buffer_arrives_whole(self):
+        """A small SO_SNDBUF forces sendmsg to send part of the frame at a time."""
+
+        class Recording:
+            def __init__(self, conn):
+                self.conn, self.sent = conn, []
+
+            def sendmsg(self, buffers):
+                self.sent.append(self.conn.sendmsg(buffers))
+                return self.sent[-1]
+
+            def close(self):
+                self.conn.close()
+
+        a, b = socket.socketpair()
+        a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        a.settimeout(10.0)
+        b.settimeout(10.0)
+        link = Recording(a)
+        sender = StreamCommunicator(0, 2, {1: link}, 10.0)
+        receiver = StreamCommunicator(1, 2, {0: b}, 10.0)
+        body = np.random.default_rng(41).bytes(3 << 20)
+        frames = []
+        reader = threading.Thread(target=lambda: frames.append(receiver._recv(0)))
+        try:
+            reader.start()
+            sender._send(1, 3, 7, body)
+            reader.join(10.0)
+        finally:
+            sender.close()
+            receiver.close()
+        assert not reader.is_alive()
+        assert len(link.sent) > 1 and sum(link.sent) == 17 + len(body)
+        (op, seq, got), = frames
+        assert (op, seq) == (3, 7) and bytes(got) == body
 
     def test_env_config_roundtrip(self):
         port = free_port()

@@ -1,8 +1,12 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from datagen import traced_peak
-from factorfit import htfa
+from factorfit import htfa, kernels
 from factorfit.errors import (
     DefinitenessError,
     DomainError,
@@ -11,7 +15,9 @@ from factorfit.errors import (
     ShapeError,
 )
 from factorfit.kernels import (
+    SPLIT_COLUMNS,
     VoxelGrid,
+    _split_matmul,
     add_diag,
     polar_orthogonal,
     rbf_factor_matrix,
@@ -334,3 +340,89 @@ class TestResidualFro:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             residual_fro(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+def e_step_operands(rng, n_cols, inner=50, k=3):
+    """srm.e_step_local's layout: a transposed V x K mapping times a C-ordered
+    V x T matrix, into a K x T view of a tree row (parts are strided slices)."""
+    a = rng.standard_normal((inner, k)).T
+    b = rng.standard_normal((inner, n_cols))
+    out = np.empty(2 + k * n_cols)[2:].reshape(k, n_cols)
+    return a, b, out
+
+
+def m_step_operands(rng, n_cols, inner=50, k=3):
+    """m_step_subject's layout: S (K x T) times the transposed view X_i^T of a
+    C-ordered V x T matrix, into one C-ordered K x V array."""
+    a = rng.standard_normal((k, inner))
+    b = rng.standard_normal((n_cols, inner)).T
+    return a, b, np.empty((k, n_cols))
+
+
+LAYOUTS = [e_step_operands, m_step_operands]
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Install a pool of n threads as the split's process-wide pool."""
+    pools = []
+
+    def install(n):
+        pools.append(ThreadPoolExecutor(n))
+        monkeypatch.setattr(kernels, "_pool", pools[-1])
+
+    yield install
+    for pool in pools:
+        pool.shutdown()
+
+
+class TestSplitMatmul:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n_cols", [2 * SPLIT_COLUMNS, 4100, 8 * SPLIT_COLUMNS + 3])
+    def test_matches_matmul(self, layout, n_cols):
+        a, b, out = layout(np.random.default_rng(n_cols), n_cols)
+        got = _split_matmul(a, b, out)
+        want = np.matmul(a, b)
+        assert got is out
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n_cols", [1, 700, 2 * SPLIT_COLUMNS - 1])
+    def test_one_part_is_matmul(self, layout, n_cols, monkeypatch):
+        monkeypatch.setattr(kernels, "_split_pool", lambda: pytest.fail("a part was submitted"))
+        a, b, out = layout(np.random.default_rng(n_cols), n_cols)
+        assert _split_matmul(a, b, out).tobytes() == np.matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bytes_independent_of_pool_size(self, layout, pool_of):
+        n_cols = 4 * SPLIT_COLUMNS + 5  # four parts
+        results = set()
+        for workers in (1, 2, 3):
+            pool_of(workers)
+            a, b, out = layout(np.random.default_rng(9), n_cols)
+            results.add(_split_matmul(a, b, out).tobytes())
+        assert len(results) == 1
+
+    def test_racing_ranks_create_one_pool(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_pool", None)
+        start = threading.Barrier(8)
+        pools = []
+
+        def first_use():
+            start.wait(10.0)
+            pools.append(kernels._split_pool())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(switch)
+            if kernels._pool is not None:
+                kernels._pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(pools) == 8 and len({id(p) for p in pools}) == 1

@@ -1,5 +1,6 @@
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datagen import srm_subjects, traced_peak
-from factorfit import reference, srm
+from factorfit import kernels, reference, srm
 from factorfit.collectives import (
     PairwiseSum,
     SerialCommunicator,
@@ -613,6 +614,44 @@ def test_property_partition_independent(counts, tolerance):
         assert model.S.tobytes() == serial.S.tobytes()
     assert all(model.objective_trace == [] for model in models[1:])
     assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in serial.W]
+
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n_voxels, n_trs", [(2100, 40), (8, 2100)])
+def test_split_products_keep_bytes_across_ranks_and_pools(n_voxels, n_trs, monkeypatch):
+    """From 2,048 voxels (A = S X_i^T) or TRs (the E-step term) the products
+    run in parts on the pool; the bytes depend on neither ranks nor pool size."""
+    matrices, _ = srm_subjects(n_subjects=4, n_voxels=n_voxels, n_trs=n_trs, k=3, seed=43)
+    subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
+    cfg = srm.SrmConfig(k=3, iterations=3, seed=5)
+    runs = []
+    for workers in (1, 2, 3):
+        pool = CountingPool(workers)
+        monkeypatch.setattr(kernels, "_pool", pool)
+        try:
+            runs.append([srm.fit(subjects, cfg, SerialCommunicator())])
+            if workers == 2:
+                runs.append(fit_on_threads([subjects[:2], subjects[2:]], cfg))
+        finally:
+            pool.shutdown()
+        assert pool.submitted > 0
+    want = runs[0][0]
+    for models in runs:
+        root = models[0]
+        assert root.sigma_s.tobytes() == want.sigma_s.tobytes()
+        assert root.rho2_all.tobytes() == want.rho2_all.tobytes()
+        for model in models:
+            assert model.S.tobytes() == want.S.tobytes()
+        assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in want.W]
 
 
 class TestSummationTree:
