@@ -121,7 +121,7 @@ def _run_workers(args, manifest, worker):
     artifacts are written by whichever rank owns a subject. This process
     runs one socket rank, or every rank of a thread group (the serial
     backend is a group of one): rank 0 on the calling thread, the others
-    on threads of their own. A failing rank aborts the group; every
+    on threads of their own. A failing rank closes its links; every
     communicator is closed and the first error is raised.
     """
     n_subjects = len(manifest.subjects)
@@ -141,7 +141,7 @@ def _run_workers(args, manifest, worker):
     if args.backend == "sockets" and args.spawn_local:
         return _spawn_local(args)
     comms = comms or create_thread_communicators(size)
-    # a rank records its error before its abort reaches the others: the first is the cause
+    # a rank records its error before it closes its links: the first is the cause
     failures = []
 
     def run_rank(comm):
@@ -150,7 +150,7 @@ def _run_workers(args, manifest, worker):
             worker(comm, manifest.subjects[lo:hi])
         except BaseException as exc:  # noqa: BLE001 - reported below
             failures.append(exc)
-            comm.abort()
+            comm.close()
 
     with ThreadPoolExecutor(size, thread_name_prefix="factorfit-worker") as pool:
         others = [pool.submit(run_rank, comm) for comm in comms[1:]]

@@ -1,13 +1,12 @@
-"""Message-passing collectives over pluggable backends.
+"""Message-passing collectives for serial, thread and process groups.
 
 All inter-worker communication in the fitters goes through the three
 collectives defined here, ``broadcast``, ``gather`` and ``barrier``, through
 :func:`gather_rows`, which gathers one float64 row block per rank on the root
 in rank order, and through :class:`PairwiseSum`, which sums rows along one
 fixed pairwise tree. Each collective is one star algorithm around rank 0,
-written once in :class:`Communicator`. One transport,
-:class:`StreamCommunicator`, moves each frame from one rank to another over
-a connected stream socket:
+written once in :class:`Communicator`, which also holds the rank's links:
+connected stream sockets that each move a frame between two ranks.
 
 * :func:`create_thread_communicators` -- the ranks are threads of one
   process; rank 0 shares one socket pair with each other rank.
@@ -16,8 +15,8 @@ a connected stream socket:
   their identity from the ``FACTORFIT_RANK``, ``FACTORFIT_SIZE`` and
   ``FACTORFIT_COORD`` environment variables or explicit arguments.
 
-The ``serial`` backend, :class:`SerialCommunicator`, is a group of one with
-no transport: a star without peers never sends or receives.
+The ``serial`` backend, :class:`SerialCommunicator`, is a group of one:
+a rank with no links, whose collectives never send or receive.
 
 Gathered blocks arrive in ascending-rank order, never in arrival order,
 so a caller that sums them in that order produces bit-identical results
@@ -46,7 +45,6 @@ from .errors import CollectiveContractError, ConfigError, TransportError
 __all__ = [
     "Communicator",
     "SerialCommunicator",
-    "StreamCommunicator",
     "SocketCommunicator",
     "create_thread_communicators",
     "gather_rows",
@@ -95,38 +93,44 @@ def _as_payload(a, name="payload"):
 
 
 class Communicator:
-    """Rank/size handle exposing the collectives.
+    """One rank of a group and its links to the other ranks.
 
     One communicator per worker; not shareable between concurrently
     executing workers. ``rank`` 0 is the root by convention. Every
-    collective is a star around the root, written once here; the one
-    transport, :class:`StreamCommunicator` over socket pairs or TCP, only
-    moves one frame between two ranks, with ``_send(peer, opcode, seq,
-    body)`` and ``_recv(peer) -> (opcode, seq, body)``. A rank with no
-    peers never calls either.
+    collective is a star around the root, written once here. A link,
+    ``peers[r]``, is a connected stream socket to rank ``r``: a socket pair
+    between threads of one process, or TCP between processes. A rank with
+    no links is the serial case: its collectives never send or receive.
+    A frame is written from its header and body buffers with ``sendmsg``,
+    the body uncopied, and read into a fresh buffer; a peer that has
+    closed its end is reported at the next receive that waits on it.
     """
 
-    def __init__(self, rank, size):
+    def __init__(self, rank, size, peers=None, timeout=None):
         if size < 1 or not (0 <= rank < size):
             raise ConfigError(f"invalid rank/size ({rank}/{size})")
         self.rank = rank
         self.size = size
+        self.timeout = timeout
         self.stats = CollectiveStats()
         self._seq = 0
+        self._peers = {} if peers is None else peers
 
-    def _next_seq(self):
+    def _timed(self, collective, *args):
+        """Run one collective under the next sequence number, its wall time
+        counted in ``stats.seconds`` even when it raises."""
         self._seq += 1
-        return self._seq
+        t0 = time.perf_counter()
+        try:
+            return collective(*args, self._seq)
+        finally:
+            self.stats.seconds += time.perf_counter() - t0
 
     def broadcast(self, buf):
         """Copy root's payload to every rank (non-root may pass None)."""
         if self.rank == 0:
             buf = _as_payload(buf, "broadcast payload")
-        t0 = time.perf_counter()
-        try:
-            out = self._broadcast(buf, self._next_seq())
-        finally:
-            self.stats.seconds += time.perf_counter() - t0
+        out = self._timed(self._broadcast, buf)
         self.stats.bcast_calls += 1
         self.stats.bcast_bytes += out.nbytes
         return out
@@ -134,30 +138,66 @@ class Communicator:
     def gather(self, local):
         """Collect one byte string per rank, ordered by rank, on root."""
         local = bytes(local)
-        t0 = time.perf_counter()
-        try:
-            out = self._gather(local, self._next_seq())
-        finally:
-            self.stats.seconds += time.perf_counter() - t0
+        out = self._timed(self._gather, local)
         self.stats.gather_calls += 1
         self.stats.gather_bytes += len(local)
         return out
 
     def barrier(self):
         """Return only after every rank has entered."""
-        t0 = time.perf_counter()
-        try:
-            self._barrier(self._next_seq())
-        finally:
-            self.stats.seconds += time.perf_counter() - t0
+        self._timed(self._barrier)
         self.stats.barrier_calls += 1
 
     def close(self):
-        pass
+        """Close every link; peers waiting on this rank see it disconnect."""
+        for conn in self._peers.values():
+            try:
+                conn.close()
+            except OSError:
+                pass
+        self._peers.clear()
 
-    def abort(self):
-        """Unblock peers waiting on this rank (used on worker failure)."""
-        self.close()
+    def _send(self, peer, opcode, seq, body):
+        # The header and the body leave together, without copying the body into a frame, and
+        # TCP links set TCP_NODELAY: under Nagle's algorithm a small frame right behind a large
+        # one waits for the receiver's delayed ACK. sendmsg may send part of the buffers.
+        body = memoryview(body)
+        buffers = [_LEN.pack(_HEAD.size + body.nbytes) + _HEAD.pack(opcode, seq), body]
+        try:
+            while buffers:
+                sent = self._peers[peer].sendmsg(buffers)
+                while buffers and sent >= len(buffers[0]):
+                    sent -= len(buffers.pop(0))
+                if buffers:
+                    buffers[0] = memoryview(buffers[0])[sent:]
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}", rank=peer) from None
+
+    def _recv(self, peer, conn=None):
+        """Read one frame, ``(opcode, seq, body)``, from rank ``peer``'s link,
+        or from ``conn`` when the sender's rank is not known yet."""
+        conn = self._peers[peer] if conn is None else conn
+
+        def read(n):
+            buf = bytearray(n)
+            view = memoryview(buf)
+            while view:
+                try:
+                    got = conn.recv_into(view)
+                except socket.timeout:
+                    raise TransportError(f"no frame within {self.timeout} s", rank=peer) from None
+                except OSError as exc:
+                    raise TransportError(f"recv failed: {exc}", rank=peer) from None
+                if not got:
+                    raise TransportError("peer disconnected", rank=peer)
+                view = view[got:]
+            return buf
+
+        (length,) = _LEN.unpack(read(_LEN.size))
+        if length < _HEAD.size:
+            raise TransportError(f"malformed {length}-byte frame", rank=peer)
+        op, seq = _HEAD.unpack(read(_HEAD.size))
+        return op, seq, read(length - _HEAD.size)
 
     def _recv_expect(self, peer, opcode, seq):
         op, got_seq, body = self._recv(peer)
@@ -202,87 +242,23 @@ class Communicator:
 
 
 class SerialCommunicator(Communicator):
-    """The serial backend: the only rank of a group of one, so it has no
-    transport and its collectives never send or receive."""
+    """The serial backend: the only rank of a group of one, with no links."""
 
     def __init__(self):
         super().__init__(0, 1)
 
 
-class StreamCommunicator(Communicator):
-    """One rank whose links to its peers are connected stream sockets,
-    ``peers[rank]``: socket pairs between threads of one process, or TCP
-    between processes. A frame is written from its header and body
-    buffers with ``sendmsg``, the body uncopied, and read into a fresh
-    buffer; a peer that has closed its end is reported at the
-    next receive that waits on it."""
-
-    def __init__(self, rank, size, peers, timeout):
-        super().__init__(rank, size)
-        self.timeout = timeout
-        self._peers = peers
-
-    def _send(self, peer, opcode, seq, body):
-        # The header and the body leave together, without copying the body into a frame, and
-        # TCP links set TCP_NODELAY: under Nagle's algorithm a small frame right behind a large
-        # one waits for the receiver's delayed ACK. sendmsg may send part of the buffers.
-        body = memoryview(body)
-        buffers = [_LEN.pack(_HEAD.size + body.nbytes) + _HEAD.pack(opcode, seq), body]
-        try:
-            while buffers:
-                sent = self._peers[peer].sendmsg(buffers)
-                while buffers and sent >= len(buffers[0]):
-                    sent -= len(buffers.pop(0))
-                if buffers:
-                    buffers[0] = memoryview(buffers[0])[sent:]
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}", rank=peer) from None
-
-    def _recv(self, peer):
-        return self._recv_raw(self._peers[peer], peer)
-
-    def _recv_raw(self, conn, rank_hint):
-        def read(n):
-            buf = bytearray(n)
-            view = memoryview(buf)
-            while view:
-                try:
-                    got = conn.recv_into(view)
-                except socket.timeout:
-                    raise TransportError(
-                        f"no frame within {self.timeout} s", rank=rank_hint
-                    ) from None
-                except OSError as exc:
-                    raise TransportError(f"recv failed: {exc}", rank=rank_hint) from None
-                if not got:
-                    raise TransportError("peer disconnected", rank=rank_hint)
-                view = view[got:]
-            return buf
-
-        (length,) = _LEN.unpack(read(_LEN.size))
-        if length < _HEAD.size:
-            raise TransportError(f"malformed {length}-byte frame", rank=rank_hint)
-        op, seq = _HEAD.unpack(read(_HEAD.size))
-        return op, seq, read(length - _HEAD.size)
-
-    def close(self):
-        for conn in self._peers.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._peers.clear()
-
-
 def create_thread_communicators(size, timeout=60.0):
     """Build one communicator per worker thread of an in-process group:
     rank 0 and each other rank share one socket pair (a star, as over TCP)."""
+    if size < 1:
+        raise ConfigError(f"a thread group needs at least one rank, got size {size}")
     links = [{} for _ in range(size)]
     for peer in range(1, size):
         links[0][peer], links[peer][0] = socket.socketpair()
         links[0][peer].settimeout(timeout)
         links[peer][0].settimeout(timeout)
-    return [StreamCommunicator(rank, size, links[rank], timeout) for rank in range(size)]
+    return [Communicator(rank, size, links[rank], timeout) for rank in range(size)]
 
 
 def _pack_array(a):
@@ -297,60 +273,68 @@ def _unpack_array(body):
     return data.reshape(rows, cols)
 
 
-class SocketCommunicator(StreamCommunicator):
-    """TCP star topology: rank 0 accepts one connection per peer rank."""
+class SocketCommunicator(Communicator):
+    """TCP star topology: rank 0 accepts one connection per peer rank. A
+    rendezvous that fails on any rank closes every socket it opened."""
 
     def __init__(self, rank, size, coord, timeout=60.0):
         super().__init__(rank, size, {}, timeout)
         host, _, port = str(coord).rpartition(":")
         if not host or not port.isdigit():
             raise ConfigError(f"coordinator address must be host:port, got {coord!r}")
-        port = int(port)
-        if size == 1:
-            return
-        if rank == 0:
-            server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            if rank > 0:
+                self._connect(host, int(port), coord)
+            elif size > 1:
+                self._accept(host, int(port))
+        except BaseException:
+            self.close()
+            raise
+
+    def _accept(self, host, port):
+        """Rank 0: take one link per other rank, keyed by the rank its hello names."""
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            server.settimeout(timeout)
+            server.settimeout(self.timeout)
             server.bind((host, port))
-            server.listen(size - 1)
-            try:
-                for _ in range(size - 1):
-                    conn, _addr = server.accept()
-                    conn.settimeout(timeout)
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    op, seq, body = self._recv_raw(conn, rank_hint=None)
-                    if op != _OP_HELLO:
-                        raise CollectiveContractError("expected hello frame")
-                    peer = _LEN.unpack(body)[0]
-                    if not (1 <= peer < size) or peer in self._peers:
-                        raise CollectiveContractError(f"bad hello from rank {peer}")
-                    self._peers[peer] = conn
-            except socket.timeout:
-                missing = sorted(set(range(1, size)) - set(self._peers))
-                raise TransportError(
-                    f"ranks {missing} did not connect within {timeout} s"
-                ) from None
-            finally:
-                server.close()
-        else:
-            conn = None
-            deadline = time.monotonic() + timeout
-            while True:
+            server.listen(self.size - 1)
+            for _ in range(self.size - 1):
                 try:
-                    conn = socket.create_connection((host, port), timeout=timeout)
-                    break
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        raise TransportError(
-                            f"could not reach coordinator at {coord} within {timeout} s",
-                            rank=0,
-                        ) from None
-                    time.sleep(0.05)
-            conn.settimeout(timeout)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._peers[0] = conn
-            self._send(0, _OP_HELLO, 0, _LEN.pack(rank))
+                    conn, _addr = server.accept()
+                except socket.timeout:
+                    missing = sorted(set(range(1, self.size)) - set(self._peers))
+                    raise TransportError(
+                        f"ranks {missing} did not connect within {self.timeout} s"
+                    ) from None
+                try:
+                    conn.settimeout(self.timeout)
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    op, _seq, body = self._recv(None, conn)
+                    if op != _OP_HELLO or len(body) != _LEN.size:
+                        raise CollectiveContractError("expected hello frame")
+                    (peer,) = _LEN.unpack(body)
+                    if not (1 <= peer < self.size) or peer in self._peers:
+                        raise CollectiveContractError(f"bad hello from rank {peer}")
+                except BaseException:
+                    conn.close()
+                    raise
+                self._peers[peer] = conn
+
+    def _connect(self, host, port, coord):
+        """Rank r > 0: connect to rank 0, retrying until the timeout, and say hello."""
+        deadline = time.monotonic() + self.timeout
+        while 0 not in self._peers:
+            try:
+                self._peers[0] = socket.create_connection((host, port), timeout=self.timeout)
+            except OSError:
+                if time.monotonic() >= deadline:
+                    raise TransportError(
+                        f"could not reach coordinator at {coord} within {self.timeout} s",
+                        rank=0,
+                    ) from None
+                time.sleep(0.05)
+        self._peers[0].setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._send(0, _OP_HELLO, 0, _LEN.pack(self.rank))
 
     @classmethod
     def from_env(cls, env=None):

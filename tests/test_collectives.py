@@ -19,7 +19,6 @@ from factorfit.collectives import (
     PairwiseSum,
     SerialCommunicator,
     SocketCommunicator,
-    StreamCommunicator,
     _unpack_array,
     create_thread_communicators,
     gather_rows,
@@ -31,7 +30,7 @@ from factorfit.errors import CollectiveContractError, ConfigError, TransportErro
 
 def run_threads(comms, fn):
     """Run fn(comm) on one thread per communicator; returns results and
-    errors by rank. A failing rank aborts, which closes its links."""
+    errors by rank. A failing rank closes its links."""
     results = [None] * len(comms)
     errors = [None] * len(comms)
 
@@ -40,7 +39,7 @@ def run_threads(comms, fn):
             results[rank] = fn(comms[rank])
         except BaseException as exc:  # noqa: BLE001
             errors[rank] = exc
-            comms[rank].abort()
+            comms[rank].close()
 
     threads = [threading.Thread(target=target, args=(r,)) for r in range(len(comms))]
     for t in threads:
@@ -66,6 +65,19 @@ def free_port():
     port = probe.getsockname()[1]
     probe.close()
     return port
+
+
+def dial(coord, timeout=10.0):
+    """A raw TCP link to the coordinator, retried until it listens."""
+    host, _, port = coord.rpartition(":")
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return socket.create_connection((host, int(port)), timeout=timeout)
+        except OSError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.05)
 
 
 def run_socket_group(size, fn, timeout=15.0):
@@ -294,8 +306,8 @@ class TestContractAndTransport:
         a.settimeout(10.0)
         b.settimeout(10.0)
         link = Recording(a)
-        sender = StreamCommunicator(0, 2, {1: link}, 10.0)
-        receiver = StreamCommunicator(1, 2, {0: b}, 10.0)
+        sender = Communicator(0, 2, {1: link}, 10.0)
+        receiver = Communicator(1, 2, {0: b}, 10.0)
         body = np.random.default_rng(41).bytes(3 << 20)
         frames = []
         reader = threading.Thread(target=lambda: frames.append(receiver._recv(0)))
@@ -328,6 +340,59 @@ class TestContractAndTransport:
             SocketCommunicator.from_env(env={ENV_RANK: "0"})
         with pytest.raises(ConfigError, match="must be integers"):
             SocketCommunicator.from_env(env={ENV_RANK: "0", ENV_SIZE: "two", ENV_COORD: "h:1"})
+
+    def test_failed_rendezvous_closes_the_links_it_accepted(self):
+        """Rank 1 connects and rank 2 never does: rank 0 raises and closes
+        rank 1's link, so rank 1 reads a disconnect rather than a timeout."""
+        coord = f"127.0.0.1:{free_port()}"
+        joined = []
+        rank1 = threading.Thread(
+            target=lambda: joined.append(SocketCommunicator(1, 3, coord, timeout=5.0))
+        )
+        rank1.start()
+        try:
+            # ``info`` keeps the failed constructor's frames, and so its sockets, alive
+            with pytest.raises(TransportError, match=r"ranks \[2\] did not connect") as info:
+                SocketCommunicator(0, 3, coord, timeout=1.0)
+            rank1.join(10.0)
+            assert not rank1.is_alive()
+            with pytest.raises(TransportError, match="peer disconnected"):
+                joined[0]._recv(0)
+            assert info.value.rank is None
+        finally:
+            rank1.join(10.0)
+            for comm in joined:
+                comm.close()
+
+    def test_short_hello_is_a_contract_error(self):
+        """A hello whose body is not one 8-byte rank is refused, and its link closed."""
+        coord = f"127.0.0.1:{free_port()}"
+        errors = []
+
+        def root():
+            try:
+                SocketCommunicator(0, 2, coord, timeout=5.0)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        thread = threading.Thread(target=root)
+        thread.start()
+        link = dial(coord)
+        try:
+            link.sendall(struct.pack("<Q", 9 + 4) + struct.pack("<BQ", 0, 0) + b"\x01\0\0\0")
+            thread.join(10.0)
+            assert not thread.is_alive()
+            assert [type(exc) for exc in errors] == [CollectiveContractError]
+            assert str(errors[0]) == "expected hello frame"
+            assert link.recv(1) == b""
+        finally:
+            thread.join(10.0)
+            link.close()
+
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_thread_group_without_ranks_is_refused(self, size):
+        with pytest.raises(ConfigError, match=f"got size {size}$"):
+            create_thread_communicators(size)
 
 
 class TestStatsAndOffsets:
@@ -414,7 +479,7 @@ class TestThreadHub:
                     collective(comm)
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
-                    comm.abort()
+                    comm.close()
 
             threads = [threading.Thread(target=run, args=(c,)) for c in comms]
             for t in threads:

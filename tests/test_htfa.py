@@ -736,7 +736,7 @@ class TestFit:
                 results[rank] = htfa.fit(chunks[rank], config, plan, comms[rank])
             except BaseException as exc:  # noqa: BLE001
                 errors[rank] = exc
-                comms[rank].abort()
+                comms[rank].close()
 
         threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
         for t in threads:
@@ -774,7 +774,7 @@ class TestFit:
                     iteration_log=logs[rank],
                 )
             except BaseException:
-                comms[rank].abort()
+                comms[rank].close()
                 raise
 
         threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
@@ -810,7 +810,7 @@ class TestFit:
                     comms[rank], root if rank == 0 else None
                 )
             except BaseException:
-                comms[rank].abort()
+                comms[rank].close()
                 raise
 
         threads = [threading.Thread(target=run, args=(r,)) for r in range(3)]
@@ -889,7 +889,7 @@ class TestInputChecks:
                          comms[rank])
             except BaseException as exc:  # noqa: BLE001
                 errors[rank] = exc
-                comms[rank].abort()
+                comms[rank].close()
 
         threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
         for t in threads:

@@ -36,7 +36,7 @@ def fit_on_threads(chunks, cfg):
             results[rank] = srm.fit(chunks[rank], cfg, comms[rank])
         except BaseException as exc:  # noqa: BLE001
             errors[rank] = exc
-            comms[rank].abort()
+            comms[rank].close()
 
     threads = [threading.Thread(target=run, args=(r,)) for r in range(len(chunks))]
     for t in threads:
@@ -332,7 +332,7 @@ class TestFit:
                 results[rank] = srm.fit(chunks[rank], cfg, comms[rank])
             except BaseException as exc:  # noqa: BLE001
                 errors[rank] = exc
-                comms[rank].abort()
+                comms[rank].close()
 
         threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
         for t in threads:
@@ -578,7 +578,7 @@ class TestFit:
                 srm.fit(chunks[rank], cfg, comms[rank])
             except BaseException as exc:  # noqa: BLE001
                 errors[rank] = exc
-                comms[rank].abort()
+                comms[rank].close()
 
         threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
         for t in threads:
@@ -671,7 +671,7 @@ class TestSummationTree:
                 srm.fit(subjects[2 * rank:2 * rank + 2], srm.SrmConfig(k=2), comms[rank])
             except BaseException as exc:  # noqa: BLE001
                 errors[rank] = exc
-                comms[rank].abort()
+                comms[rank].close()
 
         threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
         for t in threads:
