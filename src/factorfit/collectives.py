@@ -1,12 +1,14 @@
 """Message-passing collectives for serial, thread and process groups.
 
 All inter-worker communication in the fitters goes through the three
-collectives defined here, ``broadcast``, ``gather`` and ``barrier``, through
-:func:`gather_rows`, which gathers one float64 row block per rank on the root
-in rank order, and through :class:`PairwiseSum`, which sums rows along one
-fixed pairwise tree. Each collective is one star algorithm around rank 0,
-written once in :class:`Communicator`, which also holds the rank's links:
-connected stream sockets that each move a frame between two ranks.
+collectives defined here, ``broadcast``, ``gather`` and ``barrier``, and
+three helpers: :func:`gather_rows`, which gathers one float64 row block
+per rank on the root in rank order, :func:`broadcast_parts`, which sends
+the root's float64 arrays and scalars to every rank as one row, and
+:class:`PairwiseSum`, which sums rows along one fixed pairwise tree. Each
+collective is one star algorithm around rank 0, written once in
+:class:`Communicator`, which also holds the rank's links: connected
+stream sockets that each move a frame between two ranks.
 
 * :func:`create_thread_communicators` -- the ranks are threads of one
   process; rank 0 shares one socket pair with each other rank.
@@ -27,9 +29,10 @@ programming error reported as :class:`CollectiveContractError`.
 Wire format (socket pairs and TCP alike): each frame is an 8-byte
 little-endian unsigned payload length followed by the payload; the
 payload starts with a 1-byte opcode and an 8-byte little-endian sequence
-number. Every collective opens with a frame from each non-root rank to
-the root, which checks its opcode and sequence number; broadcast's
-opening frame is empty.
+number, and its body may leave as several buffers, each uncopied (a
+broadcast sends its matrix's dimensions, then the root's array). Every
+collective opens with a frame from each non-root rank to the root, which
+checks its opcode and sequence number; broadcast's opening frame is empty.
 """
 
 import os
@@ -48,6 +51,7 @@ __all__ = [
     "SocketCommunicator",
     "create_thread_communicators",
     "gather_rows",
+    "broadcast_parts",
     "PairwiseSum",
     "rank_offsets",
     "ENV_RANK",
@@ -101,9 +105,11 @@ class Communicator:
     ``peers[r]``, is a connected stream socket to rank ``r``: a socket pair
     between threads of one process, or TCP between processes. A rank with
     no links is the serial case: its collectives never send or receive.
-    A frame is written from its header and body buffers with ``sendmsg``,
-    the body uncopied, and read into a fresh buffer; a peer that has
-    closed its end is reported at the next receive that waits on it.
+    The helpers :func:`gather_rows`, :func:`broadcast_parts` and
+    :class:`PairwiseSum` build on them. A frame is written from its header
+    and one or more body buffers with ``sendmsg``, the body uncopied, and
+    read into a fresh buffer; a peer that has closed its end is reported
+    at the next receive that waits on it.
     """
 
     def __init__(self, rank, size, peers=None, timeout=None):
@@ -157,12 +163,12 @@ class Communicator:
                 pass
         self._peers.clear()
 
-    def _send(self, peer, opcode, seq, body):
+    def _send(self, peer, opcode, seq, *body):
         # The header and the body leave together, without copying the body into a frame, and
         # TCP links set TCP_NODELAY: under Nagle's algorithm a small frame right behind a large
-        # one waits for the receiver's delayed ACK. sendmsg may send part of the buffers.
-        body = memoryview(body)
-        buffers = [_LEN.pack(_HEAD.size + body.nbytes) + _HEAD.pack(opcode, seq), body]
+        # one waits for the receiver's delayed ACK. sendmsg may send part of the byte views.
+        body = [memoryview(b).cast("B") for b in body]
+        buffers = [_LEN.pack(_HEAD.size + sum(map(len, body))) + _HEAD.pack(opcode, seq), *body]
         try:
             while buffers:
                 sent = self._peers[peer].sendmsg(buffers)
@@ -210,15 +216,13 @@ class Communicator:
 
     def _broadcast(self, buf, seq):
         if self.rank != 0:
-            self._send(0, _OP_BCAST, seq, b"")
+            self._send(0, _OP_BCAST, seq)
             return _unpack_array(self._recv_expect(0, _OP_BCAST, seq)).copy()
-        peers = range(1, self.size)
-        for peer in peers:
+        for peer in range(1, self.size):
             self._recv_expect(peer, _OP_BCAST, seq)
-        if peers:
-            body = _pack_array(buf)
-            for peer in peers:
-                self._send(peer, _OP_BCAST, seq, body)
+        dims, data = _DIMS.pack(*buf.shape), buf.astype("<f8", copy=False)
+        for peer in range(1, self.size):
+            self._send(peer, _OP_BCAST, seq, dims, data)
         return buf.copy()
 
     def _gather(self, local, seq):
@@ -232,13 +236,13 @@ class Communicator:
 
     def _barrier(self, seq):
         if self.rank != 0:
-            self._send(0, _OP_BARRIER, seq, b"")
+            self._send(0, _OP_BARRIER, seq)
             self._recv_expect(0, _OP_BARRIER, seq)
             return
         for peer in range(1, self.size):
             self._recv_expect(peer, _OP_BARRIER, seq)
         for peer in range(1, self.size):
-            self._send(peer, _OP_BARRIER, seq, b"")
+            self._send(peer, _OP_BARRIER, seq)
 
 
 class SerialCommunicator(Communicator):
@@ -296,8 +300,11 @@ class SocketCommunicator(Communicator):
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             server.settimeout(self.timeout)
-            server.bind((host, port))
-            server.listen(self.size - 1)
+            try:
+                server.bind((host, port))
+                server.listen(self.size - 1)
+            except OSError as exc:
+                raise TransportError(f"cannot listen on {host}:{port}: {exc}") from None
             for _ in range(self.size - 1):
                 try:
                     conn, _addr = server.accept()
@@ -383,14 +390,31 @@ def rank_offsets(comm, local_count):
     without any rank knowing the full layout up front.
     """
     blocks = gather_rows(comm, [[local_count]])
+    parts = None
     if comm.rank == 0:
         counts = np.concatenate(blocks)[:, 0]
-        offsets = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
-        table = np.vstack([offsets, counts])
-    else:
-        table = None
-    table = comm.broadcast(table)
-    return int(table[0, comm.rank]), int(table[1].sum())
+        parts = [np.concatenate(([0.0], np.cumsum(counts)[:-1])), counts.sum()]
+    offsets, total = broadcast_parts(comm, parts, [(comm.size,), ()])
+    return int(offsets[comm.rank]), int(total)
+
+
+def broadcast_parts(comm, parts, shapes):
+    """The root's float64 ``parts`` on every rank, as one 1 x n row.
+
+    Every rank passes the ``shapes`` it expects, ``()`` for a scalar (other
+    ranks pass anything as ``parts``), and gets views into its own copy of
+    the row, a float for each scalar. A row of another length raises
+    :class:`CollectiveContractError` naming the rank and both counts.
+    """
+    row = np.concatenate([np.ravel(p) for p in parts])[None] if comm.rank == 0 else None
+    row = comm.broadcast(row)[0]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if row.size != sum(sizes):
+        raise CollectiveContractError(
+            f"rank {comm.rank} expects {sum(sizes)} broadcast values, got {row.size}"
+        )
+    views = np.split(row, np.cumsum(sizes)[:-1])
+    return [v.reshape(shape) if shape else float(v[0]) for v, shape in zip(views, shapes)]
 
 
 class PairwiseSum:

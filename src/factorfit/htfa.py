@@ -35,13 +35,13 @@ b_k = (sigmaHat_k^2 + sigma_lambda^2/N)^{-1},
 which reproduces the three-inversion conjugate update exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import trf
-from .collectives import gather_rows, rank_offsets
+from .collectives import broadcast_parts, gather_rows, rank_offsets
 from .errors import ConfigError, DefinitenessError, ShapeError
 from .kernels import center_stats, check_centered, rbf_factor_matrix, row_residual_energy
 from .kernels import grid_sq_distances, spd_inverse
@@ -557,39 +557,14 @@ def _rescue_degenerate(subject, local):
     return local
 
 
-def _broadcast_template(comm, template):
-    """The root's whole template on every rank, in one broadcast.
-
-    One (K+1) x 14 matrix: row k holds centers[k], widths[k],
-    center_cov[k] (9 values) and width_var[k]; the last row holds the 3 x 3
-    prior covariance, the prior width variance and 4 zeros. Other ranks
-    pass anything as ``template``; every rank gets its own copy.
-    """
-    packed = None
-    if comm.rank == 0:
-        k = template.centers.shape[0]
-        priors = np.zeros((1, 14))
-        priors[0, :9] = template.prior_center_cov.ravel()
-        priors[0, 9] = template.prior_width_var
-        packed = np.vstack([
-            np.hstack([
-                template.centers,
-                template.widths[:, None],
-                template.center_cov.reshape(k, 9),
-                template.width_var[:, None],
-            ]),
-            priors,
-        ])
-    packed = comm.broadcast(packed)
-    k = packed.shape[0] - 1
-    return GlobalTemplate(
-        centers=packed[:k, :3].copy(),
-        center_cov=packed[:k, 4:13].reshape(k, 3, 3).copy(),
-        widths=packed[:k, 3].copy(),
-        width_var=packed[:k, 13].copy(),
-        prior_center_cov=packed[k, :9].reshape(3, 3).copy(),
-        prior_width_var=float(packed[k, 9]),
-    )
+def _broadcast_template(comm, template, k):
+    """The root's whole template of ``k`` factors, every field in
+    declaration order, on every rank in one broadcast. Other ranks pass
+    anything as ``template``; a rank that expects another ``k`` raises
+    :class:`~factorfit.errors.CollectiveContractError`."""
+    parts = [getattr(template, f.name) for f in fields(template)] if comm.rank == 0 else None
+    shapes = [(k, 3), (k, 3, 3), (k,), (k,), (3, 3), ()]
+    return GlobalTemplate(*broadcast_parts(comm, parts, shapes))
 
 
 def fit(subjects, config, plan, comm, iteration_log=None):
@@ -599,11 +574,11 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     gather one [centers, widths, noise variance] row of 4K + 1 values per
     subject, in subject order -> root template update. Each template
     broadcast (:func:`_broadcast_template`) hands the root's whole
-    template, posterior covariances and priors included, to every rank;
-    one more after the loop hands over the final template, and a final
-    pass rebuilds every subject's full weight matrix from its final
-    factors. Returns (template, local models); the template is identical
-    on every rank.
+    template, posterior covariances and priors included, to every rank as
+    one row of 14K + 10 values; one more after the loop hands over the
+    final template, and a final pass rebuilds every subject's full weight
+    matrix from its final factors. Returns (template, local models); the
+    template is identical on every rank.
 
     When ``iteration_log`` is a list, the root appends the mean data-noise
     variance over all N subjects once per outer iteration, so the trace
@@ -637,7 +612,7 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     ]
 
     for outer in range(config.outer_iterations):
-        template = _broadcast_template(comm, template)
+        template = _broadcast_template(comm, template, k)
         for j, subject in enumerate(subjects):
             rng = np.random.default_rng(
                 (plan.seed & 0xFFFFFFFFFFFFFFFF, offset + j, outer)
@@ -659,7 +634,7 @@ def fit(subjects, config, plan, comm, iteration_log=None):
             )
             if iteration_log is not None:
                 iteration_log.append(float(np.mean(gathered[:, 4 * k])))
-    template = _broadcast_template(comm, template)
+    template = _broadcast_template(comm, template, k)
 
     # final full-weight refresh against each subject's complete data
     for j, subject in enumerate(subjects):

@@ -175,9 +175,9 @@ def add_diag(A, c):
 def spd_inverse(A):
     """Invert a symmetric positive definite matrix via Cholesky.
 
-    The result is symmetrized (averaged with its transpose). A failed
-    factorization raises :class:`DefinitenessError` naming the 0-based
-    pivot index at which positive definiteness broke down.
+    The result is exactly symmetric, mirrored from its lower triangle. A
+    failed factorization raises :class:`DefinitenessError` naming the
+    0-based pivot index at which positive definiteness broke down.
     """
     A = _as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
@@ -190,8 +190,7 @@ def spd_inverse(A):
     inv, info = lapack.dpotri(chol, lower=1)
     if info != 0:
         raise DefinitenessError("Cholesky inverse failed", pivot=abs(info) - 1)
-    inv = np.tril(inv) + np.tril(inv, -1).T
-    return 0.5 * (inv + inv.T)
+    return np.tril(inv) + np.tril(inv, -1).T
 
 
 def polar_orthogonal(A, atol=0.0):

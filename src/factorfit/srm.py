@@ -47,9 +47,10 @@ M-step), mu_i and two scalars, the broadcast S, and the stack of
 that sums the E-step terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i]
 over the subjects [0, N), bit-identically however they are grouped onto
 workers (the root's stack, N.bit_length() rows, finishes the sum). The
-root drops its own S once it is packed for the broadcast of S and
-tr(Sigma_s_new). The M-step adds A_i, the QR's work copy of it and the
-new W_i, all V_i x K (under 8 K voxels, the SVD's copy, U and W_i).
+root drops its own S for the copy that the broadcast of S and
+tr(Sigma_s_new) hands back. The M-step adds A_i, the QR's work copy of
+it and the new W_i, all V_i x K (under 8 K voxels, the SVD's copy, U and
+W_i).
 """
 
 from dataclasses import dataclass, field
@@ -57,8 +58,8 @@ from typing import Optional
 
 import numpy as np
 
-from .collectives import PairwiseSum, gather_rows, rank_offsets
-from .errors import CollectiveContractError, ConfigError, RankError, ShapeError
+from .collectives import PairwiseSum, broadcast_parts, gather_rows, rank_offsets
+from .errors import ConfigError, RankError, ShapeError
 from .kernels import _split_matmul, add_diag, center_stats, check_centered
 from .kernels import polar_orthogonal, spd_inverse, trace_ata
 
@@ -239,10 +240,10 @@ def fit(subjects, config, comm):
     :class:`~factorfit.collectives.PairwiseSum` -> the root subtracts the
     row means of the summed K x T term, computes the posterior (whose
     covariance the Sigma_s update reuses), subtracts S's row means and
-    updates Sigma_s -> one broadcast of S stacked on a row holding
-    tr(Sigma_s_new) -> local M-steps. With ``tolerance`` set, every
-    worker runs the stopping test on its identical copy of S, so no stop
-    flag travels. A last gather collects the noise variances on the root.
+    updates Sigma_s -> one broadcast of S and tr(Sigma_s_new) -> local
+    M-steps. With ``tolerance`` set, every worker runs the stopping test on
+    its identical copy of S, so no stop flag travels. A last gather
+    collects the noise variances on the root.
     The root's ``objective_trace`` takes the summed rho_i^2 from each
     iteration after the first, then the mean of the final noise variances,
     so it covers every subject whatever the partition.
@@ -310,26 +311,19 @@ def fit(subjects, config, comm):
             e_step_local(Ws[j], rho2s[j], Xs[j], out=row[2:].reshape(k, n_trs))
             pairwise.push()
         sums = pairwise.finish()
+        parts = None
         if comm.rank == 0:
             rho0 = float(sums[0])
             if iteration > 0:
                 objective_trace.append(float(sums[1]) / n_subjects)
             reduced = sums[2:].reshape(k, n_trs)
             reduced -= reduced.mean(axis=1, keepdims=True)
-            S_root, var_s = e_step_global(reduced, sigma_s, rho0)
-            S_root -= S_root.mean(axis=1, keepdims=True)
-            sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S_root, var_s)
-            packed = np.vstack([S_root, np.full((1, n_trs), trace_new)])
-            del S_root
-        else:
-            packed = None
-        packed = comm.broadcast(packed)
-        if packed.shape != (k + 1, n_trs):
-            raise CollectiveContractError(
-                f"rank {comm.rank} expects S and tr(Sigma_s) as a {(k + 1, n_trs)} "
-                f"broadcast, got {packed.shape}"
-            )
-        S, trace_new = packed[:k], float(packed[k, 0])
+            S, var_s = e_step_global(reduced, sigma_s, rho0)
+            S -= S.mean(axis=1, keepdims=True)
+            sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S, var_s)
+            parts = [S, trace_new]
+        # rebinding S and parts releases the root's own S
+        S, trace_new = parts = broadcast_parts(comm, parts, [(k, n_trs), ()])
 
         for j, s in enumerate(subjects):
             try:

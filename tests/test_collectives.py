@@ -20,6 +20,7 @@ from factorfit.collectives import (
     SerialCommunicator,
     SocketCommunicator,
     _unpack_array,
+    broadcast_parts,
     create_thread_communicators,
     gather_rows,
     rank_offsets,
@@ -104,6 +105,30 @@ def run_socket_group(size, fn, timeout=15.0):
     return results, errors
 
 
+class RecordingLink:
+    """A link that records each ``sendmsg``'s buffers and byte count."""
+
+    def __init__(self, conn):
+        self.conn, self.sent, self.buffers = conn, [], []
+
+    def sendmsg(self, buffers):
+        self.buffers.extend(buffers)
+        self.sent.append(self.conn.sendmsg(buffers))
+        return self.sent[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def recording_pair():
+    """A root whose link to rank 1 records what it sends, rank 1, and the link."""
+    a, b = socket.socketpair()
+    a.settimeout(10.0)
+    b.settimeout(10.0)
+    link = RecordingLink(a)
+    return Communicator(0, 2, {1: link}, 10.0), Communicator(1, 2, {0: b}, 10.0), link
+
+
 class TestGatherRows:
     def test_serial_returns_local_block(self):
         local = np.arange(6.0).reshape(2, 3)
@@ -166,6 +191,59 @@ class TestBroadcast:
             blobs = {out.tobytes() for out in results}
             assert len(blobs) == 1
             assert blobs.pop() == payload.tobytes()
+
+
+    def test_root_sends_the_payload_uncopied(self):
+        """The frame body leaves from the root's own array, not a joined copy."""
+        root, rank1, link = recording_pair()
+        payload = np.random.default_rng(3).standard_normal((5, 7))
+        received = []
+        reader = threading.Thread(target=lambda: received.append(rank1.broadcast(None)))
+        try:
+            reader.start()
+            root.broadcast(payload)
+            reader.join(10.0)
+        finally:
+            root.close()
+            rank1.close()
+        assert not reader.is_alive()
+        assert received[0].tobytes() == payload.tobytes()
+        assert any(np.shares_memory(np.frombuffer(b, np.uint8), payload) for b in link.buffers)
+
+
+class TestBroadcastParts:
+    PARTS = [
+        np.random.default_rng(5).standard_normal((2, 3)),
+        np.random.default_rng(6).standard_normal((2, 3, 3)),
+        float(np.random.default_rng(7).standard_normal()),
+    ]
+    SHAPES = [(2, 3), (2, 3, 3), ()]
+
+    def program(self, comm):
+        return broadcast_parts(comm, self.PARTS if comm.rank == 0 else None, self.SHAPES)
+
+    def test_round_trip_byte_exact_on_every_backend(self):
+        runs = [([self.program(SerialCommunicator())], [None])]
+        runs += [run_group(3, self.program), run_socket_group(2, self.program)]
+        for results, errors in runs:
+            assert all(e is None for e in errors)
+            for got in results:
+                a, b, scalar = got
+                assert (a.shape, b.shape) == ((2, 3), (2, 3, 3))
+                assert a.tobytes() == self.PARTS[0].tobytes()
+                assert b.tobytes() == self.PARTS[1].tobytes()
+                assert type(scalar) is float
+                assert np.float64(scalar).tobytes() == np.float64(self.PARTS[2]).tobytes()
+
+    def test_shape_mismatch_is_contract_error(self):
+        def fn(c):
+            shapes = self.SHAPES if c.rank == 0 else [(2, 4), ()]
+            return broadcast_parts(c, self.PARTS if c.rank == 0 else None, shapes)
+
+        results, errors = run_group(2, fn)
+        assert errors[0] is None and len(results[0]) == 3
+        assert isinstance(errors[1], CollectiveContractError)
+        assert str(errors[1]) == "rank 1 expects 9 broadcast values, got 25"
 
 
 class TestGather:
@@ -287,28 +365,14 @@ class TestContractAndTransport:
         assert isinstance(err, TransportError)
         assert err.rank == 1
 
-    def test_frame_larger_than_the_send_buffer_arrives_whole(self):
-        """A small SO_SNDBUF forces sendmsg to send part of the frame at a time."""
-
-        class Recording:
-            def __init__(self, conn):
-                self.conn, self.sent = conn, []
-
-            def sendmsg(self, buffers):
-                self.sent.append(self.conn.sendmsg(buffers))
-                return self.sent[-1]
-
-            def close(self):
-                self.conn.close()
-
-        a, b = socket.socketpair()
-        a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-        a.settimeout(10.0)
-        b.settimeout(10.0)
-        link = Recording(a)
-        sender = Communicator(0, 2, {1: link}, 10.0)
-        receiver = Communicator(1, 2, {0: b}, 10.0)
-        body = np.random.default_rng(41).bytes(3 << 20)
+    @pytest.mark.parametrize("matrix", [False, True], ids=["bytes", "matrix"])
+    def test_frame_larger_than_the_send_buffer_arrives_whole(self, matrix):
+        """A small SO_SNDBUF forces sendmsg to send part of the frame at a
+        time; a 2-D body is counted in bytes, not rows."""
+        sender, receiver, link = recording_pair()
+        link.conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        rng = np.random.default_rng(41)
+        body = rng.standard_normal((384, 1024)) if matrix else rng.bytes(3 << 20)
         frames = []
         reader = threading.Thread(target=lambda: frames.append(receiver._recv(0)))
         try:
@@ -319,9 +383,17 @@ class TestContractAndTransport:
             sender.close()
             receiver.close()
         assert not reader.is_alive()
-        assert len(link.sent) > 1 and sum(link.sent) == 17 + len(body)
+        assert len(link.sent) > 1 and sum(link.sent) == 17 + (3 << 20)
         (op, seq, got), = frames
-        assert (op, seq) == (3, 7) and bytes(got) == body
+        assert (op, seq) == (3, 7) and bytes(got) == bytes(memoryview(body).cast("B"))
+
+    def test_busy_coordinator_port_is_a_transport_error(self):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            coord = "127.0.0.1:%d" % busy.getsockname()[1]
+            with pytest.raises(TransportError, match=f"cannot listen on {coord}: "):
+                SocketCommunicator(0, 2, coord, timeout=1.0)
 
     def test_env_config_roundtrip(self):
         port = free_port()

@@ -12,7 +12,8 @@ from factorfit import htfa, reference, trf
 from factorfit.collectives import SerialCommunicator, create_thread_communicators
 from factorfit.data_io import SubjectData
 from factorfit.errors import (
-    ConfigError, DefinitenessError, EvaluationError, InvalidInputError, ShapeError,
+    CollectiveContractError, ConfigError, DefinitenessError, EvaluationError,
+    InvalidInputError, ShapeError,
 )
 from factorfit.kernels import VoxelGrid, grid_sq_distances, rbf_factor_matrix
 
@@ -807,7 +808,7 @@ class TestFit:
         def run(rank):
             try:
                 results[rank] = htfa._broadcast_template(
-                    comms[rank], root if rank == 0 else None
+                    comms[rank], root if rank == 0 else None, k=3
                 )
             except BaseException:
                 comms[rank].close()
@@ -830,6 +831,33 @@ class TestFit:
                 root.prior_width_var
             ).tobytes()
         assert [c.stats.bcast_calls for c in comms] == [1, 1, 1]
+
+    def test_template_broadcast_refuses_another_k(self, blob_data):
+        """A rank that expects 2 factors where the root sends 3 raises, rather
+        than adopting the root's k."""
+        subjects, _, _, _ = blob_data
+        root = htfa.init_template(subjects[0], small_config())
+        comms = create_thread_communicators(2, timeout=30.0)
+        errors = [None] * 2
+
+        def run(rank):
+            try:
+                htfa._broadcast_template(comms[rank], root if rank == 0 else None, k=3 - rank)
+            except BaseException as exc:  # noqa: BLE001
+                errors[rank] = exc
+                comms[rank].close()
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+        for comm in comms:
+            comm.close()
+        assert errors[0] is None
+        assert isinstance(errors[1], CollectiveContractError)
+        assert str(errors[1]) == "rank 1 expects 38 broadcast values, got 52"
 
     @pytest.mark.parametrize("seed", [0, 2, 6, 13])
     def test_no_factor_lost(self, seed):
