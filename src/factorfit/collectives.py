@@ -30,7 +30,10 @@ Wire format (socket pairs and TCP alike): each frame is an 8-byte
 little-endian unsigned payload length followed by the payload; the
 payload starts with a 1-byte opcode and an 8-byte little-endian sequence
 number, and its body may leave as several buffers, each uncopied (a
-broadcast sends its matrix's dimensions, then the root's array). Every
+broadcast sends its matrix's dimensions, then the root's array, and
+:func:`gather_rows` each rank's dimensions, then its rows). A received
+body is read into a fresh buffer, and a broadcast matrix is handed out
+as a view of it, so each rank holds the broadcast matrix once. Every
 collective opens with a frame from each non-root rank to the root, which
 checks its opcode and sequence number; broadcast's opening frame is empty.
 """
@@ -133,7 +136,11 @@ class Communicator:
             self.stats.seconds += time.perf_counter() - t0
 
     def broadcast(self, buf):
-        """Copy root's payload to every rank (non-root may pass None)."""
+        """Root's 2-D float64 payload on every rank (non-root may pass None).
+
+        Nothing is copied: the root gets its payload back, as a contiguous
+        float64 array (the same object when it already was one), and every
+        other rank a writable, aligned view of the frame it received."""
         if self.rank == 0:
             buf = _as_payload(buf, "broadcast payload")
         out = self._timed(self._broadcast, buf)
@@ -141,12 +148,15 @@ class Communicator:
         self.stats.bcast_bytes += out.nbytes
         return out
 
-    def gather(self, local):
-        """Collect one byte string per rank, ordered by rank, on root."""
-        local = bytes(local)
-        out = self._timed(self._gather, local)
+    def gather(self, *local):
+        """Collect one byte string per rank, ordered by rank, on root.
+
+        A rank may pass its string as several buffers, which leave
+        uncopied; the root's own entry is them joined."""
+        body = [memoryview(b).cast("B") for b in local]
+        out = self._timed(self._gather, body)
         self.stats.gather_calls += 1
-        self.stats.gather_bytes += len(local)
+        self.stats.gather_bytes += sum(map(len, body))
         return out
 
     def barrier(self):
@@ -167,6 +177,7 @@ class Communicator:
         # The header and the body leave together, without copying the body into a frame, and
         # TCP links set TCP_NODELAY: under Nagle's algorithm a small frame right behind a large
         # one waits for the receiver's delayed ACK. sendmsg may send part of the byte views.
+        # Arrays come flat: memoryview cannot cast an empty 2-D view to bytes.
         body = [memoryview(b).cast("B") for b in body]
         buffers = [_LEN.pack(_HEAD.size + sum(map(len, body))) + _HEAD.pack(opcode, seq), *body]
         try:
@@ -217,19 +228,19 @@ class Communicator:
     def _broadcast(self, buf, seq):
         if self.rank != 0:
             self._send(0, _OP_BCAST, seq)
-            return _unpack_array(self._recv_expect(0, _OP_BCAST, seq)).copy()
+            return _unpack_array(self._recv_expect(0, _OP_BCAST, seq), writeable=True)
         for peer in range(1, self.size):
             self._recv_expect(peer, _OP_BCAST, seq)
-        dims, data = _DIMS.pack(*buf.shape), buf.astype("<f8", copy=False)
+        dims, data = _DIMS.pack(*buf.shape), buf.astype("<f8", copy=False).ravel()
         for peer in range(1, self.size):
             self._send(peer, _OP_BCAST, seq, dims, data)
-        return buf.copy()
+        return buf
 
-    def _gather(self, local, seq):
+    def _gather(self, body, seq):
         if self.rank != 0:
-            self._send(0, _OP_GATHER, seq, local)
+            self._send(0, _OP_GATHER, seq, *body)
             return None
-        out = [local]
+        out = [b"".join(body)]
         for peer in range(1, self.size):
             out.append(self._recv_expect(peer, _OP_GATHER, seq))
         return out
@@ -265,15 +276,12 @@ def create_thread_communicators(size, timeout=60.0):
     return [Communicator(rank, size, links[rank], timeout) for rank in range(size)]
 
 
-def _pack_array(a):
-    return b"".join((_DIMS.pack(*a.shape), a.astype("<f8", copy=False)))
-
-
-def _unpack_array(body):
-    """Read-only view of a packed matrix (it keeps ``body`` alive, no copy)."""
+def _unpack_array(body, writeable=False):
+    """View of a matrix sent as its dimensions and then its rows (it keeps
+    ``body`` alive, no copy); a writable view needs a writable ``body``."""
     rows, cols = _DIMS.unpack_from(body, 0)
     data = np.frombuffer(body, dtype="<f8", offset=_DIMS.size, count=rows * cols)
-    data.flags.writeable = False
+    data.flags.writeable = writeable
     return data.reshape(rows, cols)
 
 
@@ -370,7 +378,7 @@ def gather_rows(comm, rows):
     differs from rank 0's.
     """
     rows = _as_payload(rows, "gather_rows payload")
-    blobs = comm.gather(_pack_array(rows))
+    blobs = comm.gather(_DIMS.pack(*rows.shape), rows.astype("<f8", copy=False).ravel())
     if blobs is None:
         return None
     blocks = [_unpack_array(blob) for blob in blobs]
@@ -402,8 +410,9 @@ def broadcast_parts(comm, parts, shapes):
     """The root's float64 ``parts`` on every rank, as one 1 x n row.
 
     Every rank passes the ``shapes`` it expects, ``()`` for a scalar (other
-    ranks pass anything as ``parts``), and gets views into its own copy of
-    the row, a float for each scalar. A row of another length raises
+    ranks pass anything as ``parts``), and gets views into the row, a float
+    for each scalar: the row the root packed, or the frame another rank
+    received, so no rank holds a second copy. A row of another length raises
     :class:`CollectiveContractError` naming the rank and both counts.
     """
     row = np.concatenate([np.ravel(p) for p in parts])[None] if comm.rank == 0 else None

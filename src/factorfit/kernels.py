@@ -206,16 +206,25 @@ def polar_orthogonal(A, atol=0.0):
     A tall A (rows >= 8 cols) takes polar(A) = Q polar(R) (Higham,
     Functions of Matrices, 2008, sec. 8): ``dgeqrt`` keeps Q in compact-WY
     form, the rank checks and the SVD see only R, and ``dgemqrt`` applies
-    Q to [U_R V_R^T; 0] in place. ``A`` is only read, in any layout: each
-    route copies it column-major for LAPACK, so the layout cannot matter.
+    Q to [U_R V_R^T; 0] in place. ``A`` is only read, in any layout: it is
+    copied column-major once, and the QR runs in that copy.
     """
-    A = _check_matrix(np.asarray(A, dtype=np.float64), "A")
-    rows, cols = A.shape
+    return _polar(np.array(A, dtype=np.float64, order="F"), atol)[0]
+
+
+def _polar(A, atol=0.0):
+    """:func:`polar_orthogonal` of a column-major float64 ``A`` that it may
+    overwrite; returns (W, s), s A's singular values in descending order.
+
+    On the QR route the reflectors go into A's own buffer and s are R's
+    singular values, which are A's; otherwise s come from the SVD of A.
+    """
+    rows, cols = _check_matrix(A, "A").shape
     if rows < cols:
         raise ShapeError(f"polar_orthogonal needs rows >= cols, got {A.shape}")
     tall = rows >= 8 * cols
     if tall:
-        v, t, info = lapack.dgeqrt(min(32, cols), A)
+        v, t, info = lapack.dgeqrt(min(32, cols), A, overwrite_a=1)
         if info < 0:
             raise InvalidInputError(f"illegal value in argument {-info} of dgeqrt")
         U, s, Vt = np.linalg.svd(np.triu(v[:cols]))
@@ -231,14 +240,16 @@ def polar_orthogonal(A, atol=0.0):
             f"rank-deficient input: smallest singular value {s[-1]:.3e} "
             f"within the rounding error {atol:.3e} of the input"
         )
+    polar = U @ Vt
+    del U, Vt  # on the QR route W is then the only sizable array beside A
     if not tall:
-        return U @ Vt
+        return polar, s
     W = np.zeros((rows, cols), order="F")
-    W[:cols] = U @ Vt
+    W[:cols] = polar
     W, info = lapack.dgemqrt(v, t, W, overwrite_c=1)
     if info < 0:
         raise InvalidInputError(f"illegal value in argument {-info} of dgemqrt")
-    return W
+    return W, s
 
 
 def _split_pool():

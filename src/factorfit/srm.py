@@ -18,11 +18,13 @@ voxel count.
 
 The M-step sets W_i to the orthogonal polar factor of
 A_i = 1/2 Xhat_i S^T. The noise update needs the cross term
-<W_i^T Xhat_i, S> = tr(W_i^T Xhat_i S^T) = 2 <W_i, A_i>, a V x K inner
-product, and ||Xhat_i||^2, which does not change between iterations and
-is computed once per subject. So a subject-iteration does two V x T x K
-products (the E-step term and A_i), a QR of A_i and one product with its
-Q, the voxel-scale work ``cli.srm_flops_per_subject_iteration`` counts.
+<W_i^T Xhat_i, S> = tr(W_i^T Xhat_i S^T) = 2 <W_i, A_i> = 2 tr(Sigma_i),
+twice the sum of A_i's singular values (A_i = Q R, R = U Sigma_i V^T and
+W_i = Q U V^T), and ||Xhat_i||^2, which does not change between
+iterations and is computed once per subject. So a subject-iteration does
+two V x T x K products (the E-step term and A_i), a QR of A_i and one
+product with its Q, the voxel-scale work
+``cli.srm_flops_per_subject_iteration`` counts.
 The two products use every CPU the process may use: each is cut into
 column parts (over T for the E-step term, over V for A_i) whose number
 depends on the shape only, so the bits do not depend on the CPU count,
@@ -46,11 +48,13 @@ M-step), mu_i and two scalars, the broadcast S, and the stack of
 (4 + K T)-wide rows of the :class:`~factorfit.collectives.PairwiseSum`
 that sums the E-step terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i]
 over the subjects [0, N), bit-identically however they are grouped onto
-workers (the root's stack, N.bit_length() rows, finishes the sum). The
-root drops its own S for the copy that the broadcast of S and
-tr(Sigma_s_new) hands back. The M-step adds A_i, the QR's work copy of
-it and the new W_i, all V_i x K (under 8 K voxels, the SVD's copy, U and
-W_i).
+workers (the root's stack, N.bit_length() rows, finishes the sum). Each
+worker holds S once: the broadcast of S and tr(Sigma_s_new) hands the
+root back the row it sent, which replaces its own S, and the others a
+view of the frame they received. Subject i's old mapping is released
+before its M-step, which adds one V_i x K work array, A_i, in whose
+buffer the QR runs, and the new W_i (under 8 K voxels, the SVD's copy
+and U as well).
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +64,7 @@ import numpy as np
 
 from .collectives import PairwiseSum, broadcast_parts, gather_rows, rank_offsets
 from .errors import ConfigError, RankError, ShapeError
-from .kernels import _split_matmul, add_diag, center_stats, check_centered
+from .kernels import _polar, _split_matmul, add_diag, center_stats, check_centered
 from .kernels import polar_orthogonal, spd_inverse, trace_ata
 
 __all__ = [
@@ -189,8 +193,10 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     """Per-subject mapping and noise update given the broadcast S and trace.
 
     W_new is the polar factor of A = 1/2 Xhat_i S^T, and the noise
-    update's cross term uses <W_new^T Xhat_i, S> = 2 <W_new, A>, so the
-    voxel-scale work is one V x T x K product and A's polar factor by QR.
+    update's cross term <W_new^T Xhat_i, S> = 2 <W_new, A> is twice the
+    sum of A's singular values, which the polar factor's SVD of R gives
+    with no pass over A, so the voxel-scale work is one V x T x K product
+    and A's polar factor by QR, which runs in A's own buffer.
     From 2,048 voxels on, the product runs in column parts over V on the
     process's CPUs; the parts depend on V only
     (:func:`~factorfit.kernels._split_matmul`).
@@ -220,12 +226,12 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
         floor = (n_trs**2 * np.finfo(np.float64).eps * float(np.linalg.norm(mu))
                  * np.sqrt(max(trace_sigma_s_new, 0.0)))
     A *= 0.5
-    A = A.T
-    W_new = polar_orthogonal(A, atol=floor)
+    # A.T is column-major: the QR overwrites it and no V x K copy is made
+    W_new, s = _polar(A.T, atol=floor)
     if xhat_sq is None:
         xhat_sq = trace_ata(X_i)
     n_voxels = X_i.shape[0]
-    cross = 2.0 * float(np.einsum("vk,vk->", W_new, A))
+    cross = 2.0 * float(np.sum(s))
     rho2 = (xhat_sq + n_trs * trace_sigma_s_new - 2.0 * cross) / (n_trs * n_voxels)
     return W_new, max(rho2, RHO_FLOOR)
 
@@ -326,6 +332,7 @@ def fit(subjects, config, comm):
         S, trace_new = parts = broadcast_parts(comm, parts, [(k, n_trs), ()])
 
         for j, s in enumerate(subjects):
+            Ws[j] = None  # the M-step never reads the old mapping
             try:
                 Ws[j], rho2s[j] = m_step_subject(
                     Xs[j], S, trace_new, xhat_sqs[j], mu=mus[j]

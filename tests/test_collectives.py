@@ -156,6 +156,31 @@ class TestGatherRows:
             assert [b.tobytes() for b in results[0]] == [p.tobytes() for p in parts]
             assert all(b is None for b in results[1:])
 
+    def test_rank_sends_its_rows_uncopied(self):
+        """Rank 1's frame body leaves from its own rows; the root reads the
+        same bytes and counts the same 16-byte header plus rows."""
+        a, b = socket.socketpair()
+        a.settimeout(10.0)
+        b.settimeout(10.0)
+        link = RecordingLink(b)
+        root, rank1 = Communicator(0, 2, {1: a}, 10.0), Communicator(1, 2, {0: link}, 10.0)
+        rows = np.random.default_rng(5).standard_normal((3, 4))
+        blocks = []
+        reader = threading.Thread(
+            target=lambda: blocks.append(gather_rows(root, np.zeros((1, 4))))
+        )
+        try:
+            reader.start()
+            assert gather_rows(rank1, rows) is None
+            reader.join(10.0)
+        finally:
+            root.close()
+            rank1.close()
+        assert not reader.is_alive()
+        assert blocks[0][1].tobytes() == rows.tobytes()
+        assert any(np.shares_memory(np.frombuffer(b, np.uint8), rows) for b in link.buffers)
+        assert rank1.stats.gather_bytes == 16 + rows.nbytes
+
     def test_width_mismatch_is_contract_error(self):
         def fn(c):
             return gather_rows(c, np.zeros((2, 2 if c.rank == 0 else 3)))
@@ -211,6 +236,40 @@ class TestBroadcast:
         assert any(np.shares_memory(np.frombuffer(b, np.uint8), payload) for b in link.buffers)
 
 
+    def program(self, comm):
+        payload = np.random.default_rng(4).standard_normal((6, 5))
+        out = comm.broadcast(payload if comm.rank == 0 else None)
+        return payload, out
+
+    def test_empty_matrix_round_trips(self):
+        """A matrix with no rows travels as its dimensions alone, broadcast
+        and gathered."""
+
+        def fn(c):
+            out = c.broadcast(np.zeros((0, 3)) if c.rank == 0 else None)
+            return out.shape, gather_rows(c, np.zeros((0, 3)))
+
+        for runner in (run_group, run_socket_group):
+            results, errors = runner(2, fn)
+            assert errors == [None, None], runner.__name__
+            assert [shape for shape, _ in results] == [(0, 3), (0, 3)]
+            assert [b.shape for b in results[0][1]] == [(0, 3), (0, 3)]
+
+    def test_every_rank_holds_the_matrix_once(self):
+        """The root gets its own payload back; another rank gets a writable,
+        aligned view of the frame it received, not a copy of it."""
+        runs = [([self.program(SerialCommunicator())], [None])]
+        runs += [run_group(3, self.program), run_socket_group(2, self.program)]
+        for results, errors in runs:
+            assert all(e is None for e in errors)
+            (payload, root_out), *others = results
+            assert root_out is payload
+            for payload, out in others:
+                assert out.flags.writeable and out.flags.aligned
+                assert out.tobytes() == payload.tobytes()
+                assert not out.flags.owndata
+
+
 class TestBroadcastParts:
     PARTS = [
         np.random.default_rng(5).standard_normal((2, 3)),
@@ -234,6 +293,18 @@ class TestBroadcastParts:
                 assert b.tobytes() == self.PARTS[1].tobytes()
                 assert type(scalar) is float
                 assert np.float64(scalar).tobytes() == np.float64(self.PARTS[2]).tobytes()
+
+    def test_parts_are_writable_views(self):
+        """Each rank's parts are writable views: of the row the root packed,
+        which shares nothing with the root's parts, or of a received frame."""
+        runs = [([self.program(SerialCommunicator())], [None])]
+        runs += [run_group(3, self.program), run_socket_group(2, self.program)]
+        for results, errors in runs:
+            assert all(e is None for e in errors)
+            for a, b, _ in results:
+                assert a.flags.writeable and b.flags.writeable
+                assert not (a.flags.owndata or b.flags.owndata)
+                assert not any(np.shares_memory(x, p) for x in (a, b) for p in self.PARTS[:2])
 
     def test_shape_mismatch_is_contract_error(self):
         def fn(c):
@@ -638,9 +709,9 @@ class Replay(Communicator):
         self.received = list(received)
         self.sent = None
 
-    def _gather(self, local, seq):
-        self.sent = local
-        return [local, *self.received] if self.rank == 0 else None
+    def _gather(self, body, seq):
+        self.sent = b"".join(body)
+        return [self.sent, *self.received] if self.rank == 0 else None
 
 
 def pairwise_reference(rows):

@@ -17,6 +17,7 @@ from factorfit.errors import (
 from factorfit.kernels import (
     SPLIT_COLUMNS,
     VoxelGrid,
+    _polar,
     _split_matmul,
     add_diag,
     polar_orthogonal,
@@ -170,6 +171,21 @@ class TestPolarOrthogonal:
         A = np.random.default_rng(12).standard_normal(shape)
         U, _, Vt = np.linalg.svd(A, full_matrices=False)
         assert np.max(np.abs(polar_orthogonal(A) - U @ Vt)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(64, 32), (256, 32), (3000, 60), (2000, 10)])
+    def test_in_place_route_gives_the_same_factor_and_the_singular_values(self, shape):
+        A = np.random.default_rng(12).standard_normal(shape)
+        W, s = _polar(np.asfortranarray(A))
+        assert W.tobytes() == polar_orthogonal(A).tobytes()
+        expected = np.linalg.svd(A, compute_uv=False)
+        assert np.max(np.abs(s - expected)) <= 1e-13 * expected[0]
+
+    def test_in_place_qr_allocates_no_second_copy(self):
+        """On the QR route the reflectors overwrite A: W is the only V x K
+        array allocated."""
+        A = np.asfortranarray(np.random.default_rng(16).standard_normal((3000, 60)))
+        peak = traced_peak(_polar, A)
+        assert peak <= A.nbytes + 64 * 1024, peak / A.nbytes
 
     def test_tall_ill_conditioned_stays_orthogonal(self):
         rng = np.random.default_rng(13)

@@ -253,7 +253,8 @@ class TestMStep:
         assert abs(rho2_new - expected) <= 1e-8
 
     def test_cross_term_matches_explicit_product(self):
-        """rho2 from 2 <W_new, A> equals rho2 from <W_new^T Xhat, S>."""
+        """rho2 from 2 <W_new, A>, which is twice the sum of A's singular
+        values, equals rho2 from <W_new^T Xhat, S>."""
         rng = np.random.default_rng(23)
         n_voxels, n_trs, k = 40, 30, 5
         Xhat = srm.demean(rng.standard_normal((n_voxels, n_trs)))[0]
@@ -261,7 +262,10 @@ class TestMStep:
         trace = trace_ata(S) / n_trs + 0.5
         W_new, rho2 = srm.m_step_subject(Xhat, S, trace)
         cross = float(np.einsum("kt,kt->", W_new.T @ Xhat, S))
-        assert abs(2.0 * np.sum(W_new * (0.5 * Xhat @ S.T)) - cross) <= 1e-12 * abs(cross)
+        A = 0.5 * Xhat @ S.T
+        assert abs(2.0 * np.sum(W_new * A) - cross) <= 1e-12 * abs(cross)
+        sigma_sum = 2.0 * np.sum(np.linalg.svd(A, compute_uv=False))
+        assert abs(sigma_sum - 2.0 * np.sum(W_new * A)) <= 1e-12 * sigma_sum
         explicit = (trace_ata(Xhat) + n_trs * trace - 2.0 * cross) / (n_trs * n_voxels)
         assert abs(rho2 - explicit) <= 1e-12 * explicit
 
@@ -821,9 +825,11 @@ class TestMemoryContract:
 
     def test_fit_holds_only_live_arrays(self):
         """Above its inputs the fit holds the mappings, the root's tree stack
-        of N.bit_length() rows, S twice (packed for the broadcast and received) and the M-step's
-        V x K arrays (A, the SVD's copy, U and the new mapping); the voxel means
-        and 64 KiB cover the rest. Retaining the initial mappings breaks it."""
+        of N.bit_length() rows, S twice (the root's own and the row packed for
+        the broadcast, which it gets back) and one V x K work array (the
+        E-step's scaled mapping, or the M-step's A, in whose buffer the QR
+        runs, once the old mapping is released); the voxel means and 64 KiB
+        cover the rest. Retaining the initial mappings breaks it."""
         n_subjects, n_voxels, n_trs, k = 6, 600, 120, 10
         rng = np.random.default_rng(36)
         subjects = [
@@ -837,7 +843,7 @@ class TestMemoryContract:
             n_subjects * n_voxels * k
             + n_subjects.bit_length() * (4 + k * n_trs)
             + 2 * k * n_trs
-            + 4 * n_voxels * k
+            + n_voxels * k
             + n_subjects * n_voxels
         )
         assert peak <= doubles * 8 + 64 * 1024, peak
