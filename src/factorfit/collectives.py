@@ -31,11 +31,14 @@ little-endian unsigned payload length followed by the payload; the
 payload starts with a 1-byte opcode and an 8-byte little-endian sequence
 number, and its body may leave as several buffers, each uncopied (a
 broadcast sends its matrix's dimensions, then the root's array, and
-:func:`gather_rows` each rank's dimensions, then its rows). A received
-body is read into a fresh buffer, and a broadcast matrix is handed out
-as a view of it, so each rank holds the broadcast matrix once. Every
+:func:`gather_rows` each rank's dimensions, then its rows). Every
 collective opens with a frame from each non-root rank to the root, which
-checks its opcode and sequence number; broadcast's opening frame is empty.
+checks its opcode and sequence number before it reads the body;
+broadcast's opening frame is empty. A received body is read into the
+buffers a sink hands out one at a time: by default one fresh buffer per
+frame, of which a broadcast matrix is a view, so each rank holds the
+broadcast matrix once; :class:`PairwiseSum`'s root reads each node row
+straight into its stack and merges it before it reads the next.
 """
 
 import os
@@ -110,9 +113,11 @@ class Communicator:
     no links is the serial case: its collectives never send or receive.
     The helpers :func:`gather_rows`, :func:`broadcast_parts` and
     :class:`PairwiseSum` build on them. A frame is written from its header
-    and one or more body buffers with ``sendmsg``, the body uncopied, and
-    read into a fresh buffer; a peer that has closed its end is reported
-    at the next receive that waits on it.
+    and one or more body buffers with ``sendmsg``, the body uncopied. It is
+    read head first, then its body into the buffers a sink hands out: one
+    fresh buffer, or those of a sink the caller passes, which can check
+    what it has read before it hands out the next; a peer that has closed
+    its end is reported at the next receive that waits on it.
     """
 
     def __init__(self, rank, size, peers=None, timeout=None):
@@ -148,13 +153,15 @@ class Communicator:
         self.stats.bcast_bytes += out.nbytes
         return out
 
-    def gather(self, *local):
+    def gather(self, *local, sink=None):
         """Collect one byte string per rank, ordered by rank, on root.
 
         A rank may pass its string as several buffers, which leave
-        uncopied; the root's own entry is them joined."""
+        uncopied; the root's own entry is them joined. With ``sink``, the
+        root reads rank r's string as ``sink(r, n)`` directs (see
+        :meth:`_recv`) and its entry is what the sink returns."""
         body = [memoryview(b).cast("B") for b in local]
-        out = self._timed(self._gather, body)
+        out = self._timed(self._gather, body, sink)
         self.stats.gather_calls += 1
         self.stats.gather_bytes += sum(map(len, body))
         return out
@@ -190,14 +197,20 @@ class Communicator:
         except OSError as exc:
             raise TransportError(f"send failed: {exc}", rank=peer) from None
 
-    def _recv(self, peer, conn=None):
+    def _recv(self, peer, conn=None, expect=None, sink=None):
         """Read one frame, ``(opcode, seq, body)``, from rank ``peer``'s link,
-        or from ``conn`` when the sender's rank is not known yet."""
+        or from ``conn`` when the sender's rank is not known yet.
+
+        With ``expect``, an (opcode, seq) pair, a frame with another head
+        raises :class:`CollectiveContractError` before its body is read.
+        The body is read into the writable buffers that the generator
+        ``sink(peer, n)`` yields for an n-byte body, each filled before the
+        generator resumes, and ``body`` is what it returns; the default sink
+        yields and returns one fresh bytearray. A buffer that cannot be
+        allocated raises :class:`TransportError` naming the peer."""
         conn = self._peers[peer] if conn is None else conn
 
-        def read(n):
-            buf = bytearray(n)
-            view = memoryview(buf)
+        def read(view):
             while view:
                 try:
                     got = conn.recv_into(view)
@@ -208,22 +221,32 @@ class Communicator:
                 if not got:
                     raise TransportError("peer disconnected", rank=peer)
                 view = view[got:]
-            return buf
 
-        (length,) = _LEN.unpack(read(_LEN.size))
+        head = bytearray(_LEN.size + _HEAD.size)
+        read(memoryview(head)[:_LEN.size])
+        (length,) = _LEN.unpack_from(head)
         if length < _HEAD.size:
             raise TransportError(f"malformed {length}-byte frame", rank=peer)
-        op, seq = _HEAD.unpack(read(_HEAD.size))
-        return op, seq, read(length - _HEAD.size)
-
-    def _recv_expect(self, peer, opcode, seq):
-        op, got_seq, body = self._recv(peer)
-        if op != opcode or got_seq != seq:
+        read(memoryview(head)[_LEN.size:])
+        op, seq = _HEAD.unpack_from(head, _LEN.size)
+        if expect is not None and (op, seq) != expect:
             raise CollectiveContractError(
-                f"rank {peer} sent {_OP_NAMES.get(op, op)} #{got_seq}, "
-                f"expected {_OP_NAMES[opcode]} #{seq}"
+                f"rank {peer} sent {_OP_NAMES.get(op, op)} #{seq}, "
+                f"expected {_OP_NAMES[expect[0]]} #{expect[1]}"
             )
-        return body
+        n = length - _HEAD.size
+        buffers = (sink or _fresh)(peer, n)
+        while True:
+            try:
+                buf = next(buffers)
+            except StopIteration as stop:
+                return op, seq, stop.value
+            except (MemoryError, OverflowError):
+                raise TransportError(f"cannot hold a {n}-byte frame body", rank=peer) from None
+            read(memoryview(buf).cast("B"))
+
+    def _recv_expect(self, peer, opcode, seq, sink=None):
+        return self._recv(peer, expect=(opcode, seq), sink=sink)[2]
 
     def _broadcast(self, buf, seq):
         if self.rank != 0:
@@ -236,13 +259,13 @@ class Communicator:
             self._send(peer, _OP_BCAST, seq, dims, data)
         return buf
 
-    def _gather(self, body, seq):
+    def _gather(self, body, sink, seq):
         if self.rank != 0:
             self._send(0, _OP_GATHER, seq, *body)
             return None
         out = [b"".join(body)]
         for peer in range(1, self.size):
-            out.append(self._recv_expect(peer, _OP_GATHER, seq))
+            out.append(self._recv_expect(peer, _OP_GATHER, seq, sink))
         return out
 
     def _barrier(self, seq):
@@ -274,6 +297,13 @@ def create_thread_communicators(size, timeout=60.0):
         links[0][peer].settimeout(timeout)
         links[peer][0].settimeout(timeout)
     return [Communicator(rank, size, links[rank], timeout) for rank in range(size)]
+
+
+def _fresh(peer, n):
+    """The default receive sink: the whole body in one fresh buffer."""
+    buf = bytearray(n)
+    yield buf
+    return buf
 
 
 def _unpack_array(body, writeable=False):
@@ -429,34 +459,38 @@ def broadcast_parts(comm, parts, shapes):
 class PairwiseSum:
     """Sum one float64 row per item over the items [0, n_total) of all ranks.
 
-    A rank owns the items [offset, offset + count), numbered as
-    :func:`rank_offsets` numbers them. Per round it fills the row that
+    A rank owns a contiguous run of the items from ``offset`` on, numbered
+    as :func:`rank_offsets` numbers them. Per round it fills the row that
     :meth:`row` hands it and calls :meth:`push`, once per item in order,
     then every rank calls :meth:`finish`. The rows are summed along one
     fixed pairwise tree over [0, n_total), so the sums are bit-identical
     for every split of the items over ranks and their error grows with
-    log n_total (Higham, SIAM J. Sci. Comput. 14(4), 1993). A rank ships
-    its stack of complete subtrees, at most about 2 log2 count rows of
-    [start, level, sums...], to the root; the root ships none, merges them
-    into its own stack of n_total.bit_length() rows and folds it right to
-    left.
+    log n_total (Higham, SIAM J. Sci. Comput. 14(4), 1993). Each rank
+    keeps a stack of complete subtrees, one row of [start, level, sums...]
+    each, allocated when :meth:`row` needs it and released when it merges
+    into its left sibling. A rank ships its stack, at most about
+    2 log2 n rows for its n items, to the root from the rows' own
+    buffers; the root ships none, reads each node row of each rank, in
+    rank order, straight into the stack row it will occupy and merges it
+    before it reads the next, so it never holds more than
+    n_total.bit_length() + 1 rows however many ranks there are. It then
+    folds its stack right to left.
     """
 
-    def __init__(self, comm, offset, count, n_total, width):
+    def __init__(self, comm, offset, n_total, width):
         self.comm, self.offset, self.n_total = comm, offset, n_total
-        # a dry run on a width-0 stack sizes it; 2 bit_length + 1 rows suffice
-        first, n_merged = (0, n_total) if comm.rank == 0 else (offset, count)
-        self.nodes = np.empty((2 * n_merged.bit_length() + 1, 2))
-        self.spans, self.covered, rows = [], first, 0
-        for _ in range(n_merged):
-            rows = max(rows, len(self.spans) + 1)
-            self.push()
-        self.nodes = np.empty((rows, 2 + width))
-        self.spans, self.covered = [], offset
+        self.node_width = 2 + width  # [start, level, sums...]
+        self.rows, self.spans, self.covered = [], [], offset
 
     def row(self):
         """The row to fill with the next item's term, a view into the stack."""
-        return self.nodes[len(self.spans), 2:]
+        return self._free_row()[2:]
+
+    def _free_row(self):
+        # the row above the stack's nodes, allocated when first needed
+        if len(self.rows) == len(self.spans):
+            self.rows.append(np.empty(self.node_width))
+        return self.rows[-1]
 
     def push(self, level=0):
         """Merge the filled row into the stack as the sum over the next item,
@@ -465,57 +499,85 @@ class PairwiseSum:
         A node sums the items [start, start + 2**level), start a multiple of
         2**level; ``spans`` holds each stack row's (start, level). While the
         stack's top is its left sibling, the two merge in place, left + right,
-        like a binary counter's carry, so every node holds the same bits
-        wherever it was formed."""
-        nodes, spans = self.nodes, self.spans
+        like a binary counter's carry, and the right row is released, so
+        every node holds the same bits wherever it was formed."""
+        rows, spans = self.rows, self.spans
         start, size = self.covered, 1 << level
         self.covered += size
         while spans and spans[-1] == (start - size, level) and start % (2 * size) == size:
             spans.pop()
-            nodes[len(spans), 2:] += nodes[len(spans) + 1, 2:]
+            right = rows.pop()
+            rows[-1][2:] += right[2:]
             start -= size
             level += 1
             size *= 2
         spans.append((start, level))
 
     def finish(self):
-        """End the round: the sums on the root (a view into its stack, valid until
-        the next :meth:`push`), else None. Nodes that do not tile [0, n_total)
-        exactly raise :class:`CollectiveContractError` on the root."""
-        shipped = 0 if self.comm.rank == 0 else len(self.spans)
-        if shipped:
-            self.nodes[:shipped, :2] = self.spans
-        blocks = gather_rows(self.comm, self.nodes[:shipped])
-        if blocks is None:
-            self.spans, self.covered = [], self.offset
-            return None
-        for rank, block in enumerate(blocks):
-            for node in block:
-                start, level, covered = int(node[0]), int(node[1]), self.covered
-                end = start + 2 ** level
-                if start > covered:
-                    problem = f"items [{covered}, {start}) are missing"
-                elif start < covered:
-                    problem = f"items [{start}, {min(end, covered)}) are summed twice"
-                elif level < 0 or start % 2 ** level:
-                    problem = "that range is not a node of the pairwise tree"
-                elif end > self.n_total:
-                    problem = f"there are only {self.n_total} items"
-                else:
-                    self.row()[:] = node[2:]
-                    self.push(level)
-                    continue
+        """End the round: the sums on the root, a view of the one row left
+        after the fold, which the stack no longer holds; None elsewhere. The
+        stack is empty again on every rank. Nodes that do not tile
+        [0, n_total) exactly raise :class:`CollectiveContractError` on the
+        root."""
+        rows, spans = self.rows, self.spans
+        del rows[len(spans):]  # a row handed out but never pushed
+        try:
+            if self.comm.rank != 0:
+                for node, span in zip(rows, spans):
+                    node[:2] = span
+                self.comm.gather(_DIMS.pack(len(rows), self.node_width), *rows)
+                return None
+            self.comm.gather(_DIMS.pack(0, self.node_width), sink=self._merge)
+            if self.covered != self.n_total:
                 raise CollectiveContractError(
-                    f"rank {rank} sent the sum over items [{start}, {end}) "
-                    f"after [0, {covered}): {problem}; "
+                    f"sums cover items [0, {self.covered}) of {self.n_total}; "
                     "every item must be covered exactly once"
                 )
-        if self.covered != self.n_total:
+            while len(rows) > 1:
+                right = rows.pop()
+                rows[-1][2:] += right[2:]
+            return rows[0][2:]
+        finally:
+            self.rows, self.spans, self.covered = [], [], self.offset
+
+    def _merge(self, rank, n):
+        """The root's receive sink for rank ``rank``'s n-byte frame: its
+        dimensions, then each node row read into the stack's free row and
+        pushed before the next is read."""
+        if n < _DIMS.size:
+            raise CollectiveContractError(f"rank {rank} sent a {n}-byte frame, no row dimensions")
+        dims = bytearray(_DIMS.size)
+        yield dims
+        n_rows, cols = _DIMS.unpack(dims)
+        most = 2 * self.n_total.bit_length() + 1
+        if cols != self.node_width:
+            problem = f"{cols}-column rows, not {self.node_width}"
+        elif n != _DIMS.size + n_rows * cols * 8:
+            problem = f"a {n}-byte frame for {n_rows} rows of {cols} columns"
+        elif n_rows > most:
+            problem = f"{n_rows} node rows, more than the {most} any rank ships"
+        else:
+            problem = None
+        if problem:
+            raise CollectiveContractError(f"rank {rank} sent {problem}")
+        for _ in range(n_rows):
+            node = self._free_row()
+            yield node
+            start, level, covered = int(node[0]), int(node[1]), self.covered
+            end = start + 2 ** level
+            if start > covered:
+                problem = f"items [{covered}, {start}) are missing"
+            elif start < covered:
+                problem = f"items [{start}, {min(end, covered)}) are summed twice"
+            elif level < 0 or start % 2 ** level:
+                problem = "that range is not a node of the pairwise tree"
+            elif end > self.n_total:
+                problem = f"there are only {self.n_total} items"
+            else:
+                self.push(level)
+                continue
             raise CollectiveContractError(
-                f"sums cover items [0, {self.covered}) of {self.n_total}; "
+                f"rank {rank} sent the sum over items [{start}, {end}) "
+                f"after [0, {covered}): {problem}; "
                 "every item must be covered exactly once"
             )
-        for d in range(len(self.spans) - 2, -1, -1):
-            self.nodes[d, 2:] += self.nodes[d + 1, 2:]
-        self.spans, self.covered = [], self.offset
-        return self.nodes[0, 2:]

@@ -44,17 +44,20 @@ number of voxels that vary, checked against k before any collective.
 
 Beyond the data, a worker holds only what the next step reads: each
 subject's current W_i (an initial mapping is dropped at its first
-M-step), mu_i and two scalars, the broadcast S, and the stack of
-(4 + K T)-wide rows of the :class:`~factorfit.collectives.PairwiseSum`
-that sums the E-step terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i]
-over the subjects [0, N), bit-identically however they are grouped onto
-workers (the root's stack, N.bit_length() rows, finishes the sum). Each
-worker holds S once: the broadcast of S and tr(Sigma_s_new) hands the
-root back the row it sent, which replaces its own S, and the others a
-view of the frame they received. Subject i's old mapping is released
-before its M-step, which adds one V_i x K work array, A_i, in whose
-buffer the QR runs, and the new W_i (under 8 K voxels, the SVD's copy
-and U as well).
+M-step), mu_i and two scalars, and, for one phase at a time, the rows of
+the :class:`~factorfit.collectives.PairwiseSum` that sums the E-step
+terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i] over the subjects
+[0, N), bit-identically however they are grouped onto workers. During the
+E-steps a worker's stack holds a few (4 + K T)-wide rows, at most
+N.bit_length() + 1 on the root, whatever the number of workers; the
+root's one sum row lives until the posterior is computed. S lives from
+its broadcast until the next E-steps (or, with a tolerance, one
+iteration longer, for the stopping test), once per worker: the broadcast
+of S and tr(Sigma_s_new) hands the root back the row it sent, which
+replaces its own S, and the others a view of the frame they received.
+Subject i's old mapping is released before its M-step, which adds one
+V_i x K work array, A_i, in whose buffer the QR runs, and the new W_i
+(under 8 K voxels, the SVD's copy and U as well).
 """
 
 from dataclasses import dataclass, field
@@ -305,19 +308,19 @@ def fit(subjects, config, comm):
         Ws[j], rho2s[j] = init_subject(X.shape[0], config, offset + j)
 
     sigma_s = np.eye(k) if comm.rank == 0 else None
-    S = None
     S_prev = None
     objective_trace = []
-    pairwise = PairwiseSum(comm, offset, len(subjects), n_subjects, 2 + k * n_trs)
+    pairwise = PairwiseSum(comm, offset, n_subjects, 2 + k * n_trs)
 
     for iteration in range(config.iterations):
+        # the E-steps do not read S: only the stopping test's S_prev keeps it
+        S = parts = None
         for j in range(len(subjects)):
             row = pairwise.row()
             row[:2] = 1.0 / rho2s[j], rho2s[j]
             e_step_local(Ws[j], rho2s[j], Xs[j], out=row[2:].reshape(k, n_trs))
             pairwise.push()
         sums = pairwise.finish()
-        parts = None
         if comm.rank == 0:
             rho0 = float(sums[0])
             if iteration > 0:
@@ -325,6 +328,7 @@ def fit(subjects, config, comm):
             reduced = sums[2:].reshape(k, n_trs)
             reduced -= reduced.mean(axis=1, keepdims=True)
             S, var_s = e_step_global(reduced, sigma_s, rho0)
+            sums = reduced = None
             S -= S.mean(axis=1, keepdims=True)
             sigma_s, trace_new = update_sigma_s(sigma_s, rho0, S, var_s)
             parts = [S, trace_new]

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import select
 import socket
 import struct
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +129,12 @@ def recording_pair():
     b.settimeout(10.0)
     link = RecordingLink(a)
     return Communicator(0, 2, {1: link}, 10.0), Communicator(1, 2, {0: b}, 10.0), link
+
+
+def send_claim(comm, length, body=b""):
+    """Send rank ``comm.rank``'s next gather frame as a head that claims a
+    ``length``-byte body, followed by ``body`` only."""
+    comm._peers[0].sendall(struct.pack("<QBQ", 9 + length, 3, comm._seq + 1) + body)
 
 
 class TestGatherRows:
@@ -532,6 +540,21 @@ class TestContractAndTransport:
             thread.join(10.0)
             link.close()
 
+    @pytest.mark.parametrize("length", [1 << 62, (1 << 64) - 10], ids=["memory", "overflow"])
+    def test_unallocatable_body_names_the_peer(self, length):
+        """A gather frame whose claimed body cannot be held is reported as
+        the peer's transport fault, not a bare MemoryError."""
+
+        def fn(c):
+            if c.rank == 1:
+                return send_claim(c, length)
+            return c.gather(b"")
+
+        _, errors = run_group(2, fn)
+        assert isinstance(errors[0], TransportError), errors
+        assert errors[0].rank == 1
+        assert f"cannot hold a {length}-byte frame body" in str(errors[0])
+
     @pytest.mark.parametrize("size", [0, -2])
     def test_thread_group_without_ranks_is_refused(self, size):
         with pytest.raises(ConfigError, match=f"got size {size}$"):
@@ -701,17 +724,41 @@ class TestThreadHub:
 
 class Replay(Communicator):
     """Rank ``rank`` of a group whose peers are replayed: ``gather`` keeps
-    what this rank sends in ``sent`` and hands the root ``received``, the
-    other ranks' packed blocks in rank order."""
+    what this rank sends in ``sent`` and has the root read ``received``,
+    the other ranks' packed blocks in rank order, as gather frames on
+    links that hold them."""
 
     def __init__(self, rank, size, received=()):
         super().__init__(rank, size)
         self.received = list(received)
         self.sent = None
 
-    def _gather(self, body, seq):
+    def _gather(self, body, sink, seq):
         self.sent = b"".join(body)
-        return [self.sent, *self.received] if self.rank == 0 else None
+        if self.rank != 0:
+            return None
+        self._peers = {
+            peer: Frames(struct.pack("<QBQ", 9 + len(blob), 3, seq) + blob)
+            for peer, blob in enumerate(self.received, 1)
+        }
+        return super()._gather(body, sink, seq)
+
+
+class Frames:
+    """A link whose receives read ``data``."""
+
+    def __init__(self, data):
+        self.recv_into = io.BytesIO(data).readinto
+
+
+class CountingSum(PairwiseSum):
+    """A pairwise sum that keeps the most stack rows it held at a push."""
+
+    most = 0
+
+    def push(self, level=0):
+        self.most = max(self.most, len(self.rows))
+        super().push(level)
 
 
 def pairwise_reference(rows):
@@ -745,16 +792,16 @@ def push_rows(pairwise, rows):
 def tree_block(rows, lo, hi):
     """The packed node rows a rank owning items [lo, hi) ships."""
     comm = Replay(1, 2)
-    pairwise = PairwiseSum(comm, lo, hi - lo, hi, rows.shape[1])
+    pairwise = PairwiseSum(comm, lo, hi, rows.shape[1])
     push_rows(pairwise, rows[lo:hi])
     assert pairwise.finish() is None
     return comm.sent
 
 
 def root_of(rows, n):
-    """The root of n items; its stack has exactly n.bit_length() rows."""
-    pairwise = PairwiseSum(Replay(0, 1), 0, 1, n, rows.shape[1])
-    assert len(pairwise.nodes) == n.bit_length()
+    """The root of n items; it holds no stack row before a round."""
+    pairwise = CountingSum(Replay(0, 1), 0, n, rows.shape[1])
+    assert pairwise.rows == []
     return pairwise
 
 
@@ -769,8 +816,12 @@ def root_finish(pairwise, blocks):
     """The root's round after it pushed its own items."""
     pairwise.comm = Replay(0, 1 + len(blocks), blocks)
     sums = pairwise.finish()
-    # the root gathers a (rows, cols) header and no node rows
+    # the root gathers a (rows, cols) header and no node rows; its stack,
+    # with the row being read, never held more than n.bit_length() + 1 rows
+    # and holds none after the round
     assert len(pairwise.comm.sent) == 16
+    assert pairwise.most <= pairwise.n_total.bit_length() + 1
+    assert pairwise.rows == []
     return sums
 
 
@@ -799,13 +850,13 @@ class TestPairwiseSum:
             for own in range(1, n + 1):
                 push_rows(root, rows[:own])
                 spans, covered = list(root.spans), root.covered
-                pushed = root.nodes[:len(spans)].copy()
+                pushed = [node.copy() for node in root.rows]
                 for n_cuts in range(3 if own < n else 1):
                     for cuts in combinations(range(own + 1, n), n_cuts):
                         bounds = (own, *cuts, n)  # (n, n) when the root owns all
                         parts = [blocks[b] for b in zip(bounds, bounds[1:]) if b[0] < b[1]]
-                        root.nodes[:len(spans)], root.spans = pushed, list(spans)
-                        root.covered = covered
+                        root.rows = [node.copy() for node in pushed]
+                        root.spans, root.covered = list(spans), covered
                         got = root_finish(root, parts)
                         assert got.tobytes() == expected, (n, bounds[:-1])
         assert differs_from_sequential > 20
@@ -817,8 +868,9 @@ class TestPairwiseSum:
                 assert len(shipped) <= 2 * (hi - lo).bit_length()
         for lo in range(260):
             for n in (1, 2, 3, 7, 64, 100, 255):
-                stack = PairwiseSum(Replay(1, 2), lo, n, lo + n, 0).nodes
-                assert len(stack) <= 2 * n.bit_length() + 1
+                pairwise = CountingSum(Replay(1, 2), lo, lo + n, 0)
+                push_rows(pairwise, np.empty((n, 0)))
+                assert pairwise.most <= 2 * n.bit_length() + 1
 
     @pytest.mark.parametrize("spans, n, message", [
         ([(0, 2), (3, 5)], 5, r"rank 1 .* items \[2, 3\) are missing"),
@@ -832,6 +884,57 @@ class TestPairwiseSum:
         parts = [tree_block(rows, lo, hi) for lo, hi in others]
         with pytest.raises(CollectiveContractError, match=message):
             root_sum(root_of(rows, n), rows, own, parts)
+
+    @pytest.mark.parametrize("n_rows, cols, length, message", [
+        (1 << 34, 11, 16 + (1 << 34) * 88, "sent 17179869184 node rows, more than the 5 any rank ships"),
+        (1, 11, 1 << 40, "sent a 1099511627776-byte frame for 1 rows of 11 columns"),
+        (1, 12, 16 + 96, "sent 12-column rows, not 11"),
+        (0, 0, 8, "sent a 8-byte frame, no row dimensions"),
+    ], ids=["rows", "length", "width", "short"])
+    def test_frame_is_checked_against_its_dims_before_any_row(self, n_rows, cols, length, message):
+        """The root checks a peer's row dimensions against the frame length,
+        the row width and the most rows a rank ships before it reads a row."""
+
+        def fn(c):
+            pairwise = PairwiseSum(c, c.rank, 2, 9)
+            pairwise.row()[:] = 1.0
+            pairwise.push()
+            if c.rank == 1:
+                return send_claim(c, length, struct.pack("<QQ", n_rows, cols))
+            return pairwise.finish()
+
+        _, errors = run_group(2, fn)
+        assert isinstance(errors[0], CollectiveContractError), errors
+        assert str(errors[0]) == f"rank 1 {message}"
+
+    @pytest.mark.parametrize("size", [2, 4, 8, 16])
+    def test_root_memory_does_not_grow_with_ranks(self, size):
+        """With one item per rank, the root's traced peak inside ``finish``
+        is at most n_total.bit_length() + 1 node rows: it merges each rank's
+        node as it reads it instead of holding every rank's frame."""
+        width = 5000
+
+        def fn(c):
+            pairwise = PairwiseSum(c, c.rank, size, width)
+            pairwise.row()[:] = c.rank
+            pairwise.push()
+            c.barrier()
+            if c.rank:
+                return pairwise.finish()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                sums = pairwise.finish()
+                return sums, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        results, errors = run_group(size, fn)
+        assert errors == [None] * size
+        sums, peak = results[0]
+        assert np.all(sums == sum(range(size)))
+        assert peak <= (size.bit_length() + 1) * (2 + width) * 8 + 16 * 1024, peak
 
     def test_unaligned_node_is_contract_error(self, rows):
         # [1, 3) has the size of a level-1 node but not its alignment
@@ -890,7 +993,7 @@ class TestSubprocessSockets:
             "rng = np.random.default_rng(31)\n"
             "rows = rng.standard_normal((7, 9)) * 10.0 ** rng.uniform(-9, 9, (7, 1))\n"
             "def pairwise_sum(comm, lo, hi):\n"
-            "    pairwise = PairwiseSum(comm, lo, hi - lo, 7, 9)\n"
+            "    pairwise = PairwiseSum(comm, lo, 7, 9)\n"
             "    for row in rows[lo:hi]:\n"
             "        pairwise.row()[:] = row\n"
             "        pairwise.push()\n"

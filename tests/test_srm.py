@@ -689,16 +689,18 @@ class TestSummationTree:
 
     @pytest.mark.parametrize("n_subjects", [1, 3, 6, 7, 64])
     def test_serial_fit_gathers_popcount_rows(self, monkeypatch, n_subjects):
-        """A serial fit's tree ends at popcount(N) rows, and the root keeps
-        them in its own stack of N.bit_length() rows: it gathers no tree
-        rows at all."""
+        """A serial fit's tree ends at popcount(N) rows, which the root
+        holds in its own stack, and at none once the round is over: it
+        gathers no tree rows at all."""
         k, n_trs, iterations = 2, 5, 3
         stacks = []
 
         class Recording(PairwiseSum):
             def finish(self):
-                stacks.append((len(self.nodes), len(self.spans)))
-                return super().finish()
+                held = (len(self.rows), len(self.spans))
+                sums = super().finish()
+                stacks.append((*held, len(self.rows)))
+                return sums
 
         monkeypatch.setattr(srm, "PairwiseSum", Recording)
         rng = np.random.default_rng(29)
@@ -713,7 +715,7 @@ class TestSummationTree:
         # noise variances
         assert comm.stats.gather_calls == iterations + 2
         assert comm.stats.gather_bytes == (16 + 8) + iterations * 16 + (16 + 8 * n_subjects)
-        assert stacks == [(n_subjects.bit_length(), bin(n_subjects).count("1"))] * iterations
+        assert stacks == [(bin(n_subjects).count("1"),) * 2 + (0,)] * iterations
 
 
 class TestCommunicationVolume:
@@ -824,29 +826,32 @@ class TestMemoryContract:
         assert peak < n_voxels * n_trs * 8
 
     def test_fit_holds_only_live_arrays(self):
-        """Above its inputs the fit holds the mappings, the root's tree stack
-        of N.bit_length() rows, S twice (the root's own and the row packed for
-        the broadcast, which it gets back) and one V x K work array (the
-        E-step's scaled mapping, or the M-step's A, in whose buffer the QR
-        runs, once the old mapping is released); the voxel means and 64 KiB
-        cover the rest. Retaining the initial mappings breaks it."""
-        n_subjects, n_voxels, n_trs, k = 6, 600, 120, 10
-        rng = np.random.default_rng(36)
-        subjects = [
-            SubjectData(f"s{i}", rng.standard_normal((n_voxels, n_trs))
-                        + rng.standard_normal((n_voxels, 1)))
-            for i in range(n_subjects)
-        ]
-        cfg = srm.SrmConfig(k=k, iterations=3, seed=0)
-        peak = traced_peak(srm.fit, subjects, cfg, SerialCommunicator())
-        doubles = (
-            n_subjects * n_voxels * k
-            + n_subjects.bit_length() * (4 + k * n_trs)
-            + 2 * k * n_trs
-            + n_voxels * k
-            + n_subjects * n_voxels
-        )
-        assert peak <= doubles * 8 + 64 * 1024, peak
+        """Above its inputs the fit holds the mappings, N.bit_length() rows
+        of K x T scale (the tree's stack during the E-steps; then the sum and
+        the new S; then S and the row packed for the broadcast, which the
+        root gets back; then S through the M-steps) and one V x K work array
+        (the E-step's scaled mapping, or the M-step's A, in whose buffer the
+        QR runs, once the old mapping is released); the voxel means and
+        64 KiB cover the rest. Retaining the initial mappings, S through the
+        E-steps or the tree's rows between rounds breaks it; at T = 600 and
+        K = 20, K T 8 bytes exceed 64 KiB, so each of the last two does."""
+        n_subjects, n_voxels = 6, 600
+        for n_trs, k in [(120, 10), (600, 20)]:
+            rng = np.random.default_rng(36)
+            subjects = [
+                SubjectData(f"s{i}", rng.standard_normal((n_voxels, n_trs))
+                            + rng.standard_normal((n_voxels, 1)))
+                for i in range(n_subjects)
+            ]
+            cfg = srm.SrmConfig(k=k, iterations=3, seed=0)
+            peak = traced_peak(srm.fit, subjects, cfg, SerialCommunicator())
+            doubles = (
+                n_subjects * n_voxels * k
+                + n_subjects.bit_length() * (4 + k * n_trs)
+                + n_voxels * k
+                + n_subjects * n_voxels
+            )
+            assert peak <= doubles * 8 + 64 * 1024, (n_trs, k, peak)
 
     def test_fit_leaves_input_unchanged(self):
         """Serial and on 2 thread ranks, read-only inputs come back byte-equal."""
