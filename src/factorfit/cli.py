@@ -65,10 +65,14 @@ def srm_flops_per_subject_iteration(n_voxels, n_trs, k):
     """Analytic flop count of one subject-iteration of the SRM fit.
 
     Two V x T x K products, then ``kernels.polar_orthogonal``'s QR route:
-    a QR (2 V K^2 - (2/3) K^3) and Q applied as one V x K x K product.
-    The model counts that route at every shape, though below 8 K rows the
-    kernel runs gesdd instead, so a Gflop/s figure there (``srm-fanin``'s,
-    say) is against the model, not the flops executed.
+    a QR (2 V K^2 - (2/3) K^3) and Q applied to [U_R V_R^T; 0]. The apply
+    step is the one counted V x K x K product (2 V K^2), as Q is one
+    compact-WY block and only the top K rows of [U_R V_R^T; 0] are
+    nonzero, but forming that block's K x K T adds about V K^2 to the QR
+    that the model does not count. The model counts that route at every
+    shape, though below 8 K rows the kernel runs gesdd instead, so a
+    Gflop/s figure there (``srm-fanin``'s, say) is against the model, not
+    the flops executed.
     """
     v, t = float(n_voxels), float(n_trs)
     k = float(k)

@@ -231,8 +231,8 @@ class Communicator:
         op, seq = _HEAD.unpack_from(head, _LEN.size)
         if expect is not None and (op, seq) != expect:
             raise CollectiveContractError(
-                f"rank {peer} sent {_OP_NAMES.get(op, op)} #{seq}, "
-                f"expected {_OP_NAMES[expect[0]]} #{expect[1]}"
+                f"{'a peer' if peer is None else f'rank {peer}'} sent "
+                f"{_OP_NAMES.get(op, op)} #{seq}, expected {_OP_NAMES[expect[0]]} #{expect[1]}"
             )
         n = length - _HEAD.size
         buffers = (sink or _fresh)(peer, n)
@@ -306,6 +306,14 @@ def _fresh(peer, n):
     return buf
 
 
+def _hello(peer, n):
+    """The receive sink of a connecting peer's hello: its 8-byte rank, a
+    body of any other length refused before anything is allocated."""
+    if n != _LEN.size:
+        raise CollectiveContractError("expected hello frame")
+    return (yield from _fresh(peer, n))
+
+
 def _unpack_array(body, writeable=False):
     """View of a matrix sent as its dimensions and then its rows (it keeps
     ``body`` alive, no copy); a writable view needs a writable ``body``."""
@@ -354,13 +362,17 @@ class SocketCommunicator(Communicator):
                 try:
                     conn.settimeout(self.timeout)
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    op, _seq, body = self._recv(None, conn)
-                    if op != _OP_HELLO or len(body) != _LEN.size:
-                        raise CollectiveContractError("expected hello frame")
+                    body = self._recv(None, conn, (_OP_HELLO, 0), _hello)[2]
                     (peer,) = _LEN.unpack(body)
                     if not (1 <= peer < self.size) or peer in self._peers:
                         raise CollectiveContractError(f"bad hello from rank {peer}")
                 except BaseException:
+                    # a FIN ahead of the close: a refused peer with unread bytes
+                    # here reads an end of stream, not only a reset
+                    try:
+                        conn.shutdown(socket.SHUT_WR)
+                    except OSError:
+                        pass
                     conn.close()
                     raise
                 self._peers[peer] = conn
@@ -468,11 +480,12 @@ class PairwiseSum:
     log n_total (Higham, SIAM J. Sci. Comput. 14(4), 1993). Each rank
     keeps a stack of complete subtrees, one row of [start, level, sums...]
     each, allocated when :meth:`row` needs it and released when it merges
-    into its left sibling. A rank ships its stack, at most about
-    2 log2 n rows for its n items, to the root from the rows' own
-    buffers; the root ships none, reads each node row of each rank, in
-    rank order, straight into the stack row it will occupy and merges it
-    before it reads the next, so it never holds more than
+    into its left sibling, except that the last row released in a round
+    is kept as the next one :meth:`row` hands out. A rank ships its stack,
+    at most about 2 log2 n rows for its n items, to the root from the
+    rows' own buffers; the root ships none, reads each node row of each
+    rank, in rank order, straight into the stack row it will occupy and
+    merges it before it reads the next, so it never holds more than
     n_total.bit_length() + 1 rows however many ranks there are. It then
     folds its stack right to left.
     """
@@ -480,7 +493,8 @@ class PairwiseSum:
     def __init__(self, comm, offset, n_total, width):
         self.comm, self.offset, self.n_total = comm, offset, n_total
         self.node_width = 2 + width  # [start, level, sums...]
-        self.rows, self.spans, self.covered = [], [], offset
+        # spare: the right row of the last merge, which _free_row hands out
+        self.rows, self.spans, self.covered, self.spare = [], [], offset, None
 
     def row(self):
         """The row to fill with the next item's term, a view into the stack."""
@@ -489,7 +503,8 @@ class PairwiseSum:
     def _free_row(self):
         # the row above the stack's nodes, allocated when first needed
         if len(self.rows) == len(self.spans):
-            self.rows.append(np.empty(self.node_width))
+            row, self.spare = self.spare, None
+            self.rows.append(np.empty(self.node_width) if row is None else row)
         return self.rows[-1]
 
     def push(self, level=0):
@@ -499,15 +514,16 @@ class PairwiseSum:
         A node sums the items [start, start + 2**level), start a multiple of
         2**level; ``spans`` holds each stack row's (start, level). While the
         stack's top is its left sibling, the two merge in place, left + right,
-        like a binary counter's carry, and the right row is released, so
-        every node holds the same bits wherever it was formed."""
+        like a binary counter's carry, and the right row is released (the
+        last one kept as the spare), so every node holds the same bits
+        wherever it was formed."""
         rows, spans = self.rows, self.spans
         start, size = self.covered, 1 << level
         self.covered += size
         while spans and spans[-1] == (start - size, level) and start % (2 * size) == size:
             spans.pop()
-            right = rows.pop()
-            rows[-1][2:] += right[2:]
+            self.spare = rows.pop()
+            rows[-1][2:] += self.spare[2:]
             start -= size
             level += 1
             size *= 2
@@ -538,7 +554,7 @@ class PairwiseSum:
                 rows[-1][2:] += right[2:]
             return rows[0][2:]
         finally:
-            self.rows, self.spans, self.covered = [], [], self.offset
+            self.rows, self.spans, self.covered, self.spare = [], [], self.offset, None
 
     def _merge(self, rank, n):
         """The root's receive sink for rank ``rank``'s n-byte frame: its

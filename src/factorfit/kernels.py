@@ -49,6 +49,11 @@ RANK_TOLERANCE = 1e-12
 #: Rows per block of :func:`row_blocks`.
 ROW_BLOCK = 64
 
+#: Bytes of the row block through which :func:`polar_orthogonal`'s QR
+#: route writes its result, at least ``ROW_BLOCK`` rows: a narrow A then
+#: takes a few products, not one per 64 rows.
+POLAR_BLOCK_BYTES = 16 * 1024
+
 #: Fewest output columns of one part of :func:`_split_matmul`.
 SPLIT_COLUMNS = 1024
 
@@ -61,11 +66,14 @@ def _as_matrix(a, name="matrix"):
 
 
 def _check_matrix(out, name):
+    """Refuse a matrix that is not 2-D, is empty or holds NaN or inf; the
+    entries are checked through their min and max, which any NaN or inf
+    reaches, so no array of ``out``'s size is allocated."""
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(out)):
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
 
@@ -204,10 +212,12 @@ def polar_orthogonal(A, atol=0.0):
     needed.
 
     A tall A (rows >= 8 cols) takes polar(A) = Q polar(R) (Higham,
-    Functions of Matrices, 2008, sec. 8): ``dgeqrt`` keeps Q in compact-WY
-    form, the rank checks and the SVD see only R, and ``dgemqrt`` applies
-    Q to [U_R V_R^T; 0] in place. ``A`` is only read, in any layout: it is
-    copied column-major once, and the QR runs in that copy.
+    Functions of Matrices, 2008, sec. 8): ``dgeqrt`` keeps Q as one
+    compact-WY block, Q = I - V T V^T (Schreiber and Van Loan, SIAM J.
+    Sci. Stat. Comput. 10(1), 1989), the rank checks and the SVD see only
+    R, and Q [U_R V_R^T; 0] is one rows x cols x cols product with V.
+    ``A`` is only read, in any layout: it is copied column-major once, and
+    the QR runs in that copy, which becomes the result.
     """
     return _polar(np.array(A, dtype=np.float64, order="F"), atol)[0]
 
@@ -216,15 +226,22 @@ def _polar(A, atol=0.0):
     """:func:`polar_orthogonal` of a column-major float64 ``A`` that it may
     overwrite; returns (W, s), s A's singular values in descending order.
 
-    On the QR route the reflectors go into A's own buffer and s are R's
-    singular values, which are A's; otherwise s come from the SVD of A.
+    On the QR route the reflectors go into A's own buffer, W is written
+    over them and returned in that buffer, and s are R's singular values,
+    which are A's; otherwise s come from the SVD of A. With P = U_R V_R^T
+    and V_1 the unit lower triangular top of V, W = [P; 0] - V M for the
+    cols x cols M = T (V_1^T P): the rows below the top get -V[rows] M one
+    block at a time through one block of scratch (``POLAR_BLOCK_BYTES``,
+    or ``ROW_BLOCK`` rows if that is more), the top rows P - V_1 M from a
+    copy of V_1, so beside A only that block and a few cols x cols arrays
+    are allocated.
     """
     rows, cols = _check_matrix(A, "A").shape
     if rows < cols:
         raise ShapeError(f"polar_orthogonal needs rows >= cols, got {A.shape}")
     tall = rows >= 8 * cols
     if tall:
-        v, t, info = lapack.dgeqrt(min(32, cols), A, overwrite_a=1)
+        v, t, info = lapack.dgeqrt(cols, A, overwrite_a=1)
         if info < 0:
             raise InvalidInputError(f"illegal value in argument {-info} of dgeqrt")
         U, s, Vt = np.linalg.svd(np.triu(v[:cols]))
@@ -241,15 +258,22 @@ def _polar(A, atol=0.0):
             f"within the rounding error {atol:.3e} of the input"
         )
     polar = U @ Vt
-    del U, Vt  # on the QR route W is then the only sizable array beside A
     if not tall:
         return polar, s
-    W = np.zeros((rows, cols), order="F")
-    W[:cols] = polar
-    W, info = lapack.dgemqrt(v, t, W, overwrite_c=1)
-    if info < 0:
-        raise InvalidInputError(f"illegal value in argument {-info} of dgemqrt")
-    return W, s
+    v1 = np.tril(v[:cols], -1)
+    np.fill_diagonal(v1, 1.0)
+    m = -(t @ (v1.T @ polar))
+    # v's rows below the top are V's: overwrite each block with -V[rows] M
+    step = max(ROW_BLOCK, POLAR_BLOCK_BYTES // (8 * cols))
+    block = np.empty((min(step, rows - cols), cols))
+    for start in range(cols, rows, step):
+        below = slice(start, min(start + step, rows))
+        part = block[: below.stop - start]
+        np.matmul(v[below], m, out=part)
+        v[below] = part
+    polar += v1 @ m
+    v[:cols] = polar
+    return v, s
 
 
 def _split_pool():

@@ -42,12 +42,15 @@ start (:func:`center_stats`) gives mu_i and each voxel's centered
 energy, whose sum is ||Xhat_i||^2 and whose count above rounding is the
 number of voxels that vary, checked against k before any collective.
 
-Beyond the data, a worker holds only what the next step reads: each
-subject's current W_i (an initial mapping is dropped at its first
-M-step), mu_i and two scalars, and, for one phase at a time, the rows of
-the :class:`~factorfit.collectives.PairwiseSum` that sums the E-step
-terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i] over the subjects
-[0, N), bit-identically however they are grouped onto workers. During the
+Beyond the data, a worker holds only what the next step reads: mu_i and
+two scalars per subject; subject i's mapping W_i, only from the M-step
+that makes it (the seeded initial one: just before the first E-step) to
+the next E-step, which reads it and drops it; and, for one phase at a
+time, the rows of the :class:`~factorfit.collectives.PairwiseSum` that
+sums the E-step terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i] over
+the subjects [0, N), bit-identically however they are grouped onto
+workers. The E-step writes W_i^T X_i into its stack row and divides it
+by rho_i^2 there, so it allocates nothing of voxel scale. During the
 E-steps a worker's stack holds a few (4 + K T)-wide rows, at most
 N.bit_length() + 1 on the root, whatever the number of workers; the
 root's one sum row lives until the posterior is computed. S lives from
@@ -55,9 +58,10 @@ its broadcast until the next E-steps (or, with a tolerance, one
 iteration longer, for the stopping test), once per worker: the broadcast
 of S and tr(Sigma_s_new) hands the root back the row it sent, which
 replaces its own S, and the others a view of the frame they received.
-Subject i's old mapping is released before its M-step, which adds one
-V_i x K work array, A_i, in whose buffer the QR runs, and the new W_i
-(under 8 K voxels, the SVD's copy and U as well).
+Subject i's M-step adds one V_i x K work array, A_i: the QR runs in its
+buffer and the new W_i is written over the reflectors there, so no
+subject ever has two V_i x K arrays (under 8 K voxels, the SVD's copy,
+U and the result are V_i x K as well).
 """
 
 from dataclasses import dataclass, field
@@ -161,8 +165,11 @@ def e_step_local(W_i, rho2_i, X_i, out=None):
     """
     if out is None:
         out = np.empty((W_i.shape[1], X_i.shape[1]))
-    # scaling the V x K mapping, not the K x T product, saves a K x T pass
-    return _split_matmul((W_i / rho2_i).T, X_i, out)
+    # scaling the K x T product in place, not the V x K mapping, allocates
+    # nothing of voxel scale
+    _split_matmul(W_i.T, X_i, out)
+    out /= rho2_i
+    return out
 
 
 def e_step_global(reduced, sigma_s, rho0):
@@ -199,7 +206,8 @@ def m_step_subject(X_i, S, trace_sigma_s_new, xhat_sq=None, mu=None):
     update's cross term <W_new^T Xhat_i, S> = 2 <W_new, A> is twice the
     sum of A's singular values, which the polar factor's SVD of R gives
     with no pass over A, so the voxel-scale work is one V x T x K product
-    and A's polar factor by QR, which runs in A's own buffer.
+    and A's polar factor by QR, which runs in A's own buffer and leaves
+    W_new there.
     From 2,048 voxels on, the product runs in column parts over V on the
     process's CPUs; the parts depend on V only
     (:func:`~factorfit.kernels._split_matmul`).
@@ -304,9 +312,6 @@ def fit(subjects, config, comm):
 
     offset, n_subjects = rank_offsets(comm, len(subjects))
     Ws, rho2s = [None] * len(Xs), [None] * len(Xs)
-    for j, X in enumerate(Xs):
-        Ws[j], rho2s[j] = init_subject(X.shape[0], config, offset + j)
-
     sigma_s = np.eye(k) if comm.rank == 0 else None
     S_prev = None
     objective_trace = []
@@ -315,11 +320,16 @@ def fit(subjects, config, comm):
     for iteration in range(config.iterations):
         # the E-steps do not read S: only the stopping test's S_prev keeps it
         S = parts = None
-        for j in range(len(subjects)):
+        for j, X in enumerate(Xs):
+            # a mapping lives from the M-step that makes it to this E-step
+            W, Ws[j] = Ws[j], None
+            if iteration == 0:
+                W, rho2s[j] = init_subject(X.shape[0], config, offset + j)
             row = pairwise.row()
             row[:2] = 1.0 / rho2s[j], rho2s[j]
-            e_step_local(Ws[j], rho2s[j], Xs[j], out=row[2:].reshape(k, n_trs))
+            e_step_local(W, rho2s[j], X, out=row[2:].reshape(k, n_trs))
             pairwise.push()
+        row = W = None
         sums = pairwise.finish()
         if comm.rank == 0:
             rho0 = float(sums[0])
@@ -336,7 +346,6 @@ def fit(subjects, config, comm):
         S, trace_new = parts = broadcast_parts(comm, parts, [(k, n_trs), ()])
 
         for j, s in enumerate(subjects):
-            Ws[j] = None  # the M-step never reads the old mapping
             try:
                 Ws[j], rho2s[j] = m_step_subject(
                     Xs[j], S, trace_new, xhat_sqs[j], mu=mus[j]

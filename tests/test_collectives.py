@@ -540,6 +540,37 @@ class TestContractAndTransport:
             thread.join(10.0)
             link.close()
 
+    def test_oversized_hello_is_refused_before_its_body_is_allocated(self):
+        """A hello head that claims a 16 MB body fails at once, as a contract
+        error, with nothing of the claimed size allocated."""
+        coord = f"127.0.0.1:{free_port()}"
+        links = []
+
+        def client():
+            links.append(dial(coord))
+            links[0].sendall(struct.pack("<QBQ", 9 + (16 << 20), 0, 0))
+
+        socket.getaddrinfo("127.0.0.1", None)  # load the host-name codec untraced
+        thread = threading.Thread(target=client)
+        thread.start()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            start = time.monotonic()
+            with pytest.raises(CollectiveContractError) as info:
+                SocketCommunicator(0, 2, coord, timeout=5.0)
+            elapsed = time.monotonic() - start
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            thread.join(10.0)
+            for link in links:
+                link.close()
+        assert str(info.value) == "expected hello frame"
+        assert elapsed < 5.0
+        assert peak < 64 * 1024, peak
+
     @pytest.mark.parametrize("length", [1 << 62, (1 << 64) - 10], ids=["memory", "overflow"])
     def test_unallocatable_body_names_the_peer(self, length):
         """A gather frame whose claimed body cannot be held is reported as
@@ -906,6 +937,26 @@ class TestPairwiseSum:
         _, errors = run_group(2, fn)
         assert isinstance(errors[0], CollectiveContractError), errors
         assert str(errors[0]) == f"rank 1 {message}"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8, 40])
+    def test_a_round_reuses_the_row_its_last_merge_freed(self, n):
+        """Of the rows one round hands out, only 1 + n // 2 are new: each
+        merge's right row serves the next push, and no row outlives the
+        round."""
+        pairwise = PairwiseSum(SerialCommunicator(), 0, n, 3)
+        handed = []
+        for _ in range(3):
+            seen = []  # holding every row keeps ids from being reused
+            for i in range(n):
+                row = pairwise._free_row()
+                if not any(row is r for r in seen):
+                    seen.append(row)
+                pairwise.row()[:] = i
+                pairwise.push()
+            assert pairwise.finish().tolist() == [n * (n - 1) / 2] * 3
+            assert pairwise.rows == [] and pairwise.spare is None
+            handed.append(len(seen))
+        assert handed == [1 + n // 2] * 3
 
     @pytest.mark.parametrize("size", [2, 4, 8, 16])
     def test_root_memory_does_not_grow_with_ranks(self, size):

@@ -15,6 +15,8 @@ from factorfit.errors import (
     ShapeError,
 )
 from factorfit.kernels import (
+    POLAR_BLOCK_BYTES,
+    ROW_BLOCK,
     SPLIT_COLUMNS,
     VoxelGrid,
     _polar,
@@ -181,11 +183,30 @@ class TestPolarOrthogonal:
         assert np.max(np.abs(s - expected)) <= 1e-13 * expected[0]
 
     def test_in_place_qr_allocates_no_second_copy(self):
-        """On the QR route the reflectors overwrite A: W is the only V x K
-        array allocated."""
-        A = np.asfortranarray(np.random.default_rng(16).standard_normal((3000, 60)))
+        """On the QR route the reflectors overwrite A and W overwrites them:
+        beside A only a few K x K arrays and one row block are allocated."""
+        rows, k = 3000, 60
+        A = np.asfortranarray(np.random.default_rng(16).standard_normal((rows, k)))
         peak = traced_peak(_polar, A)
-        assert peak <= A.nbytes + 64 * 1024, peak / A.nbytes
+        block = max(ROW_BLOCK * k * 8, POLAR_BLOCK_BYTES)
+        assert peak <= 8 * k * k * 8 + block + 64 * 1024, peak / A.nbytes
+
+    @pytest.mark.parametrize("shape", [
+        (3000, 60),  # srm-raider's mapping
+        (1001, 40),  # rows - cols not a multiple of ROW_BLOCK
+        (5000, 8),  # 256-row blocks (POLAR_BLOCK_BYTES), the last one short
+        (800, 100),  # cols > ROW_BLOCK, rows = 8 cols exactly
+        (1100, 130),  # cols > 2 ROW_BLOCK
+        (512, 64),  # rows = 8 cols = 8 ROW_BLOCK
+        (40, 5),  # fewer rows below the top than one block
+    ])
+    def test_tall_route_writes_the_factor_over_A(self, shape):
+        A = np.random.default_rng(17).standard_normal(shape)
+        U, _, Vt = np.linalg.svd(A, full_matrices=False)
+        work = np.asfortranarray(A)
+        W, _ = _polar(work)
+        assert np.shares_memory(W, work)
+        assert np.max(np.abs(W - U @ Vt)) <= 1e-13
 
     def test_tall_ill_conditioned_stays_orthogonal(self):
         rng = np.random.default_rng(13)

@@ -1,3 +1,5 @@
+import hashlib
+import socket
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +14,7 @@ from factorfit import kernels, reference, srm
 from factorfit.collectives import (
     PairwiseSum,
     SerialCommunicator,
+    SocketCommunicator,
     create_thread_communicators,
 )
 from factorfit.data_io import SubjectData
@@ -25,18 +28,28 @@ from factorfit.errors import (
 from factorfit.kernels import polar_orthogonal, trace_ata
 
 
-def fit_on_threads(chunks, cfg):
-    """srm.fit with one thread rank per chunk; returns the models by rank."""
-    comms = create_thread_communicators(len(chunks), timeout=30.0)
+def fit_on_threads(chunks, cfg, sockets=False):
+    """srm.fit with one thread rank per chunk, linked by socket pairs or,
+    with ``sockets``, over TCP on the loopback; returns the models by rank."""
+    if sockets:
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            coord = f"127.0.0.1:{probe.getsockname()[1]}"
+        comms = [None] * len(chunks)
+    else:
+        comms = create_thread_communicators(len(chunks), timeout=30.0)
     results = [None] * len(chunks)
     errors = [None] * len(chunks)
 
     def run(rank):
         try:
+            if sockets:
+                comms[rank] = SocketCommunicator(rank, len(chunks), coord, timeout=30.0)
             results[rank] = srm.fit(chunks[rank], cfg, comms[rank])
         except BaseException as exc:  # noqa: BLE001
             errors[rank] = exc
-            comms[rank].close()
+            if comms[rank] is not None:
+                comms[rank].close()
 
     threads = [threading.Thread(target=run, args=(r,)) for r in range(len(chunks))]
     for t in threads:
@@ -45,7 +58,8 @@ def fit_on_threads(chunks, cfg):
         t.join(timeout=60.0)
     assert not any(t.is_alive() for t in threads)
     for comm in comms:
-        comm.close()
+        if comm is not None:
+            comm.close()
     assert errors == [None] * len(chunks)
     return results
 
@@ -658,6 +672,35 @@ def test_split_products_keep_bytes_across_ranks_and_pools(n_voxels, n_trs, monke
         assert [W.tobytes() for m in models for W in m.W] == [W.tobytes() for W in want.W]
 
 
+@pytest.mark.parametrize("n_voxels, n_trs, k", [(200, 30, 8), (600, 100, 70)])
+def test_tall_mappings_keep_bytes_across_backends(n_voxels, n_trs, k):
+    """With V >= 8 K every M-step takes the QR route (at K = 70, with more
+    columns than one row block); serial, 2 and 3 thread ranks and 2 TCP
+    ranks give the same S, Sigma_s, rho^2 and mappings, byte for byte."""
+    matrices, _ = srm_subjects(n_subjects=5, n_voxels=n_voxels, n_trs=n_trs, k=k,
+                               noise=0.1, seed=44)
+    subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
+    cfg = srm.SrmConfig(k=k, iterations=3, seed=6)
+
+    def sha(*arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays))
+
+    def digest(models):
+        root = models[0]
+        return sha(root.sigma_s, root.rho2_all, *(W for m in models for W in m.W)).hexdigest()
+
+    runs = {
+        "threads-2": fit_on_threads([subjects[:2], subjects[2:]], cfg),
+        "threads-3": fit_on_threads([subjects[:1], subjects[1:3], subjects[3:]], cfg),
+        "sockets-2": fit_on_threads([subjects[:3], subjects[3:]], cfg, sockets=True),
+    }
+    serial = srm.fit(subjects, cfg, SerialCommunicator())
+    assert max(np.max(np.abs(W.T @ W - np.eye(k))) for W in serial.W) <= 1e-13
+    for name, models in runs.items():
+        assert digest(models) == digest([serial]), name
+        assert {sha(m.S).hexdigest() for m in models} == {sha(serial.S).hexdigest()}, name
+
+
 class TestSummationTree:
     """The fit's side of the E-step sum; the tree itself is tested with
     :class:`~factorfit.collectives.PairwiseSum` in test_collectives.py."""
@@ -826,17 +869,20 @@ class TestMemoryContract:
         assert peak < n_voxels * n_trs * 8
 
     def test_fit_holds_only_live_arrays(self):
-        """Above its inputs the fit holds the mappings, N.bit_length() rows
-        of K x T scale (the tree's stack during the E-steps; then the sum and
-        the new S; then S and the row packed for the broadcast, which the
-        root gets back; then S through the M-steps) and one V x K work array
-        (the E-step's scaled mapping, or the M-step's A, in whose buffer the
-        QR runs, once the old mapping is released); the voxel means and
-        64 KiB cover the rest. Retaining the initial mappings, S through the
-        E-steps or the tree's rows between rounds breaks it; at T = 600 and
-        K = 20, K T 8 bytes exceed 64 KiB, so each of the last two does."""
-        n_subjects, n_voxels = 6, 600
-        for n_trs, k in [(120, 10), (600, 20)]:
+        """Above its inputs and the voxel means the fit holds, at its E-step
+        for subject j, the N - j mappings not yet read and the tree's
+        popcount(j) + 1 rows of K x T scale, and at an M-step the mappings
+        made so far, A (in whose buffer the QR runs and the new mapping
+        lands) and S; 64 KiB cover the rest, the M-step's K x K arrays and
+        row block among them. Making every initial mapping up front,
+        keeping a mapping in the list through its E-step, keeping the last
+        stack row or mapping past the E-steps, scaling the V x K mapping
+        instead of the K x T term, or writing the polar factor beside A
+        each breaks it in at least one case: at (600, 600, 20) K T 8 and
+        V K 8 bytes both exceed 64 KiB, and at (3000, 60, 10) V K 8 bytes
+        exceed K T 8 bytes by more than 64 KiB."""
+        n_subjects = 6
+        for n_voxels, n_trs, k in [(600, 120, 10), (600, 600, 20), (3000, 60, 10)]:
             rng = np.random.default_rng(36)
             subjects = [
                 SubjectData(f"s{i}", rng.standard_normal((n_voxels, n_trs))
@@ -845,13 +891,12 @@ class TestMemoryContract:
             ]
             cfg = srm.SrmConfig(k=k, iterations=3, seed=0)
             peak = traced_peak(srm.fit, subjects, cfg, SerialCommunicator())
-            doubles = (
-                n_subjects * n_voxels * k
-                + n_subjects.bit_length() * (4 + k * n_trs)
-                + n_voxels * k
-                + n_subjects * n_voxels
-            )
-            assert peak <= doubles * 8 + 64 * 1024, (n_trs, k, peak)
+            mapping, row = n_voxels * k, 4 + k * n_trs
+            e_steps = max((n_subjects - j) * mapping + (bin(j).count("1") + 1) * row
+                          for j in range(n_subjects))
+            m_steps = n_subjects * mapping + k * n_trs + 1
+            doubles = max(e_steps, m_steps) + n_subjects * n_voxels
+            assert peak <= doubles * 8 + 64 * 1024, (n_voxels, n_trs, k, peak)
 
     def test_fit_leaves_input_unchanged(self):
         """Serial and on 2 thread ranks, read-only inputs come back byte-equal."""
