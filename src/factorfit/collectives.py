@@ -29,16 +29,14 @@ programming error reported as :class:`CollectiveContractError`.
 Wire format (socket pairs and TCP alike): each frame is an 8-byte
 little-endian unsigned payload length followed by the payload; the
 payload starts with a 1-byte opcode and an 8-byte little-endian sequence
-number, and its body may leave as several buffers, each uncopied (a
-broadcast sends its matrix's dimensions, then the root's array, and
-:func:`gather_rows` each rank's dimensions, then its rows). Every
-collective opens with a frame from each non-root rank to the root, which
-checks its opcode and sequence number before it reads the body;
-broadcast's opening frame is empty. A received body is read into the
-buffers a sink hands out one at a time: by default one fresh buffer per
-frame, of which a broadcast matrix is a view, so each rank holds the
-broadcast matrix once; :class:`PairwiseSum`'s root reads each node row
-straight into its stack and merges it before it reads the next.
+number, and its body may leave as several buffers, each uncopied. Every
+collective opens with a frame from each non-root rank to the root;
+broadcast's opening frame is empty. One method reads every frame: it
+checks the opcode and sequence number, then a sink function reads the
+body through ``read(buf)``. A frame of float64 rows (a broadcast matrix,
+a :func:`gather_rows` block, a rank's :class:`PairwiseSum` nodes) opens
+with its (rows, cols), which one decoder checks against the frame's
+length and the expected width before it reads a row.
 """
 
 import os
@@ -114,10 +112,9 @@ class Communicator:
     The helpers :func:`gather_rows`, :func:`broadcast_parts` and
     :class:`PairwiseSum` build on them. A frame is written from its header
     and one or more body buffers with ``sendmsg``, the body uncopied. It is
-    read head first, then its body into the buffers a sink hands out: one
-    fresh buffer, or those of a sink the caller passes, which can check
-    what it has read before it hands out the next; a peer that has closed
-    its end is reported at the next receive that waits on it.
+    read by :meth:`_recv`: its head is checked first, then a sink function
+    reads its body; a peer that has closed its end is reported at the next
+    receive that waits on it.
     """
 
     def __init__(self, rank, size, peers=None, timeout=None):
@@ -158,8 +155,8 @@ class Communicator:
 
         A rank may pass its string as several buffers, which leave
         uncopied; the root's own entry is them joined. With ``sink``, the
-        root reads rank r's string as ``sink(r, n)`` directs (see
-        :meth:`_recv`) and its entry is what the sink returns."""
+        root's entry for rank r is what ``sink(r, n, read)`` returns for an
+        n-byte string (see :meth:`_recv`), and its own entry is None."""
         body = [memoryview(b).cast("B") for b in local]
         out = self._timed(self._gather, body, sink)
         self.stats.gather_calls += 1
@@ -197,20 +194,20 @@ class Communicator:
         except OSError as exc:
             raise TransportError(f"send failed: {exc}", rank=peer) from None
 
-    def _recv(self, peer, conn=None, expect=None, sink=None):
-        """Read one frame, ``(opcode, seq, body)``, from rank ``peer``'s link,
-        or from ``conn`` when the sender's rank is not known yet.
+    def _recv(self, peer, opcode, seq, sink=None, conn=None):
+        """The body of one frame from rank ``peer``'s link, or from ``conn``
+        when the sender's rank is not known yet, as ``sink(peer, n, read)``
+        returns it for an n-byte body (default: one fresh bytearray).
 
-        With ``expect``, an (opcode, seq) pair, a frame with another head
-        raises :class:`CollectiveContractError` before its body is read.
-        The body is read into the writable buffers that the generator
-        ``sink(peer, n)`` yields for an n-byte body, each filled before the
-        generator resumes, and ``body`` is what it returns; the default sink
-        yields and returns one fresh bytearray. A buffer that cannot be
-        allocated raises :class:`TransportError` naming the peer."""
+        A head other than ``(opcode, seq)`` raises
+        :class:`CollectiveContractError` before the body is read.
+        ``read(buf)`` fills a writable buffer from the link and returns it.
+        A buffer that cannot be allocated raises :class:`TransportError`
+        naming the peer."""
         conn = self._peers[peer] if conn is None else conn
 
-        def read(view):
+        def read(buf):
+            view = memoryview(buf).cast("B")
             while view:
                 try:
                     got = conn.recv_into(view)
@@ -221,39 +218,29 @@ class Communicator:
                 if not got:
                     raise TransportError("peer disconnected", rank=peer)
                 view = view[got:]
+            return buf
 
-        head = bytearray(_LEN.size + _HEAD.size)
-        read(memoryview(head)[:_LEN.size])
-        (length,) = _LEN.unpack_from(head)
+        (length,) = _LEN.unpack(read(bytearray(_LEN.size)))
         if length < _HEAD.size:
             raise TransportError(f"malformed {length}-byte frame", rank=peer)
-        read(memoryview(head)[_LEN.size:])
-        op, seq = _HEAD.unpack_from(head, _LEN.size)
-        if expect is not None and (op, seq) != expect:
+        op, sent = _HEAD.unpack(read(bytearray(_HEAD.size)))
+        if (op, sent) != (opcode, seq):
             raise CollectiveContractError(
                 f"{'a peer' if peer is None else f'rank {peer}'} sent "
-                f"{_OP_NAMES.get(op, op)} #{seq}, expected {_OP_NAMES[expect[0]]} #{expect[1]}"
+                f"{_OP_NAMES.get(op, op)} #{sent}, expected {_OP_NAMES[opcode]} #{seq}"
             )
         n = length - _HEAD.size
-        buffers = (sink or _fresh)(peer, n)
-        while True:
-            try:
-                buf = next(buffers)
-            except StopIteration as stop:
-                return op, seq, stop.value
-            except (MemoryError, OverflowError):
-                raise TransportError(f"cannot hold a {n}-byte frame body", rank=peer) from None
-            read(memoryview(buf).cast("B"))
-
-    def _recv_expect(self, peer, opcode, seq, sink=None):
-        return self._recv(peer, expect=(opcode, seq), sink=sink)[2]
+        try:
+            return (sink or _fresh)(peer, n, read)
+        except (MemoryError, OverflowError):
+            raise TransportError(f"cannot hold a {n}-byte frame body", rank=peer) from None
 
     def _broadcast(self, buf, seq):
         if self.rank != 0:
             self._send(0, _OP_BCAST, seq)
-            return _unpack_array(self._recv_expect(0, _OP_BCAST, seq), writeable=True)
+            return self._recv(0, _OP_BCAST, seq, _matrix)
         for peer in range(1, self.size):
-            self._recv_expect(peer, _OP_BCAST, seq)
+            self._recv(peer, _OP_BCAST, seq)
         dims, data = _DIMS.pack(*buf.shape), buf.astype("<f8", copy=False).ravel()
         for peer in range(1, self.size):
             self._send(peer, _OP_BCAST, seq, dims, data)
@@ -263,18 +250,18 @@ class Communicator:
         if self.rank != 0:
             self._send(0, _OP_GATHER, seq, *body)
             return None
-        out = [b"".join(body)]
+        out = [None if sink else b"".join(body)]
         for peer in range(1, self.size):
-            out.append(self._recv_expect(peer, _OP_GATHER, seq, sink))
+            out.append(self._recv(peer, _OP_GATHER, seq, sink))
         return out
 
     def _barrier(self, seq):
         if self.rank != 0:
             self._send(0, _OP_BARRIER, seq)
-            self._recv_expect(0, _OP_BARRIER, seq)
+            self._recv(0, _OP_BARRIER, seq)
             return
         for peer in range(1, self.size):
-            self._recv_expect(peer, _OP_BARRIER, seq)
+            self._recv(peer, _OP_BARRIER, seq)
         for peer in range(1, self.size):
             self._send(peer, _OP_BARRIER, seq)
 
@@ -299,28 +286,40 @@ def create_thread_communicators(size, timeout=60.0):
     return [Communicator(rank, size, links[rank], timeout) for rank in range(size)]
 
 
-def _fresh(peer, n):
+def _fresh(peer, n, read):
     """The default receive sink: the whole body in one fresh buffer."""
-    buf = bytearray(n)
-    yield buf
-    return buf
+    return read(bytearray(n))
 
 
-def _hello(peer, n):
+def _hello(peer, n, read):
     """The receive sink of a connecting peer's hello: its 8-byte rank, a
     body of any other length refused before anything is allocated."""
     if n != _LEN.size:
         raise CollectiveContractError("expected hello frame")
-    return (yield from _fresh(peer, n))
+    return read(bytearray(n))
 
 
-def _unpack_array(body, writeable=False):
-    """View of a matrix sent as its dimensions and then its rows (it keeps
-    ``body`` alive, no copy); a writable view needs a writable ``body``."""
-    rows, cols = _DIMS.unpack_from(body, 0)
-    data = np.frombuffer(body, dtype="<f8", offset=_DIMS.size, count=rows * cols)
-    data.flags.writeable = writeable
-    return data.reshape(rows, cols)
+def _dims(peer, n, read, width=None):
+    """Read the (rows, cols) that open a frame of float64 rows and check
+    them against the n-byte body, and the columns against ``width`` when
+    given, before any row is read."""
+    if n < _DIMS.size:
+        raise CollectiveContractError(f"rank {peer} sent a {n}-byte frame, no row dimensions")
+    rows, cols = _DIMS.unpack(read(bytearray(_DIMS.size)))
+    if width is not None and cols != width:
+        problem = f"{cols} columns, not {width}"
+    elif n != _DIMS.size + rows * cols * 8:
+        problem = f"a {n}-byte frame for {rows} rows of {cols} columns"
+    else:
+        return rows, cols
+    raise CollectiveContractError(f"rank {peer} sent {problem}")
+
+
+def _matrix(peer, n, read, width=None):
+    """The receive sink of a frame of float64 rows: its checked dimensions,
+    then its rows read into one fresh array."""
+    rows, cols = _dims(peer, n, read, width)
+    return read(np.empty(rows * cols, "<f8")).reshape(rows, cols)
 
 
 class SocketCommunicator(Communicator):
@@ -362,7 +361,7 @@ class SocketCommunicator(Communicator):
                 try:
                     conn.settimeout(self.timeout)
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    body = self._recv(None, conn, (_OP_HELLO, 0), _hello)[2]
+                    body = self._recv(None, _OP_HELLO, 0, _hello, conn)
                     (peer,) = _LEN.unpack(body)
                     if not (1 <= peer < self.size) or peer in self._peers:
                         raise CollectiveContractError(f"bad hello from rank {peer}")
@@ -411,25 +410,23 @@ class SocketCommunicator(Communicator):
 def gather_rows(comm, rows):
     """Collect each rank's n_r x m float64 row block on root, in rank order.
 
-    Root receives the list of blocks as read-only views of the received
-    bytes (nothing is concatenated); other ranks receive ``None``. Every
-    rank owns a contiguous slice of the global items and
-    :func:`rank_offsets` numbers them in rank order, so concatenating the
-    blocks gives the rows in global item order. Raises
-    :class:`CollectiveContractError` naming the first rank whose row width
-    differs from rank 0's.
+    Root receives the list of blocks, its own a read-only view of ``rows``
+    and every other one a fresh array (nothing is concatenated); other
+    ranks receive ``None``. Every rank owns a contiguous slice of the
+    global items and :func:`rank_offsets` numbers them in rank order, so
+    concatenating the blocks gives the rows in global item order. A frame
+    whose rows are not m wide or do not fill it raises
+    :class:`CollectiveContractError` naming its rank before a row is read.
     """
     rows = _as_payload(rows, "gather_rows payload")
-    blobs = comm.gather(_DIMS.pack(*rows.shape), rows.astype("<f8", copy=False).ravel())
-    if blobs is None:
-        return None
-    blocks = [_unpack_array(blob) for blob in blobs]
-    for r, block in enumerate(blocks):
-        if block.shape[1] != rows.shape[1]:
-            raise CollectiveContractError(
-                f"gather_rows width mismatch: rank {r} sent {block.shape[1]} "
-                f"columns, rank 0 sent {rows.shape[1]}"
-            )
+    width = rows.shape[1]
+    blocks = comm.gather(
+        _DIMS.pack(*rows.shape), rows.astype("<f8", copy=False).ravel(),
+        sink=lambda peer, n, read: _matrix(peer, n, read, width),
+    )
+    if blocks is not None:
+        blocks[0] = rows.view()
+        blocks[0].flags.writeable = False
     return blocks
 
 
@@ -556,36 +553,32 @@ class PairwiseSum:
         finally:
             self.rows, self.spans, self.covered, self.spare = [], [], self.offset, None
 
-    def _merge(self, rank, n):
+    def _merge(self, rank, n, read):
         """The root's receive sink for rank ``rank``'s n-byte frame: its
-        dimensions, then each node row read into the stack's free row and
-        pushed before the next is read."""
-        if n < _DIMS.size:
-            raise CollectiveContractError(f"rank {rank} sent a {n}-byte frame, no row dimensions")
-        dims = bytearray(_DIMS.size)
-        yield dims
-        n_rows, cols = _DIMS.unpack(dims)
-        most = 2 * self.n_total.bit_length() + 1
-        if cols != self.node_width:
-            problem = f"{cols}-column rows, not {self.node_width}"
-        elif n != _DIMS.size + n_rows * cols * 8:
-            problem = f"a {n}-byte frame for {n_rows} rows of {cols} columns"
-        elif n_rows > most:
-            problem = f"{n_rows} node rows, more than the {most} any rank ships"
-        else:
-            problem = None
-        if problem:
-            raise CollectiveContractError(f"rank {rank} sent {problem}")
+        checked dimensions, then each node row read into the stack's free
+        row and pushed before the next is read. A node's (start, level)
+        must be integers with 0 <= level < n_total.bit_length()."""
+        n_rows, _ = _dims(rank, n, read, self.node_width)
+        levels = self.n_total.bit_length()
+        most = 2 * levels + 1
+        if n_rows > most:
+            raise CollectiveContractError(
+                f"rank {rank} sent {n_rows} node rows, more than the {most} any rank ships"
+            )
         for _ in range(n_rows):
-            node = self._free_row()
-            yield node
-            start, level, covered = int(node[0]), int(node[1]), self.covered
+            start, level = map(float, read(self._free_row())[:2])
+            if not (start.is_integer() and level.is_integer() and 0 <= level < levels):
+                raise CollectiveContractError(
+                    f"rank {rank} sent node header ({start}, {level}): "
+                    f"not two integers with 0 <= level < {levels}"
+                )
+            start, level, covered = int(start), int(level), self.covered
             end = start + 2 ** level
             if start > covered:
                 problem = f"items [{covered}, {start}) are missing"
             elif start < covered:
                 problem = f"items [{start}, {min(end, covered)}) are summed twice"
-            elif level < 0 or start % 2 ** level:
+            elif start % 2 ** level:
                 problem = "that range is not a node of the pairwise tree"
             elif end > self.n_total:
                 problem = f"there are only {self.n_total} items"

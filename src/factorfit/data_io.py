@@ -53,7 +53,7 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
-from .kernels import VoxelGrid
+from .kernels import VoxelGrid, _all_finite
 from .rng import PortableRng
 
 __all__ = [
@@ -76,10 +76,6 @@ DTYPE_F64_LE = 0
 
 _HEADER = struct.Struct("<4sIIQQ")
 HEADER_SIZE = _HEADER.size  # 28
-
-#: Entries per step of the finiteness check (a 128 KiB flag buffer).
-_FINITE_CHUNK = 1 << 17
-
 
 @dataclass
 class SubjectData:
@@ -145,24 +141,6 @@ def save_matrix(path, X):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(X.data)
-
-
-def _all_finite(X):
-    """Whether every entry of C-contiguous ``X`` is finite.
-
-    The entries are checked ``_FINITE_CHUNK`` at a time into one flag
-    buffer, so no boolean of the matrix's size is formed. Chunks of the
-    flat array, not row blocks, keep a narrow matrix (voxel coordinates
-    are V x 3) from paying a call per few entries.
-    """
-    flat = X.reshape(-1)
-    flags = np.empty(min(_FINITE_CHUNK, flat.size), dtype=bool)
-    for start in range(0, flat.size, _FINITE_CHUNK):
-        chunk = flags[: min(_FINITE_CHUNK, flat.size - start)]
-        np.isfinite(flat[start : start + chunk.size], out=chunk)
-        if not chunk.all():
-            return False
-    return True
 
 
 def read_header(path):

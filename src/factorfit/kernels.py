@@ -66,16 +66,21 @@ def _as_matrix(a, name="matrix"):
 
 
 def _check_matrix(out, name):
-    """Refuse a matrix that is not 2-D, is empty or holds NaN or inf; the
-    entries are checked through their min and max, which any NaN or inf
-    reaches, so no array of ``out``'s size is allocated."""
+    """Refuse a matrix that is not 2-D, is empty or holds NaN or inf."""
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column")
-    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+    if not _all_finite(out):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
+
+
+def _all_finite(a):
+    """Whether every entry of ``a`` is finite (true when it has none): read
+    through its min and max, which any NaN or inf reaches, so no array of
+    ``a``'s size is allocated."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 class VoxelGrid:

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from factorfit.collectives import (
     PairwiseSum,
     SerialCommunicator,
     SocketCommunicator,
-    _unpack_array,
     broadcast_parts,
     create_thread_communicators,
     gather_rows,
@@ -453,7 +453,7 @@ class TestContractAndTransport:
         rng = np.random.default_rng(41)
         body = rng.standard_normal((384, 1024)) if matrix else rng.bytes(3 << 20)
         frames = []
-        reader = threading.Thread(target=lambda: frames.append(receiver._recv(0)))
+        reader = threading.Thread(target=lambda: frames.append(receiver._recv(0, 3, 7)))
         try:
             reader.start()
             sender._send(1, 3, 7, body)
@@ -463,8 +463,8 @@ class TestContractAndTransport:
             receiver.close()
         assert not reader.is_alive()
         assert len(link.sent) > 1 and sum(link.sent) == 17 + (3 << 20)
-        (op, seq, got), = frames
-        assert (op, seq) == (3, 7) and bytes(got) == bytes(memoryview(body).cast("B"))
+        (got,) = frames
+        assert bytes(got) == bytes(memoryview(body).cast("B"))
 
     def test_busy_coordinator_port_is_a_transport_error(self):
         with socket.socket() as busy:
@@ -508,7 +508,7 @@ class TestContractAndTransport:
             rank1.join(10.0)
             assert not rank1.is_alive()
             with pytest.raises(TransportError, match="peer disconnected"):
-                joined[0]._recv(0)
+                joined[0]._recv(0, 4, 1)
             assert info.value.rank is None
         finally:
             rank1.join(10.0)
@@ -590,6 +590,61 @@ class TestContractAndTransport:
     def test_thread_group_without_ranks_is_refused(self, size):
         with pytest.raises(ConfigError, match=f"got size {size}$"):
             create_thread_communicators(size)
+
+
+def take(link, n):
+    """Read and drop the next ``n`` bytes on a raw link."""
+    while n:
+        got = link.recv(n)
+        assert got, "link closed"
+        n -= len(got)
+
+
+class TestMalformedRowFrames:
+    """A frame of float64 rows whose length does not match its (rows, cols),
+    or that is too short to hold them, is refused as a contract error naming
+    its sender, on the root's gather and on another rank's broadcast."""
+
+    FRAMES = {
+        "more-rows-than-sent": (
+            struct.pack("<QQ", 3, 2) + bytes(32), "a 48-byte frame for 3 rows of 2 columns"
+        ),
+        "no-dims": (bytes(8), "a 8-byte frame, no row dimensions"),
+        "trailing-bytes": (
+            struct.pack("<QQ", 2, 2) + bytes(40), "a 56-byte frame for 2 rows of 2 columns"
+        ),
+    }
+
+    @pytest.mark.parametrize("runner", [run_group, run_socket_group])
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_gather_rows_names_the_sender(self, frame, runner):
+        body, problem = self.FRAMES[frame]
+
+        def fn(c):
+            if c.rank == 1:
+                return send_claim(c, len(body), body)
+            return gather_rows(c, np.zeros((2, 2)))
+
+        _, errors = runner(2, fn)
+        assert isinstance(errors[0], CollectiveContractError), errors
+        assert str(errors[0]) == f"rank 1 sent {problem}"
+
+    @pytest.mark.parametrize("runner", [run_group, run_socket_group])
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_broadcast_names_the_sender(self, frame, runner):
+        body, problem = self.FRAMES[frame]
+
+        def fn(c):
+            if c.rank == 1:
+                return c.broadcast(None)
+            take(c._peers[1], 17)  # rank 1's empty opening frame
+            c._peers[1].sendall(struct.pack("<QBQ", 9 + len(body), 2, 1) + body)
+            return None
+
+        _, errors = runner(2, fn)
+        assert errors[0] is None
+        assert isinstance(errors[1], CollectiveContractError), errors
+        assert str(errors[1]) == f"rank 0 sent {problem}"
 
 
 class TestStatsAndOffsets:
@@ -895,8 +950,8 @@ class TestPairwiseSum:
     def test_rank_ships_logarithmic_rows(self, rows):
         for lo in range(40):
             for hi in range(lo + 1, 41):
-                shipped = _unpack_array(tree_block(rows, lo, hi))
-                assert len(shipped) <= 2 * (hi - lo).bit_length()
+                (shipped,) = struct.unpack_from("<Q", tree_block(rows, lo, hi))
+                assert shipped <= 2 * (hi - lo).bit_length()
         for lo in range(260):
             for n in (1, 2, 3, 7, 64, 100, 255):
                 pairwise = CountingSum(Replay(1, 2), lo, lo + n, 0)
@@ -919,7 +974,7 @@ class TestPairwiseSum:
     @pytest.mark.parametrize("n_rows, cols, length, message", [
         (1 << 34, 11, 16 + (1 << 34) * 88, "sent 17179869184 node rows, more than the 5 any rank ships"),
         (1, 11, 1 << 40, "sent a 1099511627776-byte frame for 1 rows of 11 columns"),
-        (1, 12, 16 + 96, "sent 12-column rows, not 11"),
+        (1, 12, 16 + 96, "sent 12 columns, not 11"),
         (0, 0, 8, "sent a 8-byte frame, no row dimensions"),
     ], ids=["rows", "length", "width", "short"])
     def test_frame_is_checked_against_its_dims_before_any_row(self, n_rows, cols, length, message):
@@ -993,6 +1048,49 @@ class TestPairwiseSum:
         gather_rows(comm, np.concatenate(([1, 1], rows[1] + rows[2]))[None])
         with pytest.raises(CollectiveContractError, match="not a node"):
             root_sum(root_of(rows, 3), rows, 1, [comm.sent])
+
+    @pytest.mark.parametrize("start, level", [
+        (np.nan, 0), (np.inf, 0), (-np.inf, 0), (1.5, 0),
+        (1, 0.5), (1, -1), (1, np.nan), (1, 2),
+    ])
+    def test_node_header_must_be_two_integers_on_a_level(self, start, level):
+        """A node whose (start, level) is not two integers with
+        0 <= level < n_total.bit_length() is refused, naming its rank."""
+        _, errors = run_group(2, lambda c: ship_node_header(c, start, level))
+        assert isinstance(errors[0], CollectiveContractError), errors
+        assert str(errors[0]) == (
+            f"rank 1 sent node header ({float(start)}, {float(level)}): "
+            "not two integers with 0 <= level < 2"
+        )
+
+    def test_huge_level_is_refused_before_its_range_is_formed(self, cli_env):
+        """A level of 1e18 is refused at once; forming 2 ** level would not
+        end, so the group runs in a child process that a timeout stops."""
+        child = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from test_collectives import run_group, ship_node_header\n"
+            "_, errors = run_group(2, lambda c: ship_node_header(c, 1, 1e18))\n"
+            "print(type(errors[0]).__name__, errors[0])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(Path(__file__).parent)],
+            env=cli_env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.stdout == (
+            "CollectiveContractError rank 1 sent node header (1.0, 1e+18): "
+            "not two integers with 0 <= level < 2\n"
+        ), done.stderr
+
+
+def ship_node_header(comm, start, level):
+    """One round of a 2-item sum, one item per rank, in which rank 1 ships
+    its node under the header (start, level) instead of (1, 0)."""
+    pairwise = PairwiseSum(comm, comm.rank, 2, 3)
+    pairwise.row()[:] = 1.0
+    pairwise.push()
+    if comm.rank == 1:
+        pairwise.spans[-1] = (start, level)
+    return pairwise.finish()
 
 
 def run_two_processes(script, cli_env):

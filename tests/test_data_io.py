@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from datagen import cuboid_grid, traced_peak, write_dataset
 from factorfit import data_io
 from factorfit.data_io import (
-    _FINITE_CHUNK,
     HEADER_SIZE,
     SynthSpec,
     generate_synthetic,
@@ -131,7 +130,7 @@ class TestContainer:
             load_matrix(path)
 
     def test_non_finite_found_past_the_first_chunk(self, tmp_path):
-        X = np.ones((_FINITE_CHUNK // 2 + 3, 4))
+        X = np.ones((65539, 4))
         X[-1, 2] = np.inf
         with pytest.raises(InvalidInputError):
             save_matrix(tmp_path / "m.sfab", X)
@@ -156,8 +155,9 @@ class TestContainer:
 
 
 class TestContainerMemory:
-    """The finiteness checks hold one chunk of flags, not a V x T boolean
-    (6.6 MB for this matrix); a 64-row block of it would be 1.1 MB."""
+    """The finiteness checks read the matrix's min and max and allocate
+    nothing of its size: a V x T boolean would be 6.6 MB for this matrix,
+    a 64-row block of it 1.1 MB."""
 
     SLACK = 64 * 1024
 
@@ -167,13 +167,13 @@ class TestContainerMemory:
 
     def test_save_peaks_at_one_chunk(self, tmp_path, matrix):
         peak = traced_peak(save_matrix, tmp_path / "m.sfab", matrix)
-        assert peak <= _FINITE_CHUNK + self.SLACK, peak
+        assert peak <= self.SLACK, peak
 
     def test_load_peaks_at_the_matrix_plus_one_chunk(self, tmp_path, matrix):
         path = tmp_path / "m.sfab"
         save_matrix(path, matrix)
         peak = traced_peak(load_matrix, path)
-        assert peak <= matrix.nbytes + _FINITE_CHUNK + self.SLACK, peak - matrix.nbytes
+        assert peak <= matrix.nbytes + self.SLACK, peak - matrix.nbytes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
