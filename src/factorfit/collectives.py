@@ -5,10 +5,12 @@ collectives defined here, ``broadcast``, ``gather`` and ``barrier``, and
 three helpers: :func:`gather_rows`, which gathers one float64 row block
 per rank on the root in rank order, :func:`broadcast_parts`, which sends
 the root's float64 arrays and scalars to every rank as one row, and
-:class:`PairwiseSum`, which sums rows along one fixed pairwise tree. Each
-collective is one star algorithm around rank 0, written once in
-:class:`Communicator`, which also holds the rank's links: connected
-stream sockets that each move a frame between two ranks.
+:class:`PairwiseSum`, which sums rows along one fixed pairwise tree. The
+three collectives run one star around rank 0, written once as
+:meth:`Communicator._star`: an up half, in which every other rank sends
+the root one frame, and an optional down half, in which the root sends
+every other rank one frame. :class:`Communicator` also holds the rank's
+links: connected stream sockets that each move a frame between two ranks.
 
 * :func:`create_thread_communicators` -- the ranks are threads of one
   process; rank 0 shares one socket pair with each other rank.
@@ -29,19 +31,21 @@ programming error reported as :class:`CollectiveContractError`.
 Wire format (socket pairs and TCP alike): each frame is an 8-byte
 little-endian unsigned payload length followed by the payload; the
 payload starts with a 1-byte opcode and an 8-byte little-endian sequence
-number, and its body may leave as several buffers, each uncopied. Every
-collective opens with a frame from each non-root rank to the root;
-broadcast's opening frame is empty. One method reads every frame: it
-checks the opcode and sequence number, then a sink function reads the
-body through ``read(buf)``. A frame of float64 rows (a broadcast matrix,
-a :func:`gather_rows` block, a rank's :class:`PairwiseSum` nodes) opens
-with its (rows, cols), which one decoder checks against the frame's
-length and the expected width before it reads a row.
+number, and its body may leave as several buffers, each uncopied. A
+gather is an up half alone; a broadcast sends an empty frame up and the
+matrix down, a barrier an empty frame each way. One method reads every
+frame: it checks the opcode and sequence number, then a sink function
+reads the body through ``read(buf)``. A frame of float64 rows (a
+broadcast matrix, a :func:`gather_rows` block, a rank's
+:class:`PairwiseSum` nodes) opens with its (rows, cols), which one
+decoder checks against the frame's length and the expected width before
+it reads a row.
 """
 
 import os
 import socket
 import struct
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -105,7 +109,9 @@ class Communicator:
 
     One communicator per worker; not shareable between concurrently
     executing workers. ``rank`` 0 is the root by convention. Every
-    collective is a star around the root, written once here. A link,
+    collective is the one star around the root that :meth:`_star` runs:
+    up from each other rank to the root, then, for a broadcast or a
+    barrier, down from the root to each other rank. A link,
     ``peers[r]``, is a connected stream socket to rank ``r``: a socket pair
     between threads of one process, or TCP between processes. A rank with
     no links is the serial case: its collectives never send or receive.
@@ -127,16 +133,6 @@ class Communicator:
         self._seq = 0
         self._peers = {} if peers is None else peers
 
-    def _timed(self, collective, *args):
-        """Run one collective under the next sequence number, its wall time
-        counted in ``stats.seconds`` even when it raises."""
-        self._seq += 1
-        t0 = time.perf_counter()
-        try:
-            return collective(*args, self._seq)
-        finally:
-            self.stats.seconds += time.perf_counter() - t0
-
     def broadcast(self, buf):
         """Root's 2-D float64 payload on every rank (non-root may pass None).
 
@@ -145,10 +141,13 @@ class Communicator:
         other rank a writable, aligned view of the frame it received."""
         if self.rank == 0:
             buf = _as_payload(buf, "broadcast payload")
-        out = self._timed(self._broadcast, buf)
+            data = buf.astype("<f8", copy=False).ravel()
+            self._star(_OP_BCAST, down=(_DIMS.pack(*buf.shape), data))
+        else:
+            buf = self._star(_OP_BCAST, down=(), down_sink=_matrix)
         self.stats.bcast_calls += 1
-        self.stats.bcast_bytes += out.nbytes
-        return out
+        self.stats.bcast_bytes += buf.nbytes
+        return buf
 
     def gather(self, *local, sink=None):
         """Collect one byte string per rank, ordered by rank, on root.
@@ -158,14 +157,16 @@ class Communicator:
         root's entry for rank r is what ``sink(r, n, read)`` returns for an
         n-byte string (see :meth:`_recv`), and its own entry is None."""
         body = [memoryview(b).cast("B") for b in local]
-        out = self._timed(self._gather, body, sink)
+        out = self._star(_OP_GATHER, up=body, up_sink=sink)
+        if self.rank == 0:
+            out.insert(0, None if sink else b"".join(body))
         self.stats.gather_calls += 1
         self.stats.gather_bytes += sum(map(len, body))
         return out
 
     def barrier(self):
         """Return only after every rank has entered."""
-        self._timed(self._barrier)
+        self._star(_OP_BARRIER, down=())
         self.stats.barrier_calls += 1
 
     def close(self):
@@ -235,35 +236,27 @@ class Communicator:
         except (MemoryError, OverflowError):
             raise TransportError(f"cannot hold a {n}-byte frame body", rank=peer) from None
 
-    def _broadcast(self, buf, seq):
-        if self.rank != 0:
-            self._send(0, _OP_BCAST, seq)
-            return self._recv(0, _OP_BCAST, seq, _matrix)
-        for peer in range(1, self.size):
-            self._recv(peer, _OP_BCAST, seq)
-        dims, data = _DIMS.pack(*buf.shape), buf.astype("<f8", copy=False).ravel()
-        for peer in range(1, self.size):
-            self._send(peer, _OP_BCAST, seq, dims, data)
-        return buf
-
-    def _gather(self, body, sink, seq):
-        if self.rank != 0:
-            self._send(0, _OP_GATHER, seq, *body)
-            return None
-        out = [None if sink else b"".join(body)]
-        for peer in range(1, self.size):
-            out.append(self._recv(peer, _OP_GATHER, seq, sink))
-        return out
-
-    def _barrier(self, seq):
-        if self.rank != 0:
-            self._send(0, _OP_BARRIER, seq)
-            self._recv(0, _OP_BARRIER, seq)
-            return
-        for peer in range(1, self.size):
-            self._recv(peer, _OP_BARRIER, seq)
-        for peer in range(1, self.size):
-            self._send(peer, _OP_BARRIER, seq)
+    def _star(self, opcode, up=(), up_sink=None, down=None, down_sink=None):
+        """Run one collective under the next sequence number, its wall time
+        counted in ``stats.seconds`` even when it raises. Up: each other
+        rank sends the buffers ``up`` to the root, which reads the frames in
+        rank order through ``up_sink`` and returns their bodies. Down,
+        unless ``down`` is None: the root then sends ``down`` to each other
+        rank, which returns the body it read through ``down_sink`` (None
+        without a down half)."""
+        self._seq += 1
+        seq, t0 = self._seq, time.perf_counter()
+        try:
+            if self.rank != 0:
+                self._send(0, opcode, seq, *up)
+                return None if down is None else self._recv(0, opcode, seq, down_sink)
+            out = [self._recv(peer, opcode, seq, up_sink) for peer in range(1, self.size)]
+            if down is not None:
+                for peer in range(1, self.size):
+                    self._send(peer, opcode, seq, *down)
+            return out
+        finally:
+            self.stats.seconds += time.perf_counter() - t0
 
 
 class SerialCommunicator(Communicator):
@@ -310,6 +303,9 @@ def _dims(peer, n, read, width=None):
         problem = f"{cols} columns, not {width}"
     elif n != _DIMS.size + rows * cols * 8:
         problem = f"a {n}-byte frame for {rows} rows of {cols} columns"
+    elif max(rows, 1) * max(cols, 1) * 8 > sys.maxsize:
+        # numpy refuses such a shape even when a dim is 0 and it holds no element
+        problem = f"{rows} rows of {cols} columns, more than an array can index"
     else:
         return rows, cols
     raise CollectiveContractError(f"rank {peer} sent {problem}")

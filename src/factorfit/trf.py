@@ -109,14 +109,7 @@ class SolveResult:
 
 
 def _eval_residual(problem, x):
-    r = np.asarray(problem.residual_fn(x), dtype=np.float64).ravel()
-    if r.size != problem.n_residuals:
-        raise ShapeError(
-            f"residual_fn returned {r.size} values, expected {problem.n_residuals}"
-        )
-    if not np.all(np.isfinite(r)):
-        raise EvaluationError("residual_fn returned non-finite values", x=x.copy())
-    return r
+    return _checked(np.ravel(problem.residual_fn(x)), (problem.n_residuals,), "residual_fn", x)
 
 
 def _checked(value, shape, name, x):
@@ -503,9 +496,7 @@ def check_jacobian(problem, x):
     lb, ub = problem.bounds()
     x = np.asarray(x, dtype=np.float64).ravel()
     r0 = _eval_residual(problem, x)
-    J = np.asarray(problem.jacobian_fn(x), dtype=np.float64)
-    if J.shape != (r0.size, x.size):
-        raise ShapeError(f"jacobian_fn returned shape {J.shape}")
+    J = _checked(problem.jacobian_fn(x), (r0.size, x.size), "jacobian_fn", x)
     J_fd = np.empty_like(J)
     for j in range(x.size):
         h = _CHECK_STEP * max(1.0, abs(x[j]))
@@ -526,10 +517,7 @@ def check_jacobian(problem, x):
         dev = float(np.max(np.abs(J[:, j] - J_fd[:, j]))) / col_scale
         worst = max(worst, dev)
     if problem.normal_fn is not None:
-        n = problem.n_vars
-        H, g = problem.normal_fn(x, r0)
-        H = _checked(H, (n, n), "normal_fn", x)
-        g = _checked(g, (n,), "normal_fn", x)
+        H, g = _eval_normal(problem, x, r0)
         H_fd = J_fd.T @ J_fd
         h_scale = max(float(np.max(np.abs(H_fd))), 1e-300)
         g_scale = max(float(np.max(np.abs(J_fd).T @ np.abs(r0))), 1e-300)

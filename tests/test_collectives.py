@@ -108,18 +108,25 @@ def run_socket_group(size, fn, timeout=15.0):
 
 
 class RecordingLink:
-    """A link that records each ``sendmsg``'s buffers and byte count."""
+    """A link that records each ``sendmsg``'s buffers and byte count, and
+    keeps in ``wire`` every byte that left through it."""
 
     def __init__(self, conn):
-        self.conn, self.sent, self.buffers = conn, [], []
+        self.conn, self.sent, self.buffers, self.wire = conn, [], [], bytearray()
 
     def sendmsg(self, buffers):
         self.buffers.extend(buffers)
         self.sent.append(self.conn.sendmsg(buffers))
+        self.wire += b"".join(buffers)[: self.sent[-1]]
         return self.sent[-1]
 
     def __getattr__(self, name):
         return getattr(self.conn, name)
+
+
+def wire_frame(opcode, seq, body=b""):
+    """A frame as it goes on the wire: its length, opcode, sequence number, body."""
+    return struct.pack("<QBQ", 9 + len(body), opcode, seq) + body
 
 
 def recording_pair():
@@ -250,18 +257,19 @@ class TestBroadcast:
         return payload, out
 
     def test_empty_matrix_round_trips(self):
-        """A matrix with no rows travels as its dimensions alone, broadcast
-        and gathered."""
+        """A matrix with no rows, or with rows of no columns, travels as its
+        dimensions alone, broadcast and gathered."""
+        for shape in ((0, 3), (3, 0)):
 
-        def fn(c):
-            out = c.broadcast(np.zeros((0, 3)) if c.rank == 0 else None)
-            return out.shape, gather_rows(c, np.zeros((0, 3)))
+            def fn(c):
+                out = c.broadcast(np.zeros(shape) if c.rank == 0 else None)
+                return out.shape, gather_rows(c, np.zeros(shape))
 
-        for runner in (run_group, run_socket_group):
-            results, errors = runner(2, fn)
-            assert errors == [None, None], runner.__name__
-            assert [shape for shape, _ in results] == [(0, 3), (0, 3)]
-            assert [b.shape for b in results[0][1]] == [(0, 3), (0, 3)]
+            for runner in (run_group, run_socket_group):
+                results, errors = runner(2, fn)
+                assert errors == [None, None], runner.__name__
+                assert [got for got, _ in results] == [shape, shape]
+                assert [b.shape for b in results[0][1]] == [shape, shape]
 
     def test_every_rank_holds_the_matrix_once(self):
         """The root gets its own payload back; another rank gets a writable,
@@ -373,6 +381,19 @@ class TestBarrier:
 
         _, errors = run_group(4, fn, timeout=30.0)
         assert all(e is None for e in errors)
+
+    def test_failed_barrier_counts_its_wait(self):
+        """A barrier that times out waiting on a silent peer still counts
+        the time it waited in ``stats.seconds``, and no call."""
+        comms = create_thread_communicators(2, timeout=0.2)
+        try:
+            with pytest.raises(TransportError, match="no frame within 0.2 s"):
+                comms[0].barrier()
+        finally:
+            for comm in comms:
+                comm.close()
+        assert comms[0].stats.seconds >= 0.2
+        assert comms[0].stats.barrier_calls == 0
 
     def test_socket_barrier(self):
         def fn(c):
@@ -602,28 +623,35 @@ def take(link, n):
 
 class TestMalformedRowFrames:
     """A frame of float64 rows whose length does not match its (rows, cols),
-    or that is too short to hold them, is refused as a contract error naming
-    its sender, on the root's gather and on another rank's broadcast."""
+    that is too short to hold them, or whose shape no array can take, is
+    refused as a contract error naming its sender, on the root's gather and
+    on another rank's broadcast. Each frame comes with the row width the
+    root gathers."""
 
     FRAMES = {
         "more-rows-than-sent": (
-            struct.pack("<QQ", 3, 2) + bytes(32), "a 48-byte frame for 3 rows of 2 columns"
+            struct.pack("<QQ", 3, 2) + bytes(32), 2, "a 48-byte frame for 3 rows of 2 columns"
         ),
-        "no-dims": (bytes(8), "a 8-byte frame, no row dimensions"),
+        "no-dims": (bytes(8), 2, "a 8-byte frame, no row dimensions"),
         "trailing-bytes": (
-            struct.pack("<QQ", 2, 2) + bytes(40), "a 56-byte frame for 2 rows of 2 columns"
+            struct.pack("<QQ", 2, 2) + bytes(40), 2, "a 56-byte frame for 2 rows of 2 columns"
+        ),
+        # fits its 16 bytes, but numpy refuses the shape
+        "zero-width-past-an-array": (
+            struct.pack("<QQ", 2**60, 0), 0,
+            f"{2**60} rows of 0 columns, more than an array can index",
         ),
     }
 
     @pytest.mark.parametrize("runner", [run_group, run_socket_group])
     @pytest.mark.parametrize("frame", FRAMES)
     def test_gather_rows_names_the_sender(self, frame, runner):
-        body, problem = self.FRAMES[frame]
+        body, width, problem = self.FRAMES[frame]
 
         def fn(c):
             if c.rank == 1:
                 return send_claim(c, len(body), body)
-            return gather_rows(c, np.zeros((2, 2)))
+            return gather_rows(c, np.zeros((2, width)))
 
         _, errors = runner(2, fn)
         assert isinstance(errors[0], CollectiveContractError), errors
@@ -632,7 +660,7 @@ class TestMalformedRowFrames:
     @pytest.mark.parametrize("runner", [run_group, run_socket_group])
     @pytest.mark.parametrize("frame", FRAMES)
     def test_broadcast_names_the_sender(self, frame, runner):
-        body, problem = self.FRAMES[frame]
+        body, _, problem = self.FRAMES[frame]
 
         def fn(c):
             if c.rank == 1:
@@ -645,6 +673,36 @@ class TestMalformedRowFrames:
         assert errors[0] is None
         assert isinstance(errors[1], CollectiveContractError), errors
         assert str(errors[1]) == f"rank 0 sent {problem}"
+
+
+class TestWireFrames:
+    """The exact bytes each rank sends: every collective opens with a frame
+    from each other rank to the root, and broadcast and barrier close with
+    one from the root to each other rank."""
+
+    @pytest.mark.parametrize("runner", [run_group, run_socket_group])
+    def test_two_ranks(self, runner):
+        def fn(c):
+            c._peers = {peer: RecordingLink(link) for peer, link in c._peers.items()}
+            out = c.broadcast(np.array([[1.0, 2.0], [3.0, 4.0]]) if c.rank == 0 else None)
+            got = [out.tolist(), c.gather(b"abc"), c.barrier()]
+            blocks = gather_rows(c, np.full((c.rank + 1, 2), c.rank + 0.5))
+            got.append(blocks and [b.tolist() for b in blocks])
+            return got, {peer: bytes(link.wire) for peer, link in c._peers.items()}
+
+        results, errors = runner(2, fn)
+        assert errors == [None, None]
+        matrix = [[1.0, 2.0], [3.0, 4.0]]
+        assert results[0][0] == [matrix, [b"abc", b"abc"], None, [[[0.5, 0.5]], [[1.5, 1.5]] * 2]]
+        assert results[1][0] == [matrix, None, None, None]
+        assert results[0][1] == {
+            1: wire_frame(2, 1, struct.pack("<QQ4d", 2, 2, 1.0, 2.0, 3.0, 4.0))
+            + wire_frame(4, 3)
+        }
+        assert results[1][1] == {
+            0: wire_frame(2, 1) + wire_frame(3, 2, b"abc") + wire_frame(4, 3)
+            + wire_frame(3, 4, struct.pack("<QQ4d", 2, 2, 1.5, 1.5, 1.5, 1.5))
+        }
 
 
 class TestStatsAndOffsets:
@@ -809,8 +867,8 @@ class TestThreadHub:
 
 
 class Replay(Communicator):
-    """Rank ``rank`` of a group whose peers are replayed: ``gather`` keeps
-    what this rank sends in ``sent`` and has the root read ``received``,
+    """Rank ``rank`` of a group whose peers are replayed: a collective keeps
+    what this rank sends up in ``sent`` and has the root read ``received``,
     the other ranks' packed blocks in rank order, as gather frames on
     links that hold them."""
 
@@ -819,15 +877,15 @@ class Replay(Communicator):
         self.received = list(received)
         self.sent = None
 
-    def _gather(self, body, sink, seq):
-        self.sent = b"".join(body)
+    def _star(self, opcode, up=(), up_sink=None, down=None, down_sink=None):
+        self.sent = b"".join(up)
         if self.rank != 0:
             return None
         self._peers = {
-            peer: Frames(struct.pack("<QBQ", 9 + len(blob), 3, seq) + blob)
+            peer: Frames(wire_frame(3, self._seq + 1, blob))
             for peer, blob in enumerate(self.received, 1)
         }
-        return super()._gather(body, sink, seq)
+        return super()._star(opcode, up, up_sink, down, down_sink)
 
 
 class Frames:
