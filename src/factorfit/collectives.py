@@ -3,14 +3,16 @@
 All inter-worker communication in the fitters goes through the three
 collectives defined here, ``broadcast``, ``gather`` and ``barrier``, and
 three helpers: :func:`gather_rows`, which gathers one float64 row block
-per rank on the root in rank order, :func:`broadcast_parts`, which sends
-the root's float64 arrays and scalars to every rank as one row, and
-:class:`PairwiseSum`, which sums rows along one fixed pairwise tree. The
-three collectives run one star around rank 0, written once as
-:meth:`Communicator._star`: an up half, in which every other rank sends
-the root one frame, and an optional down half, in which the root sends
-every other rank one frame. :class:`Communicator` also holds the rank's
-links: connected stream sockets that each move a frame between two ranks.
+per rank on the root in rank order (:func:`rank_offsets`' counts and
+SRM's final noise variances), :func:`broadcast_parts`, which sends the
+root's float64 arrays and scalars to every rank as one row, and
+:class:`PairwiseSum`, which sums rows along one fixed pairwise tree
+(both fitters' per-iteration sums). The three collectives run one star
+around rank 0, written once as :meth:`Communicator._star`: an up half,
+in which every other rank sends the root one frame, and an optional down
+half, in which the root sends every other rank one frame.
+:class:`Communicator` also holds the rank's links: connected stream
+sockets that each move a frame between two ranks.
 
 * :func:`create_thread_communicators` -- the ranks are threads of one
   process; rank 0 shares one socket pair with each other rank.

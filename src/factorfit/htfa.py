@@ -23,9 +23,9 @@ V x T temporary. Data rows are weighted by sqrt(1/(2 sigma_i^2)), prior
 rows by sqrt(1/(2 phi_i)) through the prior precisions, with phi_i the
 subsampling compensation (T_i V_i) / (Ttilde_i Vtilde_i).
 
-The global step combines gathered local centers/widths with the
-template using one 3x3 inversion and one scalar reciprocal per factor:
-with A_k = (SigmaHat_k + Sigma_mu/N)^{-1} and
+The global step combines the local centers/widths, averaged by one
+pairwise sum, with the template: one 3x3 inversion and one reciprocal
+per factor. With A_k = (SigmaHat_k + Sigma_mu/N)^{-1} and
 b_k = (sigmaHat_k^2 + sigma_lambda^2/N)^{-1},
 
     mu_k    <- (Sigma_mu/N) A_k muHat_k + SigmaHat_k A_k muBar_k
@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import trf
-from .collectives import broadcast_parts, gather_rows, rank_offsets
+from .collectives import PairwiseSum, broadcast_parts, rank_offsets
 from .errors import ConfigError, DefinitenessError, ShapeError
 from .kernels import center_stats, check_centered, rbf_factor_matrix, row_residual_energy
 from .kernels import grid_sq_distances, spd_inverse
@@ -150,6 +150,14 @@ _LOCAL_TOLERANCE = 1e-3
 _RIDGE_ALPHA2 = 1.0
 
 
+def _grid(subject):
+    """A subject's voxel grid, refused by name if missing or a single voxel."""
+    if subject.grid is None or subject.grid.diameter == 0:
+        problem = "no voxel coordinates" if subject.grid is None else "a one-voxel grid"
+        raise ShapeError(f"subject {subject.subject_id} has {problem}")
+    return subject.grid
+
+
 def width_bounds(grid, config):
     d = grid.diameter
     return config.width_lower_frac * d, config.width_upper_frac * d
@@ -167,9 +175,7 @@ def init_template(subject, config):
     the energy updates, and the candidates, which share one row of
     squared distances, are scored ``_SEED_BLOCK`` voxels at a time.
     """
-    if subject.grid is None:
-        raise ShapeError(f"subject {subject.subject_id} has no voxel coordinates")
-    grid = subject.grid
+    grid = _grid(subject)
     k = config.k
     if grid.n_voxels < k:
         raise ShapeError(
@@ -454,11 +460,9 @@ def local_step(subject, template, local, config, plan, rng=None):
     block solve until the relative parameter change drops below
     ``_LOCAL_TOLERANCE`` or ``config.local_iterations`` runs out.
     """
-    if subject.grid is None:
-        raise ShapeError(f"subject {subject.subject_id} has no voxel coordinates")
+    grid = _grid(subject)
     if rng is None:
         rng = np.random.default_rng(plan.seed & 0xFFFFFFFFFFFFFFFF)
-    grid = subject.grid
     centers = template.centers.copy()
     widths = template.widths.copy()
     weights = local.weights.copy()
@@ -570,32 +574,32 @@ def _broadcast_template(comm, template, k):
 def fit(subjects, config, plan, comm, iteration_log=None):
     """Distributed MAP fit; ``subjects`` are this worker's share.
 
-    Outer loop: broadcast the template -> per-subject local steps ->
-    gather one [centers, widths, noise variance] row of 4K + 1 values per
-    subject, in subject order -> root template update. Each template
-    broadcast (:func:`_broadcast_template`) hands the root's whole
-    template, posterior covariances and priors included, to every rank as
-    one row of 14K + 10 values; one more after the loop hands over the
-    final template, and a final pass rebuilds every subject's full weight
-    matrix from its final factors. Returns (template, local models); the
-    template is identical on every rank.
-
-    When ``iteration_log`` is a list, the root appends the mean data-noise
-    variance over all N subjects once per outer iteration, so the trace
-    does not depend on the partition; other ranks leave it empty.
+    Outer loop: broadcast the template -> per-subject local steps, each
+    pushing its [centers, widths, noise variance] row of 4K + 1 values
+    into one :class:`~factorfit.collectives.PairwiseSum` -> the root
+    divides the sums by N and updates the template from those means, so
+    the result does not depend on the partition. Each template broadcast
+    (:func:`_broadcast_template`) hands the root's whole template,
+    posterior covariances and priors included, to every rank as one row
+    of 14K + 10 values; one more after the loop hands over the final
+    template, and a final pass rebuilds every subject's full weight matrix
+    from its final factors. Returns (template, local models); the template
+    is identical on every rank. When ``iteration_log`` is a list, the root
+    appends the mean noise variance once per outer iteration; other ranks
+    leave it empty.
 
     Bad subjects fail by name before any collective: one without voxel
-    coordinates, one that is not finite or is constant over time
-    (:func:`~factorfit.kernels.check_centered`, as in SRM), and a root
-    whose first subject has too few voxels to seed the template.
+    coordinates or with a one-voxel grid, one that is not finite or is
+    constant over time (:func:`~factorfit.kernels.check_centered`, as in
+    SRM), and a root whose first subject has too few voxels to seed the
+    template.
     """
     config.validate()
     plan.validate()
     if not subjects:
         raise ConfigError("each worker needs at least one subject")
     for s in subjects:
-        if s.grid is None:
-            raise ShapeError(f"subject {s.subject_id} has no voxel coordinates")
+        _grid(s)
         check_centered(s.subject_id, s.X.shape[1], *center_stats(s.X))
     template = init_template(subjects[0], config) if comm.rank == 0 else None
     offset, n_total = rank_offsets(comm, len(subjects))
@@ -610,6 +614,7 @@ def fit(subjects, config, plan, comm, iteration_log=None):
         )
         for s in subjects
     ]
+    pairwise = PairwiseSum(comm, offset, n_total, 4 * k + 1)
 
     for outer in range(config.outer_iterations):
         template = _broadcast_template(comm, template, k)
@@ -618,22 +623,18 @@ def fit(subjects, config, plan, comm, iteration_log=None):
                 (plan.seed & 0xFFFFFFFFFFFFFFFF, offset + j, outer)
             )
             locals_[j] = local_step(subject, template, locals_[j], config, plan, rng=rng)
-            locals_[j] = _rescue_degenerate(subject, locals_[j])
-        blocks = gather_rows(
-            comm,
-            [
-                np.concatenate([m.centers.ravel(), m.widths, [0.5 / m.noise_weight]])
-                for m in locals_
-            ],
-        )
+            m = locals_[j] = _rescue_degenerate(subject, locals_[j])
+            parts = [m.centers.ravel(), m.widths, [0.5 / m.noise_weight]]
+            np.concatenate(parts, out=pairwise.row())
+            pairwise.push()
+        means = pairwise.finish()
         if comm.rank == 0:
-            gathered = np.concatenate(blocks)
-            all_centers = gathered[:, :3 * k].reshape(-1, k, 3)
+            means /= n_total  # one row, so global_step's means are these bits
             template = global_step(
-                all_centers, gathered[:, 3 * k:4 * k], template, n_total
+                means[:3 * k].reshape(1, k, 3), means[None, 3 * k:4 * k], template, n_total
             )
             if iteration_log is not None:
-                iteration_log.append(float(np.mean(gathered[:, 4 * k])))
+                iteration_log.append(float(means[4 * k]))
     template = _broadcast_template(comm, template, k)
 
     # final full-weight refresh against each subject's complete data

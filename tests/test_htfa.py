@@ -116,6 +116,13 @@ class TestInitTemplate:
         with pytest.raises(ShapeError):
             htfa.init_template(subject, small_config(k=10))
 
+    def test_one_voxel_grid_fails_by_name(self):
+        """A single voxel leaves the seeding's widths no range: its diameter,
+        which scales them, is 0."""
+        subject = SubjectData("sub-01", np.arange(5.0)[None], cuboid_grid(1, 1, 1))
+        with pytest.raises(ShapeError, match="subject sub-01 has a one-voxel grid"):
+            htfa.init_template(subject, small_config(k=1))
+
 
 class TestSubsample:
     def test_size_rule_clamped(self):
@@ -443,6 +450,46 @@ class TestMemoryContract:
         peak = traced_peak(htfa.init_template, subject, small_config(k=8))
         assert peak < X.nbytes, peak
 
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_reduction_holds_log_n_rows(self, n, monkeypatch):
+        """With local steps stubbed to write in place, the serial root's
+        traced peak from the first local step to the global step is at most
+        n.bit_length() + 1 rows of the pairwise sum's 4K + 3 values, not a
+        row per subject."""
+        k = 60
+        grid = cuboid_grid(4, 4, 4)
+        X = np.random.default_rng(25).standard_normal((grid.n_voxels, 4))
+        subjects = [SubjectData(f"s{i}", X, grid) for i in range(n)]
+        shift = np.linspace(-0.5, 0.5, n)
+        seen = {}
+
+        def local_step(subject, template, local, config, plan, rng=None):
+            j = int(subject.subject_id[1:])
+            if j == 0:
+                seen["base"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            np.add(template.centers, shift[j], out=local.centers)
+            np.multiply(template.widths, 1.0 + shift[j] / 10.0, out=local.widths)
+            local.weights.fill(1.0)
+            local.noise_weight = 1.0 + j
+            return local
+
+        global_step = htfa.global_step
+
+        def traced_global_step(*args):
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+            return global_step(*args)
+
+        monkeypatch.setattr(htfa, "local_step", local_step)
+        monkeypatch.setattr(htfa, "global_step", traced_global_step)
+        config = htfa.HtfaConfig(k=k, outer_iterations=1, local_iterations=1)
+        tracemalloc.start()
+        try:
+            htfa.fit(subjects, config, htfa.SubsamplePlan(), SerialCommunicator())
+        finally:
+            tracemalloc.stop()
+        assert seen["peak"] <= (n.bit_length() + 1) * (4 * k + 3) * 8 + 8 * 1024, seen
+
     def test_center_solve_never_forms_the_jacobian(self):
         k, n_trs, n_vox = 20, 40, 800
         rng = np.random.default_rng(16)
@@ -749,36 +796,43 @@ class TestFit:
         assert errors == [None, None]
         for rank in (0, 1):
             tmpl = results[rank][0]
-            assert np.max(np.abs(tmpl.centers - serial_t.centers)) <= 1e-12
-            assert np.max(np.abs(tmpl.widths - serial_t.widths)) <= 1e-12
-        assert np.max(np.abs(results[0][1][0].weights - serial_l[0].weights)) <= 1e-12
-        assert np.max(np.abs(results[1][1][0].weights - serial_l[1].weights)) <= 1e-12
+            assert tmpl.centers.tobytes() == serial_t.centers.tobytes()
+            assert tmpl.widths.tobytes() == serial_t.widths.tobytes()
+        assert results[0][1][0].weights.tobytes() == serial_l[0].weights.tobytes()
+        assert results[1][1][0].weights.tobytes() == serial_l[1].weights.tobytes()
 
 
-    def test_iteration_log_covers_every_subject(self):
-        matrices, grid, _, _ = blob_subjects(n_subjects=4, k=3, seed=5)
+    @pytest.mark.parametrize(
+        "split", [(2, 2), (1, 4), (4, 1), (2, 2, 1)], ids=lambda split: "-".join(map(str, split))
+    )
+    def test_iteration_log_covers_every_subject(self, split):
+        """Every split of the subjects over thread ranks gives the serial
+        fit's template, local models and iteration log, byte for byte."""
+        matrices, grid, _, _ = blob_subjects(n_subjects=sum(split), k=3, seed=5)
         subjects = [SubjectData(f"s{i}", X, grid) for i, X in enumerate(matrices)]
         config = small_config(outer=3, local=2)
         plan = htfa.SubsamplePlan(max_voxels=300, max_trs=20)
         serial_log = []
-        serial_t, _ = htfa.fit(
+        serial_t, serial_l = htfa.fit(
             subjects, config, plan, SerialCommunicator(), iteration_log=serial_log
         )
-        comms = create_thread_communicators(2, timeout=60.0)
-        logs = [[], []]
-        results = [None, None]
+        size = len(split)
+        bounds = np.cumsum((0,) + split)
+        comms = create_thread_communicators(size, timeout=60.0)
+        logs = [[] for _ in range(size)]
+        results = [None] * size
 
         def run(rank):
             try:
                 results[rank] = htfa.fit(
-                    subjects[2 * rank:2 * rank + 2], config, plan, comms[rank],
+                    subjects[bounds[rank]:bounds[rank + 1]], config, plan, comms[rank],
                     iteration_log=logs[rank],
                 )
             except BaseException:
                 comms[rank].close()
                 raise
 
-        threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
+        threads = [threading.Thread(target=run, args=(r,)) for r in range(size)]
         for t in threads:
             t.start()
         for t in threads:
@@ -788,11 +842,17 @@ class TestFit:
             comm.close()
         assert len(serial_log) == config.outer_iterations
         assert np.array(logs[0]).tobytes() == np.array(serial_log).tobytes()
-        assert logs[1] == []
+        assert logs[1:] == [[]] * (size - 1)
         for template, _ in results:
             for field in ("centers", "widths", "center_cov", "width_var"):
                 got, want = getattr(template, field), getattr(serial_t, field)
                 assert got.tobytes() == want.tobytes()
+        models = [m for _, rank_models in results for m in rank_models]
+        assert [m.subject_id for m in models] == [m.subject_id for m in serial_l]
+        for got, want in zip(models, serial_l):
+            for field in ("centers", "widths", "weights"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got.noise_weight == want.noise_weight
 
 
     def test_template_broadcast_byte_for_byte(self, blob_data):
@@ -877,6 +937,42 @@ class TestFit:
         assert np.all(cost[rows, cols] <= 3.0), cost[rows, cols]
 
 
+class TestCommunicationVolume:
+    def test_each_rank_ships_its_subtrees(self):
+        """On 2 thread ranks holding 1 and 2 of 3 subjects, rank 0 gathers
+        the 16-byte (rows, cols) header alone per outer iteration and rank 1
+        its two stack rows of 4K + 3 values, after rank_offsets' count."""
+        matrices, grid, _, _ = blob_subjects(n_subjects=3, k=3, seed=5)
+        subjects = [SubjectData(f"s{i}", X, grid) for i, X in enumerate(matrices)]
+        config = small_config(k=3, outer=2, local=1)
+        comms = create_thread_communicators(2, timeout=60.0)
+        chunks = [subjects[:1], subjects[1:]]
+        errors = [None, None]
+
+        def run(rank):
+            try:
+                htfa.fit(chunks[rank], config, small_plan(), comms[rank])
+            except BaseException as exc:  # noqa: BLE001
+                errors[rank] = exc
+                comms[rank].close()
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+            assert not t.is_alive()
+        for comm in comms:
+            comm.close()
+        assert errors == [None, None]
+        row = (4 * config.k + 3) * 8
+        for comm, shipped in zip(comms, (0, 2)):
+            assert comm.stats.gather_calls == 1 + config.outer_iterations
+            assert comm.stats.gather_bytes == (
+                (16 + 8) + config.outer_iterations * (16 + shipped * row)
+            )
+
+
 class TestInputChecks:
     """Bad subjects fail by name before any collective, as in SRM."""
 
@@ -884,6 +980,7 @@ class TestInputChecks:
         ("nan", "has NaN or infinite entries"),
         ("inf", "has NaN or infinite entries"),
         ("constant", "is constant over time"),
+        ("one-voxel", "has a one-voxel grid"),
     ]
     # a plan small enough that a NaN at [7, 3] is never sampled
     PLAN = htfa.SubsamplePlan(max_voxels=50, max_trs=5, voxel_fraction=0.05, tr_fraction=0.05)
@@ -892,16 +989,23 @@ class TestInputChecks:
     def subjects(bad):
         matrices, grid, _, _ = blob_subjects(k=3, seed=5)
         X = matrices[1].copy()
+        if bad == "one-voxel":
+            return [SubjectData("s0", matrices[0], grid),
+                    SubjectData("s1", X[:1], cuboid_grid(1, 1, 1))]
         if bad == "constant":
             X[:] = 2.5
         else:
             X[7, 3] = np.nan if bad == "nan" else np.inf
         return [SubjectData("s0", matrices[0], grid), SubjectData("s1", X, grid)]
 
+    @staticmethod
+    def error(bad):
+        return ShapeError if bad == "one-voxel" else InvalidInputError
+
     @pytest.mark.parametrize("bad, message", CASES)
     def test_serial(self, bad, message):
         comm = SerialCommunicator()
-        with pytest.raises(InvalidInputError, match=f"subject s1 {message}"):
+        with pytest.raises(self.error(bad), match=f"subject s1 {message}"):
             htfa.fit(self.subjects(bad), small_config(outer=2, local=2), self.PLAN, comm)
         assert comm.stats.gather_calls == comm.stats.bcast_calls == 0
 
@@ -927,7 +1031,7 @@ class TestInputChecks:
             assert not t.is_alive()
         for comm in comms:
             comm.close()
-        assert isinstance(errors[1], InvalidInputError), errors
+        assert isinstance(errors[1], self.error(bad)), errors
         assert f"subject s1 {message}" in str(errors[1])
         assert comms[1].stats.gather_calls == comms[1].stats.bcast_calls == 0
         assert errors[0] is not None  # rank 0 learns of the abort
