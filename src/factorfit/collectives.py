@@ -7,10 +7,12 @@ per rank on the root in rank order (:func:`rank_offsets`' counts and
 SRM's final noise variances), :func:`broadcast_parts`, which sends the
 root's float64 arrays and scalars to every rank as one row, and
 :class:`PairwiseSum`, which sums rows along one fixed pairwise tree
-(both fitters' per-iteration sums). The three collectives run one star
-around rank 0, written once as :meth:`Communicator._star`: an up half,
-in which every other rank sends the root one frame, and an optional down
-half, in which the root sends every other rank one frame.
+(both fitters' per-iteration sums), a rank holding and shipping the
+tree's nodes as rows that open with their own (start, level). The three
+collectives run one star around rank 0, written once as
+:meth:`Communicator._star`: an up half, in which every other rank sends
+the root one frame, and an optional down half, in which the root sends
+every other rank one frame.
 :class:`Communicator` also holds the rank's links: connected stream
 sockets that each move a frame between two ranks.
 
@@ -472,71 +474,62 @@ class PairwiseSum:
     then every rank calls :meth:`finish`. The rows are summed along one
     fixed pairwise tree over [0, n_total), so the sums are bit-identical
     for every split of the items over ranks and their error grows with
-    log n_total (Higham, SIAM J. Sci. Comput. 14(4), 1993). Each rank
-    keeps a stack of complete subtrees, one row of [start, level, sums...]
-    each, allocated when :meth:`row` needs it and released when it merges
-    into its left sibling, except that the last row released in a round
-    is kept as the next one :meth:`row` hands out. A rank ships its stack,
-    at most about 2 log2 n rows for its n items, to the root from the
-    rows' own buffers; the root ships none, reads each node row of each
-    rank, in rank order, straight into the stack row it will occupy and
-    merges it before it reads the next, so it never holds more than
-    n_total.bit_length() + 1 rows however many ranks there are. It then
-    folds its stack right to left.
+    log n_total (Higham, SIAM J. Sci. Comput. 14(4), 1993). A rank holds
+    exactly what it ships: ``nodes``, a stack of complete subtrees, each
+    one row of [start, level, sums...], and one ``free`` row, which
+    :meth:`row` hands out: the right row of the round's last merge when
+    there is one, else a fresh row. A rank ships its nodes, at most about
+    2 log2 n rows for its n items, to the root from their own buffers; the
+    root ships none, reads each node of each rank, in rank order, straight
+    into its free row and pushes it before it reads the next, so it never
+    holds more than n_total.bit_length() + 1 rows however many ranks
+    there are. It then folds its nodes right to left.
     """
 
     def __init__(self, comm, offset, n_total, width):
         self.comm, self.offset, self.n_total = comm, offset, n_total
         self.node_width = 2 + width  # [start, level, sums...]
-        # spare: the right row of the last merge, which _free_row hands out
-        self.rows, self.spans, self.covered, self.spare = [], [], offset, None
+        self.nodes, self.free, self.covered = [], None, offset
 
     def row(self):
-        """The row to fill with the next item's term, a view into the stack."""
-        return self._free_row()[2:]
-
-    def _free_row(self):
-        # the row above the stack's nodes, allocated when first needed
-        if len(self.rows) == len(self.spans):
-            row, self.spare = self.spare, None
-            self.rows.append(np.empty(self.node_width) if row is None else row)
-        return self.rows[-1]
+        """The row to fill with the next item's term, a view into the free row."""
+        if self.free is None:
+            self.free = np.empty(self.node_width)
+        return self.free[2:]
 
     def push(self, level=0):
-        """Merge the filled row into the stack as the sum over the next item,
-        or over the next 2**level items when the root merges a received node.
+        """Push the free row as the node over the next item, or over the
+        next 2**level items when the root pushes a received node.
 
         A node sums the items [start, start + 2**level), start a multiple of
-        2**level; ``spans`` holds each stack row's (start, level). While the
-        stack's top is its left sibling, the two merge in place, left + right,
-        like a binary counter's carry, and the right row is released (the
-        last one kept as the spare), so every node holds the same bits
-        wherever it was formed."""
-        rows, spans = self.rows, self.spans
+        2**level, and its row opens with that (start, level). While the top
+        node is its left sibling, the two merge in place, left + right, like
+        a binary counter's carry, and the right row becomes the free row, so
+        every node holds the same bits wherever it was formed."""
+        nodes, node, self.free = self.nodes, self.free, None
         start, size = self.covered, 1 << level
         self.covered += size
-        while spans and spans[-1] == (start - size, level) and start % (2 * size) == size:
-            spans.pop()
-            self.spare = rows.pop()
-            rows[-1][2:] += self.spare[2:]
+        # the top node ends where this one starts, so it is the left sibling
+        # when it has this level and this node is a right child
+        while nodes and nodes[-1][1] == level and start % (2 * size) == size:
+            left = nodes.pop()
+            left[2:] += node[2:]
+            node, self.free = left, node
             start -= size
             level += 1
             size *= 2
-        spans.append((start, level))
+        node[:2] = start, level
+        nodes.append(node)
 
     def finish(self):
-        """End the round: the sums on the root, a view of the one row left
-        after the fold, which the stack no longer holds; None elsewhere. The
-        stack is empty again on every rank. Nodes that do not tile
-        [0, n_total) exactly raise :class:`CollectiveContractError` on the
-        root."""
-        rows, spans = self.rows, self.spans
-        del rows[len(spans):]  # a row handed out but never pushed
+        """End the round: the sums on the root, a view of the one node left
+        after the fold, which the rank no longer holds; None elsewhere. The
+        rank holds no row again. Nodes that do not tile [0, n_total) exactly
+        raise :class:`CollectiveContractError` on the root."""
+        nodes = self.nodes
         try:
             if self.comm.rank != 0:
-                for node, span in zip(rows, spans):
-                    node[:2] = span
-                self.comm.gather(_DIMS.pack(len(rows), self.node_width), *rows)
+                self.comm.gather(_DIMS.pack(len(nodes), self.node_width), *nodes)
                 return None
             self.comm.gather(_DIMS.pack(0, self.node_width), sink=self._merge)
             if self.covered != self.n_total:
@@ -544,18 +537,18 @@ class PairwiseSum:
                     f"sums cover items [0, {self.covered}) of {self.n_total}; "
                     "every item must be covered exactly once"
                 )
-            while len(rows) > 1:
-                right = rows.pop()
-                rows[-1][2:] += right[2:]
-            return rows[0][2:]
+            while len(nodes) > 1:
+                right = nodes.pop()
+                nodes[-1][2:] += right[2:]
+            return nodes[0][2:]
         finally:
-            self.rows, self.spans, self.covered, self.spare = [], [], self.offset, None
+            self.nodes, self.free, self.covered = [], None, self.offset
 
     def _merge(self, rank, n, read):
         """The root's receive sink for rank ``rank``'s n-byte frame: its
-        checked dimensions, then each node row read into the stack's free
-        row and pushed before the next is read. A node's (start, level)
-        must be integers with 0 <= level < n_total.bit_length()."""
+        checked dimensions, then each node read into the free row and
+        pushed before the next is read. A node's (start, level) must be
+        integers with 0 <= level < n_total.bit_length()."""
         n_rows, _ = _dims(rank, n, read, self.node_width)
         levels = self.n_total.bit_length()
         most = 2 * levels + 1
@@ -564,7 +557,8 @@ class PairwiseSum:
                 f"rank {rank} sent {n_rows} node rows, more than the {most} any rank ships"
             )
         for _ in range(n_rows):
-            start, level = map(float, read(self._free_row())[:2])
+            self.row()
+            start, level = map(float, read(self.free)[:2])
             if not (start.is_integer() and level.is_integer() and 0 <= level < levels):
                 raise CollectiveContractError(
                     f"rank {rank} sent node header ({start}, {level}): "

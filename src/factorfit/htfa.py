@@ -591,8 +591,9 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     Bad subjects fail by name before any collective: one without voxel
     coordinates or with a one-voxel grid, one that is not finite or is
     constant over time (:func:`~factorfit.kernels.check_centered`, as in
-    SRM), and a root whose first subject has too few voxels to seed the
-    template.
+    SRM), a root whose first subject has too few voxels to seed the
+    template, and then one whose grid is flat along an axis, where the
+    centers' bounds would leave no room.
     """
     config.validate()
     plan.validate()
@@ -602,6 +603,12 @@ def fit(subjects, config, plan, comm, iteration_log=None):
         _grid(s)
         check_centered(s.subject_id, s.X.shape[1], *center_stats(s.X))
     template = init_template(subjects[0], config) if comm.rank == 0 else None
+    # after the seeding, which names a grid too small for k factors first
+    for s in subjects:
+        counts = s.grid.axis_counts
+        if 1 in counts:
+            axis = "xyz"[counts.index(1)]
+            raise ShapeError(f"subject {s.subject_id} has a grid flat along {axis}")
     offset, n_total = rank_offsets(comm, len(subjects))
     k = config.k
     locals_ = [

@@ -49,9 +49,9 @@ the next E-step, which reads it and drops it; and, for one phase at a
 time, the rows of the :class:`~factorfit.collectives.PairwiseSum` that
 sums the E-step terms [rho_i^{-2}, rho_i^2, rho_i^{-2} W_i^T X_i] over
 the subjects [0, N), bit-identically however they are grouped onto
-workers. The E-step writes W_i^T X_i into its stack row and divides it
-by rho_i^2 there, so it allocates nothing of voxel scale. During the
-E-steps a worker's stack holds a few (4 + K T)-wide rows, at most
+workers. The E-step writes W_i^T X_i into the sum's free row and
+divides it by rho_i^2 there, so it allocates nothing of voxel scale.
+During the E-steps a worker's sum holds a few (4 + K T)-wide rows, at most
 N.bit_length() + 1 on the root, whatever the number of workers; the
 root's one sum row lives until the posterior is computed. S lives from
 its broadcast until the next E-steps (or, with a tolerance, one
@@ -72,7 +72,7 @@ import numpy as np
 from .collectives import PairwiseSum, broadcast_parts, gather_rows, rank_offsets
 from .errors import ConfigError, RankError, ShapeError
 from .kernels import _polar, _split_matmul, add_diag, center_stats, check_centered
-from .kernels import polar_orthogonal, spd_inverse, trace_ata
+from .kernels import polar_orthogonal, row_blocks, spd_inverse, trace_ata
 
 __all__ = [
     "SrmConfig",
@@ -143,15 +143,20 @@ def init_subject(n_voxels, config, subject_index):
     """Seeded random orthogonal mapping and unit noise variance.
 
     Deterministic in (config.seed, subject_index) and independent of
-    which worker owns the subject.
+    which worker owns the subject. The V x K Gaussian is drawn
+    ``ROW_BLOCK`` rows at a time, in the order of one V x K draw, straight
+    into a column-major buffer, whose polar factor is formed in that
+    buffer, so no second V x K array is made.
     """
     if n_voxels < config.k:
         raise ShapeError(
             f"subject has {n_voxels} voxels, fewer than k={config.k} factors"
         )
     rng = np.random.default_rng((config.seed & 0xFFFFFFFFFFFFFFFF, subject_index))
-    W = polar_orthogonal(rng.standard_normal((n_voxels, config.k)))
-    return W, 1.0
+    W = np.empty((n_voxels, config.k), order="F")
+    for rows, block in row_blocks(W):
+        W[rows] = rng.standard_normal(out=block)
+    return _polar(W)[0], 1.0
 
 
 def e_step_local(W_i, rho2_i, X_i, out=None):

@@ -355,8 +355,8 @@ def solve(problem, x0, config=None):
     Returns a :class:`SolveResult`; the returned point always satisfies
     the bounds inclusively and the accepted-step cost sequence is
     non-increasing. A problem with neither ``normal_fn`` nor
-    ``jacobian_fn`` raises :class:`InvalidInputError` before any residual
-    is evaluated.
+    ``jacobian_fn``, or an ``x0`` with NaN or infinite entries, raises
+    :class:`InvalidInputError` before any residual is evaluated.
     """
     cfg = config if config is not None else TrfConfig()
     cfg.validate()
@@ -366,6 +366,8 @@ def solve(problem, x0, config=None):
     x = np.asarray(x0, dtype=np.float64).ravel().copy()
     if x.size != problem.n_vars:
         raise ShapeError(f"x0 has {x.size} entries, expected {problem.n_vars}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("x0 has NaN or infinite entries")
     x = _strictly_feasible(x, lb, ub)
     nfev = 0
 

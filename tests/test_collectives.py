@@ -704,6 +704,31 @@ class TestWireFrames:
             + wire_frame(3, 4, struct.pack("<QQ4d", 2, 2, 1.5, 1.5, 1.5, 1.5))
         }
 
+    @pytest.mark.parametrize("runner", [run_group, run_socket_group])
+    def test_pairwise_sum_round(self, runner):
+        """Rank 1 owns items [1, 4) of 4 and ships one gather frame: its
+        nodes over [1, 2) and [2, 4), each row opened by its (start, level).
+        The root ships nothing."""
+        rows = np.array([[0.5, 1.0], [1.5, 2.0], [2.5, 4.0], [3.5, 8.0]])
+
+        def fn(c):
+            c._peers = {peer: RecordingLink(link) for peer, link in c._peers.items()}
+            lo, hi = [(0, 1), (1, 4)][c.rank]
+            pairwise = PairwiseSum(c, lo, 4, 2)
+            for row in rows[lo:hi]:
+                pairwise.row()[:] = row
+                pairwise.push()
+            sums = pairwise.finish()
+            wire = {peer: bytes(link.wire) for peer, link in c._peers.items()}
+            return None if sums is None else sums.tolist(), wire
+
+        results, errors = runner(2, fn)
+        assert errors == [None, None]
+        assert results[0] == ([8.0, 15.0], {1: b""})
+        assert results[1] == (None, {
+            0: wire_frame(3, 1, struct.pack("<QQ8d", 2, 4, 1, 0, 1.5, 2.0, 2, 1, 6.0, 12.0))
+        })
+
 
 class TestStatsAndOffsets:
     def test_logical_byte_accounting(self):
@@ -896,12 +921,13 @@ class Frames:
 
 
 class CountingSum(PairwiseSum):
-    """A pairwise sum that keeps the most stack rows it held at a push."""
+    """A pairwise sum that keeps the most rows it held at a push: its
+    nodes and the free row being pushed."""
 
     most = 0
 
     def push(self, level=0):
-        self.most = max(self.most, len(self.rows))
+        self.most = max(self.most, len(self.nodes) + 1)
         super().push(level)
 
 
@@ -943,9 +969,9 @@ def tree_block(rows, lo, hi):
 
 
 def root_of(rows, n):
-    """The root of n items; it holds no stack row before a round."""
+    """The root of n items; it holds no row before a round."""
     pairwise = CountingSum(Replay(0, 1), 0, n, rows.shape[1])
-    assert pairwise.rows == []
+    assert pairwise.nodes == [] and pairwise.free is None
     return pairwise
 
 
@@ -960,12 +986,12 @@ def root_finish(pairwise, blocks):
     """The root's round after it pushed its own items."""
     pairwise.comm = Replay(0, 1 + len(blocks), blocks)
     sums = pairwise.finish()
-    # the root gathers a (rows, cols) header and no node rows; its stack,
-    # with the row being read, never held more than n.bit_length() + 1 rows
-    # and holds none after the round
+    # the root gathers a (rows, cols) header and no node rows; its nodes,
+    # with the free row being read, never held more than n.bit_length() + 1
+    # rows, and it holds none after the round
     assert len(pairwise.comm.sent) == 16
     assert pairwise.most <= pairwise.n_total.bit_length() + 1
-    assert pairwise.rows == []
+    assert pairwise.nodes == [] and pairwise.free is None
     return sums
 
 
@@ -993,14 +1019,14 @@ class TestPairwiseSum:
             # [own, n) over up to 3 more ranks restarts from that stack
             for own in range(1, n + 1):
                 push_rows(root, rows[:own])
-                spans, covered = list(root.spans), root.covered
-                pushed = [node.copy() for node in root.rows]
+                covered = root.covered
+                pushed = [node.copy() for node in root.nodes]
                 for n_cuts in range(3 if own < n else 1):
                     for cuts in combinations(range(own + 1, n), n_cuts):
                         bounds = (own, *cuts, n)  # (n, n) when the root owns all
                         parts = [blocks[b] for b in zip(bounds, bounds[1:]) if b[0] < b[1]]
-                        root.rows = [node.copy() for node in pushed]
-                        root.spans, root.covered = list(spans), covered
+                        root.nodes = [node.copy() for node in pushed]
+                        root.covered = covered
                         got = root_finish(root, parts)
                         assert got.tobytes() == expected, (n, bounds[:-1])
         assert differs_from_sequential > 20
@@ -1061,13 +1087,12 @@ class TestPairwiseSum:
         for _ in range(3):
             seen = []  # holding every row keeps ids from being reused
             for i in range(n):
-                row = pairwise._free_row()
-                if not any(row is r for r in seen):
-                    seen.append(row)
                 pairwise.row()[:] = i
+                if not any(pairwise.free is r for r in seen):
+                    seen.append(pairwise.free)
                 pairwise.push()
             assert pairwise.finish().tolist() == [n * (n - 1) / 2] * 3
-            assert pairwise.rows == [] and pairwise.spare is None
+            assert pairwise.nodes == [] and pairwise.free is None
             handed.append(len(seen))
         assert handed == [1 + n // 2] * 3
 
@@ -1147,7 +1172,7 @@ def ship_node_header(comm, start, level):
     pairwise.row()[:] = 1.0
     pairwise.push()
     if comm.rank == 1:
-        pairwise.spans[-1] = (start, level)
+        pairwise.nodes[-1][:2] = start, level
     return pairwise.finish()
 
 

@@ -981,6 +981,7 @@ class TestInputChecks:
         ("inf", "has NaN or infinite entries"),
         ("constant", "is constant over time"),
         ("one-voxel", "has a one-voxel grid"),
+        ("flat", "has a grid flat along z"),
     ]
     # a plan small enough that a NaN at [7, 3] is never sampled
     PLAN = htfa.SubsamplePlan(max_voxels=50, max_trs=5, voxel_fraction=0.05, tr_fraction=0.05)
@@ -992,6 +993,10 @@ class TestInputChecks:
         if bad == "one-voxel":
             return [SubjectData("s0", matrices[0], grid),
                     SubjectData("s1", X[:1], cuboid_grid(1, 1, 1))]
+        if bad == "flat":
+            # one 12 x 12 slice: the centers' z bounds would be equal
+            return [SubjectData("s0", matrices[0], grid),
+                    SubjectData("s1", X[:144], cuboid_grid(12, 12, 1))]
         if bad == "constant":
             X[:] = 2.5
         else:
@@ -1000,7 +1005,7 @@ class TestInputChecks:
 
     @staticmethod
     def error(bad):
-        return ShapeError if bad == "one-voxel" else InvalidInputError
+        return ShapeError if bad in ("one-voxel", "flat") else InvalidInputError
 
     @pytest.mark.parametrize("bad, message", CASES)
     def test_serial(self, bad, message):

@@ -179,6 +179,26 @@ class TestSolve:
             solve(problem, np.array([3.0]))
         assert calls == []
 
+    @pytest.mark.parametrize("x0, lower, upper", [
+        ([np.nan, 1.0], None, None),
+        ([np.inf, 1.0], np.zeros(2), None),
+    ], ids=["nan", "inf-bounded"])
+    def test_non_finite_start_refused_before_any_residual(self, x0, lower, upper):
+        """A NaN start used to be blamed on ``residual_fn``; an infinite one
+        above a lower bound made the clamp subtract inf from inf."""
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            return x - 1.0
+
+        problem = LeastSquaresProblem(
+            2, 2, residual, lambda x: np.eye(2), lower=lower, upper=upper
+        )
+        with pytest.raises(InvalidInputError, match="x0 has NaN or infinite entries"):
+            solve(problem, np.array(x0))
+        assert calls == []
+
     def test_invalid_bounds_rejected(self):
         problem = linear_problem(
             np.array([1.0]), lower=np.array([2.0]), upper=np.array([2.0])
