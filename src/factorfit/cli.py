@@ -342,18 +342,9 @@ def _cmd_fit_htfa(args):
             )
         if comm.rank == 0:
             with open(out_dir / "template.json", "w") as fh:
-                json.dump(
-                    {
-                        "centers": template.centers.tolist(),
-                        "widths": template.widths.tolist(),
-                        "center_cov": template.center_cov.tolist(),
-                        "width_var": template.width_var.tolist(),
-                        "prior_center_cov": template.prior_center_cov.tolist(),
-                        "prior_width_var": template.prior_width_var,
-                    },
-                    fh,
-                    indent=2,
-                )
+                fields = {f.name: np.asarray(getattr(template, f.name)).tolist()
+                          for f in dataclasses.fields(template)}
+                json.dump(fields, fh, indent=2)
                 fh.write("\n")
             _write_report(out_dir, report)
 

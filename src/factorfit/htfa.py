@@ -45,6 +45,7 @@ from .collectives import PairwiseSum, broadcast_parts, rank_offsets
 from .errors import ConfigError, DefinitenessError, ShapeError
 from .kernels import center_stats, check_centered, rbf_factor_matrix, row_residual_energy
 from .kernels import grid_sq_distances, spd_inverse
+from .rng import numpy_stream
 
 __all__ = [
     "GlobalTemplate",
@@ -151,11 +152,20 @@ _RIDGE_ALPHA2 = 1.0
 
 
 def _grid(subject):
-    """A subject's voxel grid, refused by name if missing or a single voxel."""
-    if subject.grid is None or subject.grid.diameter == 0:
-        problem = "no voxel coordinates" if subject.grid is None else "a one-voxel grid"
-        raise ShapeError(f"subject {subject.subject_id} has {problem}")
-    return subject.grid
+    """A subject's voxel grid, refused by name if the data are not a voxels x
+    TRs matrix, or the grid is missing, a single voxel or not one position
+    per voxel."""
+    name, ndim, grid = subject.subject_id, np.ndim(subject.X), subject.grid
+    if ndim != 2:
+        raise ShapeError(f"subject {name} has {ndim}-D data, not a voxels x TRs matrix")
+    if grid is None or grid.diameter == 0:
+        problem = "no voxel coordinates" if grid is None else "a one-voxel grid"
+        raise ShapeError(f"subject {name} has {problem}")
+    if grid.n_voxels != len(subject.X):
+        raise ShapeError(
+            f"subject {name} has {grid.n_voxels} grid positions for {len(subject.X)} voxels"
+        )
+    return grid
 
 
 def width_bounds(grid, config):
@@ -240,7 +250,7 @@ def subsample(X, plan, rng=None):
     """
     plan.validate()
     if rng is None:
-        rng = np.random.default_rng(plan.seed & 0xFFFFFFFFFFFFFFFF)
+        rng = numpy_stream(plan.seed)
     n_vox, n_trs = X.shape
     take_vox = _sample_count(plan.voxel_fraction, plan.max_voxels, n_vox)
     take_trs = _sample_count(plan.tr_fraction, plan.max_trs, n_trs)
@@ -462,7 +472,7 @@ def local_step(subject, template, local, config, plan, rng=None):
     """
     grid = _grid(subject)
     if rng is None:
-        rng = np.random.default_rng(plan.seed & 0xFFFFFFFFFFFFFFFF)
+        rng = numpy_stream(plan.seed)
     centers = template.centers.copy()
     widths = template.widths.copy()
     weights = local.weights.copy()
@@ -588,8 +598,9 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     appends the mean noise variance once per outer iteration; other ranks
     leave it empty.
 
-    Bad subjects fail by name before any collective: one without voxel
-    coordinates or with a one-voxel grid, one that is not finite or is
+    Bad subjects fail by name before any collective: one whose data are not
+    2-D, one without voxel coordinates, with a one-voxel grid or with a
+    grid of another voxel count than its data, one that is not finite or is
     constant over time (:func:`~factorfit.kernels.check_centered`, as in
     SRM), a root whose first subject has too few voxels to seed the
     template, and then one whose grid is flat along an axis, where the
@@ -626,9 +637,7 @@ def fit(subjects, config, plan, comm, iteration_log=None):
     for outer in range(config.outer_iterations):
         template = _broadcast_template(comm, template, k)
         for j, subject in enumerate(subjects):
-            rng = np.random.default_rng(
-                (plan.seed & 0xFFFFFFFFFFFFFFFF, offset + j, outer)
-            )
+            rng = numpy_stream(plan.seed, offset + j, outer)
             locals_[j] = local_step(subject, template, locals_[j], config, plan, rng=rng)
             m = locals_[j] = _rescue_degenerate(subject, locals_[j])
             parts = [m.centers.ravel(), m.widths, [0.5 / m.noise_weight]]

@@ -49,11 +49,6 @@ RANK_TOLERANCE = 1e-12
 #: Rows per block of :func:`row_blocks`.
 ROW_BLOCK = 64
 
-#: Bytes of the row block through which :func:`polar_orthogonal`'s QR
-#: route writes its result, at least ``ROW_BLOCK`` rows: a narrow A then
-#: takes a few products, not one per 64 rows.
-POLAR_BLOCK_BYTES = 16 * 1024
-
 #: Fewest output columns of one part of :func:`_split_matmul`.
 SPLIT_COLUMNS = 1024
 
@@ -236,10 +231,9 @@ def _polar(A, atol=0.0):
     which are A's; otherwise s come from the SVD of A. With P = U_R V_R^T
     and V_1 the unit lower triangular top of V, W = [P; 0] - V M for the
     cols x cols M = T (V_1^T P): the rows below the top get -V[rows] M one
-    block at a time through one block of scratch (``POLAR_BLOCK_BYTES``,
-    or ``ROW_BLOCK`` rows if that is more), the top rows P - V_1 M from a
-    copy of V_1, so beside A only that block and a few cols x cols arrays
-    are allocated.
+    :func:`row_blocks` block at a time, the top rows P - V_1 M from a copy
+    of V_1, so beside A only one ``ROW_BLOCK`` x cols block and a few
+    cols x cols arrays are allocated.
     """
     rows, cols = _check_matrix(A, "A").shape
     if rows < cols:
@@ -269,13 +263,10 @@ def _polar(A, atol=0.0):
     np.fill_diagonal(v1, 1.0)
     m = -(t @ (v1.T @ polar))
     # v's rows below the top are V's: overwrite each block with -V[rows] M
-    step = max(ROW_BLOCK, POLAR_BLOCK_BYTES // (8 * cols))
-    block = np.empty((min(step, rows - cols), cols))
-    for start in range(cols, rows, step):
-        below = slice(start, min(start + step, rows))
-        part = block[: below.stop - start]
-        np.matmul(v[below], m, out=part)
-        v[below] = part
+    below = v[cols:]
+    for part, block in row_blocks(below):
+        np.matmul(below[part], m, out=block)
+        below[part] = block
     polar += v1 @ m
     v[:cols] = polar
     return v, s

@@ -1,4 +1,5 @@
-"""Pinned portable random number generator for synthetic data generation.
+"""Random streams: the fitters' numpy streams and the pinned generator
+of the synthetic data.
 
 The synthetic-data outputs are part of the reproducibility contract, so
 they cannot depend on any library's generator that may change between
@@ -15,10 +16,21 @@ Pinned procedures:
   ``2^64 - (2^64 mod n)``, and return ``draw mod n``;
 * ``permutation(n)``: Fisher-Yates from the top, swapping position i
   (i = n-1 .. 1) with position ``randbelow(i + 1)``.
+
+The fitters draw (SRM's initial mappings, HTFA's subsamples) from
+:func:`numpy_stream`, which takes a user seed mod 2^64, negative or not.
 """
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def numpy_stream(seed, *keys):
+    """``default_rng((seed mod 2^64, *keys))``, which draws as
+    ``default_rng(seed mod 2^64)`` when there are no keys."""
+    return np.random.default_rng((seed & _MASK64, *keys))
 
 
 def _splitmix64(state):

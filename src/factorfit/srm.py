@@ -73,6 +73,7 @@ from .collectives import PairwiseSum, broadcast_parts, gather_rows, rank_offsets
 from .errors import ConfigError, RankError, ShapeError
 from .kernels import _polar, _split_matmul, add_diag, center_stats, check_centered
 from .kernels import polar_orthogonal, row_blocks, spd_inverse, trace_ata
+from .rng import numpy_stream
 
 __all__ = [
     "SrmConfig",
@@ -152,7 +153,7 @@ def init_subject(n_voxels, config, subject_index):
         raise ShapeError(
             f"subject has {n_voxels} voxels, fewer than k={config.k} factors"
         )
-    rng = np.random.default_rng((config.seed & 0xFFFFFFFFFFFFFFFF, subject_index))
+    rng = numpy_stream(config.seed, subject_index)
     W = np.empty((n_voxels, config.k), order="F")
     for rows, block in row_blocks(W):
         W[rows] = rng.standard_normal(out=block)
@@ -270,9 +271,10 @@ def fit(subjects, config, comm):
     iteration after the first, then the mean of the final noise variances,
     so it covers every subject whatever the partition.
 
-    Bad subjects fail by name before any collective: a subject with fewer
-    than k voxels (:class:`ShapeError`), one with a NaN or infinite entry
-    or one that is constant over time (:class:`InvalidInputError`), and
+    Bad subjects fail by name before any collective: a subject whose data
+    are not 2-D or that has fewer than k voxels (:class:`ShapeError`), one
+    with a NaN or infinite entry or one that is constant over time
+    (:class:`InvalidInputError`), and
     one with fewer than k voxels that vary beyond the rounding of their
     mean (:class:`RankError`). A subject whose demeaned data have rank
     below k for another reason fails its M-step with a
@@ -281,6 +283,12 @@ def fit(subjects, config, comm):
     config.validate()
     if not subjects:
         raise ConfigError("each worker needs at least one subject")
+    for s in subjects:
+        if np.ndim(s.X) != 2:
+            raise ShapeError(
+                f"subject {s.subject_id} has {np.ndim(s.X)}-D data, not a voxels x "
+                "TRs matrix"
+            )
     n_trs = subjects[0].X.shape[1]
     k = config.k
     for s in subjects:

@@ -152,6 +152,14 @@ class TestSubsample:
         b = htfa.subsample(X, plan, np.random.default_rng(3))
         assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
+    @pytest.mark.parametrize("seed", [0, 5, -1, -12345, 2**64 - 1])
+    def test_default_stream_is_the_seed_mod_2_64(self, seed):
+        X = np.arange(200.0).reshape(20, 10)
+        plan = htfa.SubsamplePlan(max_voxels=8, max_trs=4, seed=seed)
+        a = htfa.subsample(X, plan)
+        b = htfa.subsample(X, plan, np.random.default_rng(seed & (2**64 - 1)))
+        assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+
     def test_block_gathered_for_a_contiguous_transpose(self):
         X = np.arange(600.0).reshape(40, 15)
         plan = htfa.SubsamplePlan(max_voxels=12, max_trs=6, seed=7)
@@ -768,6 +776,18 @@ class TestFit:
         # rank_offsets, one template per outer iteration and the final one
         assert comm.stats.bcast_calls == config.outer_iterations + 2
 
+    def test_negative_seed_is_taken_mod_2_64(self, blob_data):
+        subjects, _, _, _ = blob_data
+        config = small_config(outer=2, local=2)
+        a, b = (
+            htfa.fit(subjects, config, small_plan(seed=seed), SerialCommunicator())
+            for seed in (-1, 2**64 - 1)
+        )
+        # every field of the template and of each local model, as bytes
+        a, b = ([np.asarray(v).tobytes() for m in (t, *ls) for v in vars(m).values()]
+                for t, ls in (a, b))
+        assert a == b
+
     def test_serial_vs_threads_identical(self, blob_data):
         subjects, _, _, _ = blob_data
         config = small_config(outer=2, local=2)
@@ -982,6 +1002,8 @@ class TestInputChecks:
         ("constant", "is constant over time"),
         ("one-voxel", "has a one-voxel grid"),
         ("flat", "has a grid flat along z"),
+        ("1-D", "has 1-D data, not a voxels x TRs matrix"),
+        ("short-grid", "has 1142 grid positions for 1152 voxels"),
     ]
     # a plan small enough that a NaN at [7, 3] is never sampled
     PLAN = htfa.SubsamplePlan(max_voxels=50, max_trs=5, voxel_fraction=0.05, tr_fraction=0.05)
@@ -997,6 +1019,12 @@ class TestInputChecks:
             # one 12 x 12 slice: the centers' z bounds would be equal
             return [SubjectData("s0", matrices[0], grid),
                     SubjectData("s1", X[:144], cuboid_grid(12, 12, 1))]
+        if bad == "1-D":
+            return [SubjectData("s0", matrices[0], grid), SubjectData("s1", X[:, 0], grid)]
+        if bad == "short-grid":
+            # the grid's last 10 positions dropped: 1142 positions for 1152 rows
+            short = VoxelGrid.from_positions(grid.positions[:-10])
+            return [SubjectData("s0", matrices[0], grid), SubjectData("s1", X, short)]
         if bad == "constant":
             X[:] = 2.5
         else:
@@ -1005,7 +1033,7 @@ class TestInputChecks:
 
     @staticmethod
     def error(bad):
-        return ShapeError if bad in ("one-voxel", "flat") else InvalidInputError
+        return InvalidInputError if bad in ("nan", "inf", "constant") else ShapeError
 
     @pytest.mark.parametrize("bad, message", CASES)
     def test_serial(self, bad, message):

@@ -15,7 +15,6 @@ from factorfit.errors import (
     ShapeError,
 )
 from factorfit.kernels import (
-    POLAR_BLOCK_BYTES,
     ROW_BLOCK,
     SPLIT_COLUMNS,
     VoxelGrid,
@@ -188,13 +187,19 @@ class TestPolarOrthogonal:
         rows, k = 3000, 60
         A = np.asfortranarray(np.random.default_rng(16).standard_normal((rows, k)))
         peak = traced_peak(_polar, A)
-        block = max(ROW_BLOCK * k * 8, POLAR_BLOCK_BYTES)
-        assert peak <= 8 * k * k * 8 + block + 64 * 1024, peak / A.nbytes
+        assert peak <= 8 * k * k * 8 + ROW_BLOCK * k * 8 + 64 * 1024, peak / A.nbytes
+
+    def test_narrow_tall_route_holds_one_row_block(self):
+        """A narrow A is walked ``ROW_BLOCK`` rows at a time too: beside A,
+        a 64 x 8 block (4 KB) and a few 8 x 8 arrays."""
+        A = np.asfortranarray(np.random.default_rng(18).standard_normal((5000, 8)))
+        peak = traced_peak(_polar, A)
+        assert peak < 16 * 1024, peak
 
     @pytest.mark.parametrize("shape", [
         (3000, 60),  # srm-raider's mapping
         (1001, 40),  # rows - cols not a multiple of ROW_BLOCK
-        (5000, 8),  # 256-row blocks (POLAR_BLOCK_BYTES), the last one short
+        (5000, 8),  # narrow: 78 whole ROW_BLOCK blocks below the top
         (800, 100),  # cols > ROW_BLOCK, rows = 8 cols exactly
         (1100, 130),  # cols > 2 ROW_BLOCK
         (512, 64),  # rows = 8 cols = 8 ROW_BLOCK

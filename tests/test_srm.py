@@ -135,6 +135,18 @@ class TestInitSubject:
         with pytest.raises(ShapeError):
             srm.init_subject(2, srm.SrmConfig(k=3), 0)
 
+    def test_negative_seed_is_taken_mod_2_64(self):
+        matrices, _ = srm_subjects(n_subjects=3, n_voxels=20, n_trs=10, k=2, seed=4)
+        subjects = [SubjectData(f"s{i}", X) for i, X in enumerate(matrices)]
+        a, b = (
+            srm.fit(subjects, srm.SrmConfig(k=2, iterations=3, seed=seed), SerialCommunicator())
+            for seed in (-1, 2**64 - 1)
+        )
+        assert a.S.tobytes() == b.S.tobytes()
+        assert a.sigma_s.tobytes() == b.sigma_s.tobytes()
+        assert a.rho2_all.tobytes() == b.rho2_all.tobytes()
+        assert [W.tobytes() for W in a.W] == [W.tobytes() for W in b.W]
+
     @pytest.mark.parametrize("n_voxels, k", [(3000, 60), (600, 20), (5000, 7), (64, 32)])
     def test_blocked_draw_matches_one_draw(self, n_voxels, k):
         """Drawing the Gaussian a row block at a time gives the bits of one
@@ -512,6 +524,18 @@ class TestFit:
         ]
         with pytest.raises(ShapeError, match="subject tiny has 2 voxels, fewer than k=3"):
             srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), SerialCommunicator())
+
+    @pytest.mark.parametrize("shape", [(20,), (20, 12, 2)])
+    def test_non_matrix_subject_named(self, shape):
+        rng = np.random.default_rng(31)
+        subjects = [
+            SubjectData("live", rng.standard_normal((20, 12))),
+            SubjectData("odd", rng.standard_normal(shape)),
+        ]
+        comm = SerialCommunicator()
+        with pytest.raises(ShapeError, match=f"subject odd has {len(shape)}-D data"):
+            srm.fit(subjects, srm.SrmConfig(k=3, iterations=3), comm)
+        assert comm.stats.gather_calls == comm.stats.bcast_calls == 0
 
     def test_voxel_offsets_do_not_change_fit(self):
         """Adding 1e3 * c 1^T to a subject moves its mean, not its fit."""
